@@ -4,10 +4,7 @@
 // and the max-min fair solver that backs the QFS simulator.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -20,7 +17,6 @@
 #include "core/objective.h"
 #include "core/partial.h"
 #include "core/scheduler.h"
-#include "core/search_core.h"
 #include "core/symmetry.h"
 #include "datacenter/prune_labels.h"
 #include "net/maxmin.h"
@@ -34,60 +30,6 @@
 namespace {
 
 using namespace ostro;
-
-// Heap-allocation counter for the zero-allocation claims of the pooled
-// search core (BENCH_search_core.json): the bench binary overrides the
-// global allocation functions, exactly like tests/core/search_alloc_test.cpp.
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-[[nodiscard]] std::uint64_t heap_alloc_count() noexcept {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
-
-/// SearchConfig::search_core used by the search benchmarks; set by the
-/// --search-core=<pooled|reference> command-line flag.
-core::SearchCore g_bench_search_core = core::SearchCore::kPooled;
-
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t padded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, padded == 0 ? align : padded)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-// Replacement allocation functions must live at global scope.
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-namespace {
 
 struct MicroFixture {
   dc::DataCenter datacenter = sim::make_sim_datacenter(20, 16);  // 320 hosts
@@ -114,8 +56,8 @@ MicroFixture& fixture() {
 }
 
 /// Figure-7-scale fixture (150 racks x 16 hosts = 2400 hosts): the size at
-/// which the topology-query and estimate fast paths are quantified against
-/// their tree-walk / per-call reference implementations.
+/// which the topology queries are timed and the estimate context is
+/// quantified against the per-call reference estimate.
 struct Fig7Fixture {
   dc::DataCenter datacenter = sim::make_sim_datacenter(150, 16);
   dc::Occupancy occupancy{datacenter};
@@ -286,10 +228,9 @@ void BM_PathLinks(benchmark::State& state) {
 }
 BENCHMARK(BM_PathLinks);
 
-// ---- Figure-7-scale (2400 hosts) fast paths vs their references ----
-// Each pair runs the table-driven hot path and the tree-walk / per-call
-// implementation it replaced on the same access pattern; the ratio is the
-// speedup the PR claims.
+// ---- Figure-7-scale (2400 hosts) hot paths ----
+// The table-driven topology queries, and the estimate context against the
+// per-call estimate it replaced on the same access pattern.
 
 void BM_ScopeBetweenFig7(benchmark::State& state) {
   auto& f = fig7();
@@ -304,19 +245,6 @@ void BM_ScopeBetweenFig7(benchmark::State& state) {
 }
 BENCHMARK(BM_ScopeBetweenFig7);
 
-void BM_ScopeBetweenWalkFig7(benchmark::State& state) {
-  auto& f = fig7();
-  const auto n = static_cast<dc::HostId>(f.datacenter.host_count());
-  dc::HostId a = 0;
-  dc::HostId b = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.datacenter.scope_between_walk(a, b));
-    a = (a + 13) % n;
-    b = (b + 131) % n;
-  }
-}
-BENCHMARK(BM_ScopeBetweenWalkFig7);
-
 void BM_PathLinksFig7(benchmark::State& state) {
   auto& f = fig7();
   const auto n = static_cast<dc::HostId>(f.datacenter.host_count());
@@ -330,40 +258,6 @@ void BM_PathLinksFig7(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PathLinksFig7);
-
-void BM_PathLinksWalkFig7(benchmark::State& state) {
-  auto& f = fig7();
-  const auto n = static_cast<dc::HostId>(f.datacenter.host_count());
-  std::vector<dc::LinkId> links;
-  dc::HostId a = 0;
-  dc::HostId b = 1;
-  for (auto _ : state) {
-    links.clear();
-    f.datacenter.path_links_walk(a, b, links);
-    benchmark::DoNotOptimize(links.data());
-    a = (a + 13) % n;
-    b = (b + 131) % n;
-  }
-}
-BENCHMARK(BM_PathLinksWalkFig7);
-
-// The pattern path_between actually replaced in the search hot paths: a
-// fresh std::vector filled by the tree walk on every call (partial.cpp's
-// place/bandwidth_ok before this PR).
-void BM_PathLinksWalkAllocFig7(benchmark::State& state) {
-  auto& f = fig7();
-  const auto n = static_cast<dc::HostId>(f.datacenter.host_count());
-  dc::HostId a = 0;
-  dc::HostId b = 1;
-  for (auto _ : state) {
-    std::vector<dc::LinkId> links;
-    f.datacenter.path_links_walk(a, b, links);
-    benchmark::DoNotOptimize(links.data());
-    a = (a + 13) % n;
-    b = (b + 131) % n;
-  }
-}
-BENCHMARK(BM_PathLinksWalkAllocFig7);
 
 void BM_CandidateEstimateFig7(benchmark::State& state) {
   auto& f = fig7();
@@ -400,17 +294,16 @@ void BM_CandidateEstimateContextFig7(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateEstimateContextFig7);
 
-// Whole-placement application at Figure-7 scale: staged mode validates in
-// the OccupancyDelta overlay and flushes one apply_delta batch, so the
-// occupancy.link_reservations per-op churn drops to zero on the success
-// path (the `reserve_calls` counter makes the drop visible per apply).
+// Whole-placement application at Figure-7 scale: the transaction validates
+// in the OccupancyDelta overlay and flushes one apply_delta batch, so the
+// occupancy.link_reservations per-op counter stays at zero on the success
+// path (the `reserve_calls` counter makes that visible per apply).
 void BM_TransactionStagedFig7(benchmark::State& state) {
   auto& f = fig7();
   dc::Occupancy occupancy = f.occupancy;
   auto& reservations = util::metrics::counter("occupancy.link_reservations");
   const auto before = reservations.value();
-  net::PlacementTransaction txn(occupancy,
-                                net::PlacementTransaction::Mode::kStaged);
+  net::PlacementTransaction txn(occupancy);
   for (auto _ : state) {
     txn.apply(f.app, f.assignment);
     txn.rollback();
@@ -420,23 +313,6 @@ void BM_TransactionStagedFig7(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_TransactionStagedFig7)->Unit(benchmark::kMicrosecond);
-
-void BM_TransactionDirectFig7(benchmark::State& state) {
-  auto& f = fig7();
-  dc::Occupancy occupancy = f.occupancy;
-  auto& reservations = util::metrics::counter("occupancy.link_reservations");
-  const auto before = reservations.value();
-  net::PlacementTransaction txn(occupancy,
-                                net::PlacementTransaction::Mode::kDirect);
-  for (auto _ : state) {
-    txn.apply(f.app, f.assignment);
-    txn.rollback();
-  }
-  state.counters["reserve_calls"] = benchmark::Counter(
-      static_cast<double>(reservations.value() - before),
-      benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_TransactionDirectFig7)->Unit(benchmark::kMicrosecond);
 
 void BM_EgSmall(benchmark::State& state) {
   auto& f = fixture();
@@ -476,42 +352,12 @@ void BM_VerifySignatureDetect(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifySignatureDetect);
 
-// ---- Search-core memory model: pooled arena vs reference containers ----
-
-// State branching, the innermost search operation: reference clones the
-// parent (full container copy) and places; the pooled core branch_from's a
-// recycled arena state in O(delta) and places.  Same logical operation as
-// BM_PlaceAndClone above.
-void BM_BranchFromPooled(benchmark::State& state) {
-  auto& f = fixture();
-  core::PartialPlacement base(f.app, f.occupancy, f.objective);
-  for (topo::NodeId v = 0; v < 20; ++v) {
-    base.place(v, static_cast<dc::HostId>(v % 16));
-  }
-  core::SearchArena arena;
-  arena.begin_plan(false, 16);
-  core::PartialPlacement& root = arena.acquire(base);
-  root.assign_pooled_flat(base);
-  core::PartialPlacement& child = arena.acquire(root);
-  for (auto _ : state) {
-    // branch_from resets the recycled slot: exactly the steady-state path.
-    child.branch_from(root);
-    child.place(20, 17);
-    benchmark::DoNotOptimize(child.utility_bound());
-  }
-  arena.end_plan();
-}
-BENCHMARK(BM_BranchFromPooled);
-
 // Whole BA* plan on the 320-host fixture under a deterministic open-queue
-// valve, on the core selected by --search-core (pooled by default).  The
-// valve caps the work identically for both cores, so comparing two runs of
-// this benchmark with the two flag values is an apples-to-apples speedup.
+// valve, which caps the work so runs are comparable across builds.
 void BM_BaStarValveCapped(benchmark::State& state) {
   auto& f = fixture();
   core::SearchConfig config = f.config;
   config.max_open_paths = 500;
-  config.search_core = g_bench_search_core;
   std::uint64_t expanded = 0;
   for (auto _ : state) {
     const core::AStarOutcome outcome =
@@ -670,181 +516,19 @@ void write_budget_json(bool smoke) {
   file << util::Json(std::move(out)).pretty() << '\n';
 }
 
-/// Quantifies the pooled search core (SearchCore::kPooled; DESIGN.md
-/// section 11) against the reference containers at Figure-7 scale (2400
-/// hosts, 200-VM multitier stack) and writes BENCH_search_core.json.
-/// The data center is driven near capacity (every rack but each 20th is
-/// exhausted) so the sharp-ordering search performs deep dives — depth
-/// ~|app| chains are where the memory models diverge — and a fixed
-/// expansion budget bounds the identical work both cores perform
-/// (assignments are compared to prove it).  The comparison reports
-/// expansions/sec, the speedup, heap allocations per plan on both cores,
-/// the pooled core's steady-state allocation delta (zero: warm plans only
-/// touch recycled arena memory), and the arena's retained bytes.
-void write_search_core_json(bool smoke) {
-  auto& f = fig7();
-  dc::Occupancy occupancy(f.datacenter);
-  for (const dc::Rack& rack : f.datacenter.racks()) {
-    if (rack.id % 20 == 0) continue;  // stays open
-    for (const dc::HostId h : rack.hosts) {
-      occupancy.add_host_load(h, occupancy.available(h));
-    }
-  }
-  util::Rng rng(11);
-  const topo::AppTopology app =
-      sim::make_multitier(smoke ? 60 : 200, sim::RequirementMix::kHeterogeneous,
-                          rng);
-  core::SearchConfig config;
-  // Deterministic DBA* dive: an unlimited deadline disables the stochastic
-  // pruning and the load-estimation checkpoints, the sharp ordering keeps
-  // the search expanding deep states after the first incumbent, and the
-  // expansion budget stops both cores at the exact same point of the exact
-  // same search.  (The open-path valve cannot bound this workload: the
-  // post-dive drain re-fills the open list below any valve level.)
-  config.deadline_seconds = 0.0;
-  config.initial_prune_range = 0.0;
-  config.dba_beam_width = 8;
-  config.max_expansions = smoke ? 400 : 2000;
-  const core::Objective objective(app, f.datacenter, config);
-  const int plans = smoke ? 2 : 4;
-
-  struct CoreRun {
-    double seconds = 0.0;
-    std::uint64_t expanded = 0;
-    std::vector<std::uint64_t> allocs;  // per-plan heap allocations
-    core::SearchStats last_stats;
-    net::Assignment assignment;
-  };
-  const auto measure = [&](core::SearchCore search_core) {
-    core::SearchConfig run_config = config;
-    run_config.search_core = search_core;
-    // Warm-up plan: grows the pooled arena (and the allocator's own caches
-    // for the reference core) so the measured plans are steady-state.
-    (void)core::run_astar(
-        core::PartialPlacement(app, occupancy, objective), run_config,
-        true, nullptr);
-    CoreRun run;
-    for (int i = 0; i < plans; ++i) {
-      const std::uint64_t allocs_before = heap_alloc_count();
-      const util::WallTimer timer;
-      const core::AStarOutcome outcome = core::run_astar(
-          core::PartialPlacement(app, occupancy, objective), run_config,
-          true, nullptr);
-      run.seconds += timer.elapsed_seconds();
-      run.allocs.push_back(heap_alloc_count() - allocs_before);
-      run.expanded += outcome.stats.paths_expanded;
-      run.last_stats = outcome.stats;
-      run.assignment = outcome.state.assignment();
-    }
-    return run;
-  };
-
-  const CoreRun reference = measure(core::SearchCore::kReference);
-  const CoreRun pooled = measure(core::SearchCore::kPooled);
-  if (pooled.assignment != reference.assignment) {
-    throw std::runtime_error(
-        "BENCH_search_core: pooled assignment differs from reference");
-  }
-  if (pooled.last_stats.paths_expanded !=
-      reference.last_stats.paths_expanded) {
-    throw std::runtime_error(
-        "BENCH_search_core: pooled expansion count differs from reference");
-  }
-
-  const auto mean = [](const std::vector<std::uint64_t>& v) {
-    std::uint64_t sum = 0;
-    for (const std::uint64_t x : v) sum += x;
-    return static_cast<double>(sum) / static_cast<double>(v.size());
-  };
-  // Steady state: consecutive warm pooled plans must allocate identically;
-  // report the largest consecutive difference (expected 0).
-  std::uint64_t steady_delta = 0;
-  for (std::size_t i = 1; i < pooled.allocs.size(); ++i) {
-    const std::uint64_t a = pooled.allocs[i - 1];
-    const std::uint64_t b = pooled.allocs[i];
-    steady_delta = std::max(steady_delta, a > b ? a - b : b - a);
-  }
-
-  util::JsonObject out;
-  out["benchmark"] = "search_core_fig7";
-  out["hosts"] = static_cast<int>(f.datacenter.host_count());
-  out["app_nodes"] = static_cast<int>(app.node_count());
-  out["expansion_budget"] = static_cast<std::int64_t>(config.max_expansions);
-  out["plans_measured"] = plans;
-  out["expansions_per_plan"] = static_cast<double>(pooled.expanded) / plans;
-  out["reference_expansions_per_sec"] =
-      static_cast<double>(reference.expanded) / reference.seconds;
-  out["pooled_expansions_per_sec"] =
-      static_cast<double>(pooled.expanded) / pooled.seconds;
-  out["speedup"] = reference.seconds / pooled.seconds;
-  out["reference_allocs_per_plan"] = mean(reference.allocs);
-  out["pooled_allocs_per_plan"] = mean(pooled.allocs);
-  out["pooled_steady_state_alloc_delta"] =
-      static_cast<std::int64_t>(steady_delta);
-  out["pooled_bytes_per_plan"] =
-      static_cast<std::int64_t>(pooled.last_stats.arena_bytes);
-  out["pooled_arena_states"] =
-      static_cast<std::int64_t>(pooled.last_stats.arena_states);
-  out["pooled_arena_reused"] = pooled.last_stats.arena_reused;
-  std::ofstream file("BENCH_search_core.json");
-  file << util::Json(std::move(out)).pretty() << '\n';
-}
-
 /// Quantifies the precomputed prune labels (SearchConfig::use_prune_labels;
-/// DESIGN.md section 12) and writes BENCH_labels.json.  Three sections:
-///   1. Comparable dive — the exact workload of BENCH_search_core.json
-///      (Figure-7 fleet, deterministic DBA* dive, pooled core) with labels
-///      on; its pooled_expansions_per_sec is diffed against
-///      BENCH_search_core.json by scripts/compare_bench.py in CI, gating
-///      the labels overhead on the regime where they rarely fire.
-///   2. BA* expansion drop — a fragmented near-full fleet (every rack down
+/// DESIGN.md section 12) and writes BENCH_labels.json.  Two sections:
+///   1. BA* expansion drop — a fragmented near-full fleet (every rack down
 ///      to at most one feasible host, 10 open hosts across 150 racks):
 ///      the regime the labels were built for, where the separation ladder
 ///      and the host climb tighten nearly every edge bound.  Labels on vs
 ///      off, same final assignment required, expansion drop recorded.
-///   3. Maintenance cost — label rebuild seconds at 2400 hosts and the
+///   2. Maintenance cost — label rebuild seconds at 2400 hosts and the
 ///      per-commit refresh cost on the live add/remove path.
 void write_labels_json(bool smoke) {
   auto& f = fig7();
 
-  // ---- 1. Comparable dive (same shaping as write_search_core_json) ----
-  dc::Occupancy dive_occupancy(f.datacenter);
-  for (const dc::Rack& rack : f.datacenter.racks()) {
-    if (rack.id % 20 == 0) continue;  // stays open
-    for (const dc::HostId h : rack.hosts) {
-      dive_occupancy.add_host_load(h, dive_occupancy.available(h));
-    }
-  }
-  util::Rng rng(11);
-  const topo::AppTopology dive_app = sim::make_multitier(
-      smoke ? 60 : 200, sim::RequirementMix::kHeterogeneous, rng);
-  core::SearchConfig dive_config;
-  dive_config.deadline_seconds = 0.0;
-  dive_config.initial_prune_range = 0.0;
-  dive_config.dba_beam_width = 8;
-  dive_config.max_expansions = smoke ? 400 : 2000;
-  dive_config.search_core = core::SearchCore::kPooled;
-  dive_config.use_prune_labels = true;
-  const core::Objective dive_objective(dive_app, f.datacenter, dive_config);
-  const int plans = smoke ? 2 : 4;
-  // Warm-up grows the arena so the measured plans are steady-state.
-  (void)core::run_astar(
-      core::PartialPlacement(dive_app, dive_occupancy, dive_objective,
-                             dive_config.use_prune_labels),
-      dive_config, true, nullptr);
-  double dive_seconds = 0.0;
-  std::uint64_t dive_expanded = 0;
-  for (int i = 0; i < plans; ++i) {
-    const util::WallTimer timer;
-    const core::AStarOutcome outcome = core::run_astar(
-        core::PartialPlacement(dive_app, dive_occupancy, dive_objective,
-                               dive_config.use_prune_labels),
-        dive_config, true, nullptr);
-    dive_seconds += timer.elapsed_seconds();
-    dive_expanded += outcome.stats.paths_expanded;
-  }
-
-  // ---- 2. BA* expansion drop on the fragmented near-full fleet ----
+  // ---- 1. BA* expansion drop on the fragmented near-full fleet ----
   // Ten hosts spread across ten racks keep (5, 10, 300) free — enough for
   // any single sim VM (at most 4 cores) but not for most pairs, so the
   // reference bound's same-host optimism is wrong on most edges while the
@@ -868,7 +552,6 @@ void write_labels_json(bool smoke) {
       smoke ? 10 : 15, sim::RequirementMix::kHeterogeneous, app_rng);
   core::SearchConfig ba_config;
   ba_config.max_expansions = smoke ? 3000 : 20000;
-  ba_config.search_core = core::SearchCore::kPooled;
   const core::Objective ba_objective(ba_app, f.datacenter, ba_config);
 
   struct LabelRun {
@@ -912,7 +595,7 @@ void write_labels_json(bool smoke) {
                 (1.0 - static_cast<double>(labels_on.stats.paths_expanded) /
                            static_cast<double>(labels_off.stats.paths_expanded));
 
-  // ---- 3. Maintenance cost at Figure-7 scale ----
+  // ---- 2. Maintenance cost at Figure-7 scale ----
   const int rebuilds = smoke ? 3 : 20;
   const util::WallTimer rebuild_timer;
   for (int i = 0; i < rebuilds; ++i) {
@@ -940,12 +623,6 @@ void write_labels_json(bool smoke) {
   util::JsonObject out;
   out["benchmark"] = "prune_labels_fig7";
   out["hosts"] = static_cast<int>(f.datacenter.host_count());
-  out["dive_app_nodes"] = static_cast<int>(dive_app.node_count());
-  out["dive_plans_measured"] = plans;
-  out["dive_expansions_per_plan"] =
-      static_cast<double>(dive_expanded) / plans;
-  out["pooled_expansions_per_sec"] =
-      static_cast<double>(dive_expanded) / dive_seconds;
   out["ba_app_nodes"] = static_cast<int>(ba_app.node_count());
   out["ba_feasible"] = labels_on.feasible;
   out["ba_on_expansions"] =
@@ -976,9 +653,8 @@ void write_labels_json(bool smoke) {
 }  // namespace
 
 // google-benchmark rejects unknown flags, so --smoke (the CI sanity mode:
-// every benchmark runs, but only for ~10 ms each) and
-// --search-core=<pooled|reference> (the memory model the search benchmarks
-// run on) are peeled off before Initialize.
+// every benchmark runs, but only for ~10 ms each) is peeled off before
+// Initialize.
 int main(int argc, char** argv) {
   std::vector<char*> args;
   bool smoke = false;
@@ -986,11 +662,6 @@ int main(int argc, char** argv) {
     const std::string_view view(argv[i]);
     if (view == "--smoke") {
       smoke = true;
-      continue;
-    }
-    if (view.rfind("--search-core=", 0) == 0) {
-      g_bench_search_core = core::parse_search_core(
-          std::string(view.substr(std::string_view("--search-core=").size())));
       continue;
     }
     args.push_back(argv[i]);
@@ -1005,7 +676,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   write_candidates_json(smoke);
   write_budget_json(smoke);
-  write_search_core_json(smoke);
   write_labels_json(smoke);
   benchmark::Shutdown();
   return 0;

@@ -11,8 +11,8 @@ Keys are higher-is-better by default (throughput-style metrics).  Append
 two files name a metric differently, map with ``baseline_key=candidate_key``.
 
 Examples:
-  compare_bench.py BENCH_search_core.json BENCH_labels.json \
-      --key pooled_expansions_per_sec
+  compare_bench.py BENCH_lifecycle.json BENCH_lifecycle.json \
+      --key success_rate_defrag_off=success_rate_defrag_on
   compare_bench.py old.json new.json --key seconds_per_plan:lower \
       --tolerance 0.05
 """

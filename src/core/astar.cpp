@@ -12,7 +12,6 @@
 #include "core/candidates.h"
 #include "core/estimator.h"
 #include "core/greedy.h"
-#include "core/search_core.h"
 #include "core/symmetry.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -23,9 +22,8 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-// Reference-mode open-list backing reservation (the quick win riding along
-// with the pooled core): sized to max_open_paths but capped so the default
-// 2M-path valve does not blindly reserve ~100 MB per plan.
+// Open-list backing reservation: sized to max_open_paths but capped so the
+// default 2M-path valve does not blindly reserve ~100 MB per plan.
 constexpr std::size_t kOpenReserveCap = 64 * 1024;
 constexpr std::size_t kDefaultOpenReserve = 4 * 1024;
 
@@ -52,6 +50,24 @@ constexpr std::size_t kDefaultOpenReserve = 4 * 1024;
   return r.vcpus > kReqEps && r.mem_gb > kReqEps;
 }
 
+using StateRef = std::shared_ptr<const PartialPlacement>;
+
+/// A search path.  Children are *lazy*: they hold their parent's
+/// materialized state plus the one (node -> host) decision and a cheap
+/// admissible priority; the actual PartialPlacement is built only if the
+/// path is popped.  This makes generating a child O(degree) instead of
+/// O(|V| + place), which is what lets the search expand thousands of paths
+/// per second against a 2400-host data center.
+struct PathEntry {
+  StateRef parent;                         // materialized ancestor; null = root
+  topo::NodeId node = topo::kInvalidNode;  // decision on top of parent
+  dc::HostId host = dc::kInvalidHost;
+  double priority = 0.0;  // ordering key (see sharp_ordering)
+  bool exact = false;     // priority was computed on the materialized state
+  std::uint32_t depth = 0;
+  std::uint64_t sequence = 0;  // insertion order; deterministic tie-break
+};
+
 /// BA* pops the least-priority path (best-first on the admissible bound,
 /// Algorithm 2).  DBA* pops the deepest path first and breaks depth ties by
 /// priority: a best-child-first depth-first search with backtracking.  This
@@ -61,14 +77,12 @@ constexpr std::size_t kDefaultOpenReserve = 4 * 1024;
 /// whose result improves with T.
 ///
 /// Sequence numbers are unique among queued entries, so this comparator
-/// defines a strict total order — the popped minimum is unique, which is
-/// why the pooled core's OpenHeap (implementing the same order over packed
-/// keys) pops the identical entry sequence.
+/// defines a strict total order: the popped minimum is unique, and the pop
+/// sequence does not depend on the heap implementation.
 struct PathOrder {
   bool depth_first = false;
 
-  template <typename Entry>
-  bool operator()(const Entry& a, const Entry& b) const noexcept {
+  bool operator()(const PathEntry& a, const PathEntry& b) const noexcept {
     if (depth_first && a.depth != b.depth) {
       return a.depth < b.depth;  // max-heap on depth
     }
@@ -220,23 +234,6 @@ void dedupe_equivalent_hosts(const PartialPlacement& state,
   candidates = std::move(kept);
 }
 
-/// Pooled-core variant over recycled scratch: same exact u64 membership
-/// test (hence identical survivors), zero allocations once warm.
-void dedupe_equivalent_hosts_pooled(const PartialPlacement& state,
-                                    std::vector<dc::HostId>& candidates,
-                                    util::StampedSet64& seen,
-                                    std::vector<dc::HostId>& kept) {
-  seen.clear();
-  kept.clear();
-  if (kept.capacity() < candidates.size()) kept.reserve(candidates.size());
-  for (const dc::HostId host : candidates) {
-    if (seen.insert(host_equivalence_hash(state, host))) {
-      kept.push_back(host);
-    }
-  }
-  candidates.assign(kept.begin(), kept.end());
-}
-
 /// Probability that a popped path at progress s is pruned: P(x > s) for
 /// x ~ U[0, r); 0 when r == 0 (pruning disabled until pressure builds).
 [[nodiscard]] double prune_probability(double r, double s) noexcept {
@@ -244,9 +241,7 @@ void dedupe_equivalent_hosts_pooled(const PartialPlacement& state,
   return (r - s) / r;
 }
 
-/// Incumbent: the best complete placement known so far.  offer() copies (or
-/// moves a self-contained state), so under the pooled core the incumbent
-/// never references arena memory (PartialPlacement's copy flattens chains).
+/// Incumbent: the best complete placement known so far.
 struct Incumbent {
   std::optional<PartialPlacement> state;
   double utility = std::numeric_limits<double>::infinity();
@@ -260,212 +255,36 @@ struct Incumbent {
   }
 };
 
-/// Process-wide counters mirroring the per-run SearchStats; BA* and DBA*
-/// share the "astar." namespace.  Bundled as references so the templated
-/// loop registers each name once.
-struct AstarMetrics {
-  util::metrics::Counter& expanded;
-  util::metrics::Counter& generated;
-  util::metrics::Counter& pruned_bound;
-  util::metrics::Counter& pruned_random;
-  util::metrics::Counter& deduped;
-  util::metrics::Counter& symmetry;
-  util::metrics::Counter& eg_reruns;
-  util::metrics::Summary& open_size;
-  util::metrics::Summary& eg_seconds;
-};
+}  // namespace
 
-/// Reference memory model (SearchCore::kReference): shared_ptr-linked
-/// states, std::priority_queue open list, unordered_set closed set — the
-/// original containers, kept as the differential baseline.
-struct ReferenceCore {
-  using StateRef = std::shared_ptr<const PartialPlacement>;
+AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
+                       bool deadline_bounded, util::ThreadPool* pool) {
+  // Process-wide counters mirroring the per-run SearchStats; BA* and DBA*
+  // share the "astar." namespace.
+  static util::metrics::Counter& m_runs = util::metrics::counter("astar.runs");
+  static util::metrics::Counter& m_expanded =
+      util::metrics::counter("astar.nodes_expanded");
+  static util::metrics::Counter& m_generated =
+      util::metrics::counter("astar.paths_generated");
+  static util::metrics::Counter& m_pruned_bound =
+      util::metrics::counter("astar.paths_pruned_bound");
+  static util::metrics::Counter& m_pruned_random =
+      util::metrics::counter("astar.paths_pruned_random");
+  static util::metrics::Counter& m_deduped =
+      util::metrics::counter("astar.paths_deduped");
+  static util::metrics::Counter& m_symmetry =
+      util::metrics::counter("astar.symmetry_candidates_pruned");
+  static util::metrics::Counter& m_eg_reruns =
+      util::metrics::counter("astar.eg_reruns");
+  static util::metrics::Summary& m_open_size =
+      util::metrics::summary("astar.open_queue_size");
+  static util::metrics::Summary& m_run_seconds =
+      util::metrics::summary("astar.run_seconds");
+  static util::metrics::Summary& m_eg_seconds =
+      util::metrics::summary("astar.eg_rerun_seconds");
+  const util::metrics::ScopedTimer phase_timer(m_run_seconds);
+  m_runs.inc();
 
-  /// A search path.  Children are *lazy*: they hold their parent's
-  /// materialized state plus the one (node -> host) decision and a cheap
-  /// admissible priority; the actual PartialPlacement is built only if the
-  /// path is popped.  This makes generating a child O(degree) instead of
-  /// O(|V| + place), which is what lets the search expand thousands of
-  /// paths per second against a 2400-host data center.
-  struct Entry {
-    StateRef parent;                         // materialized ancestor
-    topo::NodeId node = topo::kInvalidNode;  // decision on top of parent
-    dc::HostId host = dc::kInvalidHost;
-    double priority = 0.0;  // ordering key (see sharp_ordering)
-    bool exact = false;     // priority was computed on the materialized state
-    std::uint32_t depth = 0;
-    std::uint64_t sequence = 0;  // insertion order; deterministic tie-break
-  };
-
-  ReferenceCore(bool sharp, const SearchConfig& config)
-      : open(PathOrder{sharp}, reserved_backing(config)) {}
-
-  static std::vector<Entry> reserved_backing(const SearchConfig& config) {
-    std::vector<Entry> backing;
-    backing.reserve(open_reserve_hint(config));
-    return backing;
-  }
-
-  void push(StateRef parent, topo::NodeId node, dc::HostId host,
-            double priority, bool exact, std::uint32_t depth,
-            std::uint64_t sequence) {
-    open.push(Entry{std::move(parent), node, host, priority, exact, depth,
-                    sequence});
-  }
-  Entry pop() {
-    Entry entry = open.top();
-    open.pop();
-    return entry;
-  }
-  [[nodiscard]] std::size_t open_size() const { return open.size(); }
-  [[nodiscard]] bool open_empty() const { return open.empty(); }
-
-  bool closed_insert(std::uint64_t signature) {
-    return closed.insert(signature).second;
-  }
-
-  StateRef make_root(const PartialPlacement& initial) {
-    return std::make_shared<PartialPlacement>(initial);
-  }
-  StateRef materialize(const Entry& entry) {
-    auto state = std::make_shared<PartialPlacement>(*entry.parent);
-    state->place(entry.node, entry.host);
-    return state;
-  }
-
-  void dedupe(const PartialPlacement& state,
-              std::vector<dc::HostId>& candidates) {
-    dedupe_equivalent_hosts(state, candidates);
-  }
-  std::uint64_t signature_of(const PartialPlacement& state,
-                             const SymmetryGroups& groups) {
-    return canonical_signature(state, groups, signature_keys);
-  }
-  [[nodiscard]] std::vector<std::pair<double, dc::HostId>>&
-  children_scratch() {
-    return children;
-  }
-  /// The reference state is already self-contained; nothing to prepare.
-  void prepare_expand(const StateRef&) {}
-  void finish_stats(SearchStats&) const {}
-
-  std::priority_queue<Entry, std::vector<Entry>, PathOrder> open;
-  std::unordered_set<std::uint64_t> closed;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> signature_keys;
-  std::vector<std::pair<double, dc::HostId>> children;
-};
-
-/// Pooled memory model (SearchCore::kPooled): states live in the
-/// per-thread SearchArena, the open list is the packed-key OpenHeap, and
-/// the closed/dedup sets are epoch-stamped flat tables.  Steady-state
-/// (warm arena, capacities grown) the whole search loop allocates nothing.
-struct PooledCore {
-  using StateRef = const PartialPlacement*;
-
-  struct Entry {
-    StateRef parent = nullptr;
-    topo::NodeId node = topo::kInvalidNode;
-    dc::HostId host = dc::kInvalidHost;
-    double priority = 0.0;
-    bool exact = false;
-    std::uint32_t depth = 0;
-    std::uint64_t sequence = 0;
-  };
-
-  PooledCore(SearchArena& arena_in, bool sharp, const SearchConfig& config)
-      : arena(arena_in), open(arena_in.heap()) {
-    arena.begin_plan(sharp, open_reserve_hint(config));
-  }
-  ~PooledCore() { arena.end_plan(); }
-  PooledCore(const PooledCore&) = delete;
-  PooledCore& operator=(const PooledCore&) = delete;
-
-  void push(StateRef parent, topo::NodeId node, dc::HostId host,
-            double priority, bool exact, std::uint32_t depth,
-            std::uint64_t sequence) {
-    open.push(HeapEntry{pack_priority(priority), sequence, parent, node, host,
-                        depth, exact});
-  }
-  Entry pop() {
-    const HeapEntry top = open.pop();
-    return Entry{top.parent,  top.node,  top.host, unpack_priority(top.key),
-                 top.exact,   top.depth, top.sequence};
-  }
-  [[nodiscard]] std::size_t open_size() const { return open.size(); }
-  [[nodiscard]] bool open_empty() const { return open.empty(); }
-
-  bool closed_insert(std::uint64_t signature) {
-    return arena.closed().insert(signature);
-  }
-
-  StateRef make_root(const PartialPlacement& initial) {
-    PartialPlacement& root = arena.acquire(initial);
-    root.assign_pooled_flat(initial);
-    return &root;
-  }
-  StateRef materialize(const Entry& entry) {
-    PartialPlacement& state = arena.acquire(*entry.parent);
-    state.branch_from(*entry.parent);
-    state.place(entry.node, entry.host);
-    return &state;
-  }
-
-  void dedupe(const PartialPlacement& state,
-              std::vector<dc::HostId>& candidates) {
-    dedupe_equivalent_hosts_pooled(state, candidates, arena.dedupe_seen(),
-                                   arena.dedupe_kept());
-  }
-  std::uint64_t signature_of(const PartialPlacement& state,
-                             const SymmetryGroups& groups) {
-    return canonical_signature(state, groups, arena.signature_scratch());
-  }
-  [[nodiscard]] std::vector<std::pair<double, dc::HostId>>&
-  children_scratch() {
-    return arena.children_scratch();
-  }
-
-  /// Flatten a state that survived to expansion.  Most pops are
-  /// bound-pruned right after the O(delta) branch; only survivors pay the
-  /// flatten, and from then on every hot read during the candidate fan,
-  /// the EG re-bound, and the children's own branch_from hits a flat
-  /// table instead of walking a delta chain.
-  void prepare_expand(const StateRef& state) {
-    const_cast<PartialPlacement*>(state)->flatten_for_expand();
-  }
-
-  void finish_stats(SearchStats& stats) const {
-    static util::metrics::Counter& m_pooled_runs =
-        util::metrics::counter("search.pooled_runs");
-    static util::metrics::Counter& m_arena_reuse =
-        util::metrics::counter("search.arena_reuse");
-    static util::metrics::Summary& m_bytes =
-        util::metrics::summary("search.bytes_per_plan");
-    static util::metrics::Summary& m_states =
-        util::metrics::summary("search.arena_states");
-    stats.arena_states = arena.states_in_use();
-    stats.arena_bytes = arena.bytes_retained();
-    stats.arena_reused = arena.warm();
-    m_pooled_runs.inc();
-    if (stats.arena_reused) m_arena_reuse.inc();
-    m_bytes.observe(static_cast<double>(stats.arena_bytes));
-    m_states.observe(static_cast<double>(stats.arena_states));
-  }
-
-  SearchArena& arena;
-  OpenHeap& open;
-};
-
-/// The BA*/DBA* loop, shared by both memory models.  Every policy decision
-/// (bounds, pruning, EG re-bounding strides, DBA* load estimation) is
-/// identical; `Core` only decides how states, the open list, and the
-/// closed/dedup sets are stored.  Both instantiations therefore pop the
-/// same entries in the same order and apply the same floating-point
-/// operations — the bit-identical contract the differential suite checks.
-template <typename Core>
-AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
-                            const SearchConfig& config, bool deadline_bounded,
-                            util::ThreadPool* pool,
-                            const AstarMetrics& metrics) {
   util::WallTimer timer;
   const topo::AppTopology& topology = initial.topology();
 
@@ -512,7 +331,7 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
   const auto run_eg = [&](const PartialPlacement& from) {
     const util::WallTimer eg_timer;
     ++stats.eg_reruns;
-    metrics.eg_reruns.inc();
+    m_eg_reruns.inc();
     GreedyOutcome eg = run_greedy(Algorithm::kEg, from, greedy_order, pool,
                                   config.use_estimate_context,
                                   config.use_candidate_index);
@@ -520,7 +339,7 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
     stats.heuristic_calls += eg.stats.heuristic_calls;
     if (eg.feasible) incumbent.offer(std::move(eg.state));
     last_eg_seconds = eg_timer.elapsed_seconds();
-    metrics.eg_seconds.observe(last_eg_seconds);
+    m_eg_seconds.observe(last_eg_seconds);
   };
   run_eg(initial);
   // Re-bounding cadence: a full EG completion costs seconds at paper scale,
@@ -547,11 +366,19 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
   stats.effective_max_open_paths = config.max_open_paths;
   stats.effective_beam_width = sharp_ordering ? config.dba_beam_width : 0;
 
+  // Open queue (OQ of Algorithm 2) and closed set of canonical signatures.
+  std::vector<PathEntry> open_backing;
+  open_backing.reserve(open_reserve_hint(config));
+  std::priority_queue<PathEntry, std::vector<PathEntry>, PathOrder> open(
+      PathOrder{sharp_ordering}, std::move(open_backing));
+  std::unordered_set<std::uint64_t> closed;
+
   std::uint64_t sequence = 0;
-  core.push(typename Core::StateRef{}, topo::kInvalidNode, dc::kInvalidHost,
-            initial.utility_bound(), !sharp_ordering, 0, sequence++);
+  open.push(PathEntry{nullptr, topo::kInvalidNode, dc::kInvalidHost,
+                      initial.utility_bound(), !sharp_ordering, 0,
+                      sequence++});
   ++stats.paths_generated;
-  metrics.generated.inc();
+  m_generated.inc();
 
   // DBA* machinery.
   util::Rng rng(config.seed);
@@ -571,23 +398,28 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
     outcome.failure = std::move(why);
     if (incumbent.state) outcome.state = std::move(*incumbent.state);
     stats.runtime_seconds = timer.elapsed_seconds();
-    core.finish_stats(stats);
     return outcome;
   };
 
   std::uint32_t max_depth_seen = 0;
-  EstimateScratch estimate_scratch;  // reused across expansions
-  CandidateBuffer candidate_buf;     // reused across expansions
+  // Scratch reused across expansions.
+  EstimateScratch estimate_scratch;
+  CandidateBuffer candidate_buf;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> signature_keys;
+  // Children are (order_utility, host) pairs; the pair's lexicographic
+  // order matches the old (order, host) comparator exactly.
+  std::vector<std::pair<double, dc::HostId>> children;
 
-  while (!core.open_empty()) {
+  while (!open.empty()) {
     if (deadline_bounded && deadline.expired()) {
       return finish(incumbent.state.has_value(),
                     incumbent.state ? "" : "deadline expired with no solution");
     }
 
     stats.open_queue_peak =
-        std::max<std::uint64_t>(stats.open_queue_peak, core.open_size());
-    typename Core::Entry entry = core.pop();
+        std::max<std::uint64_t>(stats.open_queue_peak, open.size());
+    const PathEntry entry = open.top();
+    open.pop();
     ++pops_total;
 
     // Algorithm 2 line 6: the least-u path cannot beat the incumbent.
@@ -599,13 +431,15 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
 
     // Materialize the state: clone parent + apply the decision, unless this
     // is the root or a re-queued already-materialized entry.
-    typename Core::StateRef state;
+    StateRef state;
     if (!entry.parent) {
-      state = core.make_root(initial);
+      state = std::make_shared<const PartialPlacement>(initial);
     } else if (entry.node == topo::kInvalidNode) {
       state = entry.parent;  // re-queued exact entry: state IS the parent
     } else {
-      state = core.materialize(entry);
+      auto child = std::make_shared<PartialPlacement>(*entry.parent);
+      child->place(entry.node, entry.host);
+      state = std::move(child);
     }
 
     // Pop-time bound check (line 11 semantics, applied lazily): discard a
@@ -613,7 +447,7 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
     const double exact_bound = state->utility_bound();
     if (exact_bound >= incumbent.utility - kEps) {
       ++stats.paths_pruned_bound;
-      metrics.pruned_bound.inc();
+      m_pruned_bound.inc();
       open_by_depth[entry.depth] -= 1.0;
       continue;
     }
@@ -628,8 +462,8 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
     if (!sharp_ordering && !entry.exact) {
       if (exact_bound > entry.priority + kEps) {
         // Keep the materialized state: a later pop reuses it directly.
-        core.push(state, topo::kInvalidNode, dc::kInvalidHost, exact_bound,
-                  true, entry.depth, entry.sequence);
+        open.push(PathEntry{state, topo::kInvalidNode, dc::kInvalidHost,
+                            exact_bound, true, entry.depth, entry.sequence});
         continue;
       }
     }
@@ -645,19 +479,12 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
     }
 
     // Closed-queue dedup (line 10, via canonical signatures).
-    const std::uint64_t signature = core.signature_of(*state, groups);
-    if (!core.closed_insert(signature)) {
+    if (!closed.insert(canonical_signature(*state, groups, signature_keys))
+             .second) {
       ++stats.paths_deduped;
-      metrics.deduped.inc();
+      m_deduped.inc();
       continue;
     }
-
-    // This state will be expanded: it becomes the parent the whole child
-    // fan (and possibly an EG re-bound) reads from, so the pooled core
-    // flattens its delta chain here — once per expansion instead of once
-    // per pop.  Reads return identical values before and after, so the
-    // search stays bit-identical to the reference core.
-    core.prepare_expand(state);
 
     // Re-bound with EG (lines 15-18; u_upper tightens as the remaining node
     // set shrinks).  This is where most of DBA*'s quality comes from: a raw
@@ -697,24 +524,18 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
       std::erase_if(candidates,
                     [floor_host](dc::HostId h) { return h < floor_host; });
     }
-    core.dedupe(*state, candidates);
+    dedupe_equivalent_hosts(*state, candidates);
     const std::uint64_t symmetry_dropped = fan_before - candidates.size();
     stats.symmetry_pruned += symmetry_dropped;
-    metrics.symmetry.add(symmetry_dropped);
+    m_symmetry.add(symmetry_dropped);
 
     ++stats.paths_expanded;
-    metrics.expanded.inc();
-    metrics.open_size.observe(static_cast<double>(core.open_size()));
+    m_expanded.inc();
+    m_open_size.observe(static_cast<double>(open.size()));
     std::uint64_t inserted = 0;
-    const typename Core::StateRef parent = state;
-    // Children are (order_utility, host) pairs; the pair's lexicographic
-    // order matches the old (order, host) comparator exactly.
-    std::vector<std::pair<double, dc::HostId>>& children =
-        core.children_scratch();
+    const StateRef& parent = state;
     children.clear();
-    if (children.capacity() < candidates.size()) {
-      children.reserve(candidates.size());
-    }
+    children.reserve(candidates.size());
     // DBA* ranks siblings with EG's candidate estimate (GetHeuristic of
     // Algorithm 1): the dive's first choice at every level is then exactly
     // the host EG would pick, and backtracking alternatives are the
@@ -734,7 +555,7 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
           parent->objective().utility(score.ubw + score.bound_rem, score.uc);
       if (bound_utility >= incumbent.utility - kEps) {  // line 11 bounding
         ++stats.paths_pruned_bound;
-        metrics.pruned_bound.inc();
+        m_pruned_bound.inc();
         continue;
       }
       double order_utility = bound_utility;
@@ -759,7 +580,7 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
                          static_cast<double>(order.size());
         if (rng.chance(prune_probability(prune_range, s))) {
           ++stats.paths_pruned_random;
-          metrics.pruned_random.inc();
+          m_pruned_random.inc();
           continue;
         }
       }
@@ -775,18 +596,18 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
           children.end());
       stats.paths_pruned_random +=
           children.size() - config.dba_beam_width;
-      metrics.pruned_random.add(children.size() - config.dba_beam_width);
+      m_pruned_random.add(children.size() - config.dba_beam_width);
       children.resize(config.dba_beam_width);
       std::sort(children.begin(), children.end());
     }
     for (const auto& [order_utility, child_host] : children) {
-      core.push(parent, node, child_host, order_utility, false,
-                entry.depth + 1, sequence++);
+      open.push(PathEntry{parent, node, child_host, order_utility, false,
+                          entry.depth + 1, sequence++});
       open_by_depth[entry.depth + 1] += 1.0;
       ++stats.paths_generated;
       ++inserted;
     }
-    metrics.generated.add(inserted);
+    m_generated.add(inserted);
     avg_branching = 0.9 * avg_branching + 0.1 * static_cast<double>(inserted);
     // Average pop cost over every pop so far (pruned pops are far cheaper
     // than expansions; an expansion-only average overestimates the load by
@@ -795,7 +616,7 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
         std::max(1e-7, (timer.elapsed_seconds() - eg_total_seconds) /
                            static_cast<double>(pops_total));
 
-    if (config.max_open_paths != 0 && core.open_size() > config.max_open_paths) {
+    if (config.max_open_paths != 0 && open.size() > config.max_open_paths) {
       stats.truncated = true;
       stats.hit_open_limit = true;
       return finish(incumbent.state.has_value(),
@@ -844,54 +665,6 @@ AStarOutcome run_astar_impl(Core& core, PartialPlacement initial,
 
   return finish(incumbent.state.has_value(),
                 incumbent.state ? "" : "no feasible placement exists");
-}
-
-}  // namespace
-
-AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
-                       bool deadline_bounded, util::ThreadPool* pool) {
-  static util::metrics::Counter& m_runs = util::metrics::counter("astar.runs");
-  static util::metrics::Counter& m_expanded =
-      util::metrics::counter("astar.nodes_expanded");
-  static util::metrics::Counter& m_generated =
-      util::metrics::counter("astar.paths_generated");
-  static util::metrics::Counter& m_pruned_bound =
-      util::metrics::counter("astar.paths_pruned_bound");
-  static util::metrics::Counter& m_pruned_random =
-      util::metrics::counter("astar.paths_pruned_random");
-  static util::metrics::Counter& m_deduped =
-      util::metrics::counter("astar.paths_deduped");
-  static util::metrics::Counter& m_symmetry =
-      util::metrics::counter("astar.symmetry_candidates_pruned");
-  static util::metrics::Counter& m_eg_reruns =
-      util::metrics::counter("astar.eg_reruns");
-  static util::metrics::Summary& m_open_size =
-      util::metrics::summary("astar.open_queue_size");
-  static util::metrics::Summary& m_run_seconds =
-      util::metrics::summary("astar.run_seconds");
-  static util::metrics::Summary& m_eg_seconds =
-      util::metrics::summary("astar.eg_rerun_seconds");
-  const util::metrics::ScopedTimer phase_timer(m_run_seconds);
-  m_runs.inc();
-
-  const AstarMetrics metrics{m_expanded,      m_generated, m_pruned_bound,
-                             m_pruned_random, m_deduped,   m_symmetry,
-                             m_eg_reruns,     m_open_size, m_eg_seconds};
-  const bool sharp_ordering =
-      deadline_bounded || config.greedy_estimate_in_astar;
-
-  // The pooled core requires the thread's arena; fall back to the reference
-  // containers in the (not expected) case of a re-entrant search on the
-  // same thread.
-  if (config.search_core == SearchCore::kPooled &&
-      !thread_search_arena().active()) {
-    PooledCore core(thread_search_arena(), sharp_ordering, config);
-    return run_astar_impl(core, std::move(initial), config, deadline_bounded,
-                          pool, metrics);
-  }
-  ReferenceCore core(sharp_ordering, config);
-  return run_astar_impl(core, std::move(initial), config, deadline_bounded,
-                        pool, metrics);
 }
 
 }  // namespace ostro::core

@@ -43,55 +43,17 @@ PartialPlacement::PartialPlacement(const topo::AppTopology& topology,
   }
 }
 
-PartialPlacement::PartialPlacement(const PartialPlacement& other)
-    : topology_(other.topology_),
-      base_(other.base_),
-      objective_(other.objective_),
-      use_prune_labels_(other.use_prune_labels_),
-      assignment_(other.assignment_),
-      placed_count_(other.placed_count_),
-      host_delta_(other.host_delta_),
-      link_delta_(other.link_delta_),
-      pending_uplink_(other.pending_uplink_),
-      pending_rack_uplink_(other.pending_rack_uplink_),
-      newly_active_(other.newly_active_),
-      used_hosts_(other.used_hosts_),
-      ubw_(other.ubw_),
-      bound_sum_(other.bound_sum_),
-      rep_(other.rep_),
-      parent_(other.parent_),
-      chain_len_(other.chain_len_),
-      host_flat_(other.host_flat_),
-      link_flat_(other.link_flat_),
-      pending_flat_(other.pending_flat_),
-      rack_flat_(other.rack_flat_),
-      host_local_(other.host_local_),
-      link_local_(other.link_local_),
-      pending_local_(other.pending_local_),
-      rack_local_(other.rack_local_) {
-  // A copied chain state is flattened so the copy never references the
-  // original's arena-owned ancestors (incumbents and EG reruns copy states
-  // that must outlive the search).
-  if (rep_ == Rep::kChain) flatten_in_place();
-}
-
-PartialPlacement& PartialPlacement::operator=(const PartialPlacement& other) {
-  if (this != &other) {
-    PartialPlacement tmp(other);
-    *this = std::move(tmp);
-  }
-  return *this;
-}
-
 topo::Resources PartialPlacement::available(dc::HostId host) const {
   topo::Resources avail = base_->available(host);
-  if (const topo::Resources* delta = host_delta_find(host)) avail -= *delta;
+  const auto it = host_delta_.find(host);
+  if (it != host_delta_.end()) avail -= it->second;
   return avail;
 }
 
 double PartialPlacement::link_available(dc::LinkId link) const {
   double avail = base_->link_available_mbps(link);
-  if (const double* delta = link_delta_find(link)) avail -= *delta;
+  const auto it = link_delta_.find(link);
+  if (it != link_delta_.end()) avail -= it->second;
   return avail;
 }
 
@@ -270,60 +232,20 @@ double PartialPlacement::edge_lower_bound(const topo::Edge& edge) const {
 
 bool PartialPlacement::has_link_overcommit() const {
   constexpr double kEps = 1e-6;
-  const auto over = [&](std::uint64_t link, double used) {
-    return used >
-           base_->link_available_mbps(static_cast<dc::LinkId>(link)) + kEps;
-  };
-  if (rep_ == Rep::kMap) {
-    for (const auto& [link, used] : link_delta_) {
-      if (over(link, used)) return true;
-    }
-    return false;
+  for (const auto& [link, used] : link_delta_) {
+    if (used > base_->link_available_mbps(link) + kEps) return true;
   }
-  if (rep_ == Rep::kFlat) {
-    bool found = false;
-    link_flat_.for_each([&](std::uint64_t link, double used) {
-      if (!found && over(link, used)) found = true;
-    });
-    return found;
-  }
-  // Chain iteration is cold (final placements are flat or map states): walk
-  // newest-first, skipping keys already seen at a newer level.
-  std::vector<std::uint64_t> seen;
-  const auto is_seen = [&seen](std::uint64_t key) {
-    return std::find(seen.begin(), seen.end(), key) != seen.end();
-  };
-  for (const PartialPlacement* p = this;; p = p->parent_) {
-    if (p->rep_ == Rep::kChain) {
-      for (const auto& [link, used] : p->link_local_) {
-        if (is_seen(link)) continue;
-        seen.push_back(link);
-        if (over(link, used)) return true;
-      }
-      continue;
-    }
-    if (p->rep_ == Rep::kFlat) {
-      bool found = false;
-      p->link_flat_.for_each([&](std::uint64_t link, double used) {
-        if (!found && !is_seen(link) && over(link, used)) found = true;
-      });
-      return found;
-    }
-    for (const auto& [link, used] : p->link_delta_) {
-      if (!is_seen(link) && over(link, used)) return true;
-    }
-    return false;
-  }
+  return false;
 }
 
 double PartialPlacement::pending_uplink_mbps(dc::HostId host) const {
-  const double* pending = pending_find(host);
-  return pending == nullptr ? 0.0 : *pending;
+  const auto it = pending_uplink_.find(host);
+  return it == pending_uplink_.end() ? 0.0 : it->second;
 }
 
 double PartialPlacement::pending_rack_uplink_mbps(std::uint32_t rack) const {
-  const double* pending = rack_pending_find(rack);
-  return pending == nullptr ? 0.0 : *pending;
+  const auto it = pending_rack_uplink_.find(rack);
+  return it == pending_rack_uplink_.end() ? 0.0 : it->second;
 }
 
 double PartialPlacement::placed_neighbor_demand(
@@ -404,8 +326,8 @@ void PartialPlacement::place(topo::NodeId node, dc::HostId host) {
   }
 
   const topo::Node& n = topology_->node(node);
-  bool inserted = false;
-  host_delta_slot(host, inserted) += n.requirements;
+  const auto [host_delta, inserted] = host_delta_.try_emplace(host);
+  host_delta->second += n.requirements;
   if (inserted) used_hosts_.push_back(host);
   if (!base_->is_active(host) &&
       std::find(newly_active_.begin(), newly_active_.end(), host) ==
@@ -424,22 +346,25 @@ void PartialPlacement::place(topo::NodeId node, dc::HostId host) {
   for (const auto& nb : topology_->neighbors(node)) {
     const dc::HostId other = assignment_[nb.node];
     if (other == dc::kInvalidHost) {
-      pending_slot(host) += nb.bandwidth_mbps;
-      rack_pending_slot(host_rack) += nb.bandwidth_mbps;
+      pending_uplink_[host] += nb.bandwidth_mbps;
+      pending_rack_uplink_[host_rack] += nb.bandwidth_mbps;
       continue;
     }
-    if (double* pending = pending_find_mut(other)) {
-      *pending = std::max(0.0, *pending - nb.bandwidth_mbps);
+    const auto pending = pending_uplink_.find(other);
+    if (pending != pending_uplink_.end()) {
+      pending->second = std::max(0.0, pending->second - nb.bandwidth_mbps);
     }
-    if (double* rack_pending =
-            rack_pending_find_mut(datacenter_ref.ancestors(other).rack)) {
-      *rack_pending = std::max(0.0, *rack_pending - nb.bandwidth_mbps);
+    const auto rack_pending =
+        pending_rack_uplink_.find(datacenter_ref.ancestors(other).rack);
+    if (rack_pending != pending_rack_uplink_.end()) {
+      rack_pending->second =
+          std::max(0.0, rack_pending->second - nb.bandwidth_mbps);
     }
     const dc::Scope scope = datacenter_ref.scope_between(host, other);
     ubw_ += Objective::edge_cost(nb.bandwidth_mbps, scope);
     const dc::PathLinks path = datacenter_ref.path_between(host, other);
     for (const dc::LinkId link : path) {
-      link_delta_slot(link) += nb.bandwidth_mbps;
+      link_delta_[link] += nb.bandwidth_mbps;
     }
   }
 
@@ -448,325 +373,6 @@ void PartialPlacement::place(topo::NodeId node, dc::HostId host) {
     new_bounds += edge_lower_bound(topology_->edges()[e]);
   }
   bound_sum_ += new_bounds - old_bounds;
-}
-
-// ---- pooled search-core representation ------------------------------------
-
-void PartialPlacement::reserve_flat_tables() {
-  // Every delta key is bounded by the topology: at most |V| distinct hosts
-  // (and their racks) ever receive a node, and each fully placed pipe
-  // reserves along at most 6 physical links.
-  const std::size_t n = topology_->node_count();
-  const std::size_t e = topology_->edge_count();
-  host_flat_.reserve(n + 1);
-  pending_flat_.reserve(n + 1);
-  rack_flat_.reserve(n + 1);
-  link_flat_.reserve(
-      std::min<std::size_t>(datacenter().link_count(), 6 * e + 2 * n) + 1);
-}
-
-void PartialPlacement::flatten_tables_from(const PartialPlacement& src) {
-  // Walk newest level first; insert_if_absent makes the first (= newest)
-  // write per key win, which is exactly the chain's shadowing rule.
-  for (const PartialPlacement* p = &src;; p = p->parent_) {
-    if (p->rep_ == Rep::kChain) {
-      for (const auto& [k, v] : p->host_local_) host_flat_.insert_if_absent(k, v);
-      for (const auto& [k, v] : p->link_local_) link_flat_.insert_if_absent(k, v);
-      for (const auto& [k, v] : p->pending_local_) {
-        pending_flat_.insert_if_absent(k, v);
-      }
-      for (const auto& [k, v] : p->rack_local_) rack_flat_.insert_if_absent(k, v);
-      continue;
-    }
-    if (p->rep_ == Rep::kFlat) {
-      p->host_flat_.for_each([this](std::uint64_t k, const topo::Resources& v) {
-        host_flat_.insert_if_absent(k, v);
-      });
-      p->link_flat_.for_each(
-          [this](std::uint64_t k, double v) { link_flat_.insert_if_absent(k, v); });
-      p->pending_flat_.for_each([this](std::uint64_t k, double v) {
-        pending_flat_.insert_if_absent(k, v);
-      });
-      p->rack_flat_.for_each(
-          [this](std::uint64_t k, double v) { rack_flat_.insert_if_absent(k, v); });
-    } else {
-      for (const auto& [k, v] : p->host_delta_) host_flat_.insert_if_absent(k, v);
-      for (const auto& [k, v] : p->link_delta_) link_flat_.insert_if_absent(k, v);
-      for (const auto& [k, v] : p->pending_uplink_) {
-        pending_flat_.insert_if_absent(k, v);
-      }
-      for (const auto& [k, v] : p->pending_rack_uplink_) {
-        rack_flat_.insert_if_absent(k, v);
-      }
-    }
-    return;
-  }
-}
-
-void PartialPlacement::flatten_in_place() {
-  // Only a delta chain has anything to flatten.  A kFlat state must not
-  // fall through: flatten_tables_from(*this) would read the flat tables
-  // this function is about to clear.
-  if (rep_ != Rep::kChain) return;
-  reserve_flat_tables();
-  host_flat_.clear();
-  link_flat_.clear();
-  pending_flat_.clear();
-  rack_flat_.clear();
-  flatten_tables_from(*this);
-  host_local_.clear();
-  link_local_.clear();
-  pending_local_.clear();
-  rack_local_.clear();
-  parent_ = nullptr;
-  chain_len_ = 0;
-  rep_ = Rep::kFlat;
-}
-
-void PartialPlacement::assign_pooled_flat(const PartialPlacement& src) {
-  topology_ = src.topology_;
-  base_ = src.base_;
-  objective_ = src.objective_;
-  use_prune_labels_ = src.use_prune_labels_;
-  assignment_ = src.assignment_;
-  placed_count_ = src.placed_count_;
-  newly_active_ = src.newly_active_;
-  used_hosts_ = src.used_hosts_;
-  ubw_ = src.ubw_;
-  bound_sum_ = src.bound_sum_;
-  host_delta_.clear();
-  link_delta_.clear();
-  pending_uplink_.clear();
-  pending_rack_uplink_.clear();
-  host_local_.clear();
-  link_local_.clear();
-  pending_local_.clear();
-  rack_local_.clear();
-  parent_ = nullptr;
-  chain_len_ = 0;
-  reserve_flat_tables();
-  host_flat_.clear();
-  link_flat_.clear();
-  pending_flat_.clear();
-  rack_flat_.clear();
-  flatten_tables_from(src);
-  rep_ = Rep::kFlat;
-}
-
-void PartialPlacement::branch_from(const PartialPlacement& parent) {
-  topology_ = parent.topology_;
-  base_ = parent.base_;
-  objective_ = parent.objective_;
-  use_prune_labels_ = parent.use_prune_labels_;
-  assignment_ = parent.assignment_;  // O(|V|) flat copy, capacity reused
-  placed_count_ = parent.placed_count_;
-  newly_active_ = parent.newly_active_;
-  used_hosts_ = parent.used_hosts_;
-  ubw_ = parent.ubw_;
-  bound_sum_ = parent.bound_sum_;
-  host_local_.clear();
-  link_local_.clear();
-  pending_local_.clear();
-  rack_local_.clear();
-  if (parent.rep_ == Rep::kChain && parent.chain_len_ >= kFlattenThreshold) {
-    // The chain is at the flatten threshold: aggregate it into a
-    // self-contained flat state instead of growing the walk depth further.
-    parent_ = nullptr;
-    chain_len_ = 0;
-    reserve_flat_tables();
-    host_flat_.clear();
-    link_flat_.clear();
-    pending_flat_.clear();
-    rack_flat_.clear();
-    flatten_tables_from(parent);
-    rep_ = Rep::kFlat;
-    return;
-  }
-  parent_ = &parent;
-  chain_len_ = parent.rep_ == Rep::kChain ? parent.chain_len_ + 1 : 1;
-  rep_ = Rep::kChain;
-}
-
-std::size_t PartialPlacement::pooled_bytes() const noexcept {
-  return sizeof(*this) + assignment_.capacity() * sizeof(dc::HostId) +
-         newly_active_.capacity() * sizeof(dc::HostId) +
-         used_hosts_.capacity() * sizeof(dc::HostId) +
-         host_flat_.capacity_bytes() + link_flat_.capacity_bytes() +
-         pending_flat_.capacity_bytes() + rack_flat_.capacity_bytes() +
-         host_local_.capacity() *
-             sizeof(std::pair<dc::HostId, topo::Resources>) +
-         link_local_.capacity() * sizeof(std::pair<dc::LinkId, double>) +
-         pending_local_.capacity() * sizeof(std::pair<dc::HostId, double>) +
-         rack_local_.capacity() * sizeof(std::pair<std::uint32_t, double>);
-}
-
-const topo::Resources* PartialPlacement::host_delta_find(
-    dc::HostId host) const {
-  if (rep_ == Rep::kMap) {
-    const auto it = host_delta_.find(host);
-    return it == host_delta_.end() ? nullptr : &it->second;
-  }
-  for (const PartialPlacement* p = this;; p = p->parent_) {
-    if (p->rep_ == Rep::kChain) {
-      for (const auto& [k, v] : p->host_local_) {
-        if (k == host) return &v;
-      }
-      continue;
-    }
-    if (p->rep_ == Rep::kFlat) return p->host_flat_.find(host);
-    const auto it = p->host_delta_.find(host);
-    return it == p->host_delta_.end() ? nullptr : &it->second;
-  }
-}
-
-const double* PartialPlacement::link_delta_find(dc::LinkId link) const {
-  if (rep_ == Rep::kMap) {
-    const auto it = link_delta_.find(link);
-    return it == link_delta_.end() ? nullptr : &it->second;
-  }
-  for (const PartialPlacement* p = this;; p = p->parent_) {
-    if (p->rep_ == Rep::kChain) {
-      for (const auto& [k, v] : p->link_local_) {
-        if (k == link) return &v;
-      }
-      continue;
-    }
-    if (p->rep_ == Rep::kFlat) return p->link_flat_.find(link);
-    const auto it = p->link_delta_.find(link);
-    return it == p->link_delta_.end() ? nullptr : &it->second;
-  }
-}
-
-const double* PartialPlacement::pending_find(dc::HostId host) const {
-  if (rep_ == Rep::kMap) {
-    const auto it = pending_uplink_.find(host);
-    return it == pending_uplink_.end() ? nullptr : &it->second;
-  }
-  for (const PartialPlacement* p = this;; p = p->parent_) {
-    if (p->rep_ == Rep::kChain) {
-      for (const auto& [k, v] : p->pending_local_) {
-        if (k == host) return &v;
-      }
-      continue;
-    }
-    if (p->rep_ == Rep::kFlat) return p->pending_flat_.find(host);
-    const auto it = p->pending_uplink_.find(host);
-    return it == p->pending_uplink_.end() ? nullptr : &it->second;
-  }
-}
-
-const double* PartialPlacement::rack_pending_find(std::uint32_t rack) const {
-  if (rep_ == Rep::kMap) {
-    const auto it = pending_rack_uplink_.find(rack);
-    return it == pending_rack_uplink_.end() ? nullptr : &it->second;
-  }
-  for (const PartialPlacement* p = this;; p = p->parent_) {
-    if (p->rep_ == Rep::kChain) {
-      for (const auto& [k, v] : p->rack_local_) {
-        if (k == rack) return &v;
-      }
-      continue;
-    }
-    if (p->rep_ == Rep::kFlat) return p->rack_flat_.find(rack);
-    const auto it = p->pending_rack_uplink_.find(rack);
-    return it == p->pending_rack_uplink_.end() ? nullptr : &it->second;
-  }
-}
-
-topo::Resources& PartialPlacement::host_delta_slot(dc::HostId host,
-                                                   bool& inserted) {
-  if (rep_ == Rep::kMap) {
-    auto [it, fresh] = host_delta_.try_emplace(host);
-    inserted = fresh;
-    return it->second;
-  }
-  if (rep_ == Rep::kFlat) return host_flat_.get_or_insert(host, inserted);
-  for (auto& [k, v] : host_local_) {
-    if (k == host) {
-      inserted = false;
-      return v;
-    }
-  }
-  const topo::Resources* up = parent_->host_delta_find(host);
-  inserted = up == nullptr;
-  host_local_.emplace_back(host, up ? *up : topo::Resources{});
-  return host_local_.back().second;
-}
-
-double& PartialPlacement::link_delta_slot(dc::LinkId link) {
-  if (rep_ == Rep::kMap) return link_delta_[link];
-  if (rep_ == Rep::kFlat) {
-    bool inserted = false;
-    return link_flat_.get_or_insert(link, inserted);
-  }
-  for (auto& [k, v] : link_local_) {
-    if (k == link) return v;
-  }
-  const double* up = parent_->link_delta_find(link);
-  link_local_.emplace_back(link, up ? *up : 0.0);
-  return link_local_.back().second;
-}
-
-double& PartialPlacement::pending_slot(dc::HostId host) {
-  if (rep_ == Rep::kMap) return pending_uplink_[host];
-  if (rep_ == Rep::kFlat) {
-    bool inserted = false;
-    return pending_flat_.get_or_insert(host, inserted);
-  }
-  for (auto& [k, v] : pending_local_) {
-    if (k == host) return v;
-  }
-  const double* up = parent_->pending_find(host);
-  pending_local_.emplace_back(host, up ? *up : 0.0);
-  return pending_local_.back().second;
-}
-
-double& PartialPlacement::rack_pending_slot(std::uint32_t rack) {
-  if (rep_ == Rep::kMap) return pending_rack_uplink_[rack];
-  if (rep_ == Rep::kFlat) {
-    bool inserted = false;
-    return rack_flat_.get_or_insert(rack, inserted);
-  }
-  for (auto& [k, v] : rack_local_) {
-    if (k == rack) return v;
-  }
-  const double* up = parent_->rack_pending_find(rack);
-  rack_local_.emplace_back(rack, up ? *up : 0.0);
-  return rack_local_.back().second;
-}
-
-double* PartialPlacement::pending_find_mut(dc::HostId host) {
-  if (rep_ == Rep::kMap) {
-    const auto it = pending_uplink_.find(host);
-    return it == pending_uplink_.end() ? nullptr : &it->second;
-  }
-  if (rep_ == Rep::kFlat) {
-    return pending_flat_.find(static_cast<std::uint64_t>(host));
-  }
-  for (auto& [k, v] : pending_local_) {
-    if (k == host) return &v;
-  }
-  const double* up = parent_->pending_find(host);
-  if (up == nullptr) return nullptr;
-  pending_local_.emplace_back(host, *up);
-  return &pending_local_.back().second;
-}
-
-double* PartialPlacement::rack_pending_find_mut(std::uint32_t rack) {
-  if (rep_ == Rep::kMap) {
-    const auto it = pending_rack_uplink_.find(rack);
-    return it == pending_rack_uplink_.end() ? nullptr : &it->second;
-  }
-  if (rep_ == Rep::kFlat) {
-    return rack_flat_.find(static_cast<std::uint64_t>(rack));
-  }
-  for (auto& [k, v] : rack_local_) {
-    if (k == rack) return &v;
-  }
-  const double* up = parent_->rack_pending_find(rack);
-  if (up == nullptr) return nullptr;
-  rack_local_.emplace_back(rack, *up);
-  return &rack_local_.back().second;
 }
 
 }  // namespace ostro::core

@@ -28,14 +28,12 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/objective.h"
 #include "core/types.h"
 #include "datacenter/occupancy.h"
 #include "topology/app_topology.h"
-#include "util/arena.h"
 
 namespace ostro::core {
 
@@ -48,16 +46,6 @@ class PartialPlacement {
   PartialPlacement(const topo::AppTopology& topology,
                    const dc::Occupancy& base, const Objective& objective,
                    bool use_prune_labels = false);
-
-  /// Copies are always self-contained: copying a pooled chain state (see
-  /// branch_from) flattens it, so the copy never references arena memory
-  /// and may outlive the SearchArena that produced the original.  This is
-  /// what makes incumbent hand-off and EG reruns safe under kPooled.
-  PartialPlacement(const PartialPlacement& other);
-  PartialPlacement& operator=(const PartialPlacement& other);
-  PartialPlacement(PartialPlacement&&) = default;
-  PartialPlacement& operator=(PartialPlacement&&) = default;
-  ~PartialPlacement() = default;
 
   // ---- placement progress ----
   [[nodiscard]] bool is_placed(topo::NodeId node) const {
@@ -144,9 +132,9 @@ class PartialPlacement {
   }
 
   /// Whether the admissible bound (and the candidate descent) consult the
-  /// base occupancy's dc::PruneLabels.  Fixed at construction; copies,
-  /// branch_from and assign_pooled_flat all inherit it so every state of
-  /// one search prices pipes identically (the lazy-priority invariant).
+  /// base occupancy's dc::PruneLabels.  Fixed at construction; copies
+  /// inherit it so every state of one search prices pipes identically (the
+  /// lazy-priority invariant).
   [[nodiscard]] bool use_prune_labels() const noexcept {
     return use_prune_labels_;
   }
@@ -191,90 +179,7 @@ class PartialPlacement {
   [[nodiscard]] double placed_neighbor_demand(
       topo::NodeId node, std::vector<dc::HostId>& hosts_out) const;
 
-  // ---- pooled search-core representation (SearchCore::kPooled) ----
-  //
-  // Under the pooled core the four delta maps switch to one of two
-  // alternative representations (DESIGN.md section 11):
-  //  * flat — self-contained open-addressing tables reserved once from the
-  //    topology/DC bounds (util::FlatMap64);
-  //  * chain — a parent pointer plus small per-level vectors of *absolute*
-  //    shadowing entries, so branching costs O(delta) instead of
-  //    O(|placed|).  Entries shadow (newest level wins) rather than add:
-  //    the pending-uplink update is a non-additive clamp and floating-point
-  //    summation order matters, so only replaying the reference operation
-  //    sequence on absolute values stays bit-identical.
-  // Chains longer than kFlattenThreshold are flattened eagerly; copies
-  // always flatten (see the copy constructor).  The map representation —
-  // the reference mode — is untouched.
-
-  /// Rebuilds this object as a self-contained flat-representation copy of
-  /// `src` (any representation), reusing every owned container's capacity.
-  /// Used to convert the scheduler-built root state when a pooled search
-  /// begins.
-  void assign_pooled_flat(const PartialPlacement& src);
-
-  /// Rebuilds this object as an O(delta) child of `parent`, which must be
-  /// pooled and must outlive this object (both live in the same
-  /// SearchArena).  Subsequent place() calls record deltas locally.
-  void branch_from(const PartialPlacement& parent);
-
-  /// True for flat/chain states (arena-managed); false for reference-mode
-  /// map states.
-  [[nodiscard]] bool pooled() const noexcept { return rep_ != Rep::kMap; }
-
-  /// Approximate bytes retained by this state's owned containers; feeds the
-  /// arena's "search.bytes_per_plan" accounting.
-  [[nodiscard]] std::size_t pooled_bytes() const noexcept;
-
-  /// Chain depth at which branch_from flattens: long chains make every
-  /// lookup walk parents, while flattening costs one O(|placed|) copy.
-  static constexpr std::uint32_t kFlattenThreshold = 8;
-
-  /// Converts a chain state into a self-contained flat state in place by
-  /// aggregating the parent chain newest-entry-first (no-op on non-chain
-  /// states).  The pooled search flattens a state once it survives to
-  /// expansion, so the whole child fan reads flat tables.
-  void flatten_in_place();
-
-  /// Chain depth from which an expanded state is flattened before its
-  /// child fan is generated.  An expanded state is read by its entire
-  /// candidate fan plus every child's branch_from, so deep chains tax
-  /// every one of those reads; but the flatten itself costs an
-  /// O(|placed|) table rebuild, which a shallow chain's reads never
-  /// amortize.  Measured crossover on the Fig. 7 drain workloads: 4.
-  static constexpr std::uint32_t kExpandFlattenDepth = 4;
-
-  void flatten_for_expand() {
-    if (rep_ == Rep::kChain && chain_len_ >= kExpandFlattenDepth) {
-      flatten_in_place();
-    }
-  }
-
  private:
-  enum class Rep : std::uint8_t { kMap, kFlat, kChain };
-  /// Fills this state's (reserved, cleared) flat tables with the aggregate
-  /// of `src`'s chain, newest level first.
-  void flatten_tables_from(const PartialPlacement& src);
-  /// Sizes the flat tables from the topology/DC bounds so steady-state
-  /// inserts never rehash.
-  void reserve_flat_tables();
-
-  // Representation-dispatching accessors for the four delta tables.  The
-  // kMap branches perform exactly the operation sequence the reference
-  // containers did, so both modes stay bit-identical.
-  [[nodiscard]] const topo::Resources* host_delta_find(dc::HostId host) const;
-  [[nodiscard]] const double* link_delta_find(dc::LinkId link) const;
-  [[nodiscard]] const double* pending_find(dc::HostId host) const;
-  [[nodiscard]] const double* rack_pending_find(std::uint32_t rack) const;
-  topo::Resources& host_delta_slot(dc::HostId host, bool& inserted);
-  double& link_delta_slot(dc::LinkId link);
-  double& pending_slot(dc::HostId host);
-  double& rack_pending_slot(std::uint32_t rack);
-  /// Mutable lookup that preserves find() semantics: returns nullptr when
-  /// the key has never been written anywhere in the chain, otherwise a
-  /// writable this-level slot seeded with the current absolute value.
-  double* pending_find_mut(dc::HostId host);
-  double* rack_pending_find_mut(std::uint32_t rack);
   [[nodiscard]] double edge_lower_bound(const topo::Edge& edge) const;
   /// Edge indices whose bound can change when `node` lands on `host`.
   void collect_affected_edges(topo::NodeId node, dc::HostId host,
@@ -287,8 +192,6 @@ class PartialPlacement {
 
   net::Assignment assignment_;
   std::size_t placed_count_ = 0;
-  // Reference (kMap) representation of the four delta tables; empty and
-  // unused while pooled.
   std::unordered_map<dc::HostId, topo::Resources> host_delta_;
   std::unordered_map<dc::LinkId, double> link_delta_;
   std::unordered_map<dc::HostId, double> pending_uplink_;
@@ -298,20 +201,6 @@ class PartialPlacement {
 
   double ubw_ = 0.0;
   double bound_sum_ = 0.0;
-
-  // Pooled representation.  kFlat states own the four flat tables; kChain
-  // states own only the per-level shadow vectors and read through parent_.
-  Rep rep_ = Rep::kMap;
-  const PartialPlacement* parent_ = nullptr;  // kChain only; same arena
-  std::uint32_t chain_len_ = 0;
-  util::FlatMap64<topo::Resources> host_flat_;
-  util::FlatMap64<double> link_flat_;
-  util::FlatMap64<double> pending_flat_;
-  util::FlatMap64<double> rack_flat_;
-  std::vector<std::pair<dc::HostId, topo::Resources>> host_local_;
-  std::vector<std::pair<dc::LinkId, double>> link_local_;
-  std::vector<std::pair<dc::HostId, double>> pending_local_;
-  std::vector<std::pair<std::uint32_t, double>> rack_local_;
 };
 
 }  // namespace ostro::core

@@ -40,10 +40,17 @@ Placement placement_from_json(const util::Json& document,
   if (!document.is_object() || !document.contains("assignment")) {
     throw PlacementIoError("placement document has no assignment object");
   }
-  const auto& mapping = document.at("assignment").as_object();
+  const util::Json& mapping = document.at("assignment");
+  if (!mapping.is_object()) {
+    throw PlacementIoError("placement field \"assignment\" is not an object");
+  }
 
   net::Assignment assignment(topology.node_count(), dc::kInvalidHost);
-  for (const auto& [node_name, host_name] : mapping) {
+  for (const auto& [node_name, host_name] : mapping.as_object()) {
+    if (!host_name.is_string()) {
+      throw PlacementIoError("placement field \"assignment." + node_name +
+                             "\" is not a host name string");
+    }
     const auto node = topology.find_node(node_name);
     if (!node) {
       throw PlacementIoError("placement names unknown node " + node_name);

@@ -33,8 +33,9 @@ class PlacementIoError : public std::runtime_error {
 
 /// Parses and re-validates a placement document against `topology` and
 /// `base`.  Metrics are recomputed from the assignment (the document's
-/// numbers are informational only).  Throws PlacementIoError on unknown
-/// node/host names, missing nodes, or constraint violations.
+/// numbers are informational only).  Throws PlacementIoError on a missing
+/// or mistyped "assignment" field or host value, unknown node/host names,
+/// missing nodes, or constraint violations.
 [[nodiscard]] Placement placement_from_json(const util::Json& document,
                                             const topo::AppTopology& topology,
                                             const dc::Occupancy& base,

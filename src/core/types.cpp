@@ -46,21 +46,6 @@ BudgetMode parse_budget_mode(const std::string& name) {
   throw std::invalid_argument("unknown budget mode: " + name);
 }
 
-const char* to_string(SearchCore core) noexcept {
-  switch (core) {
-    case SearchCore::kReference: return "reference";
-    case SearchCore::kPooled: return "pooled";
-  }
-  return "?";
-}
-
-SearchCore parse_search_core(const std::string& name) {
-  const std::string lower = util::to_lower(name);
-  if (lower == "reference") return SearchCore::kReference;
-  if (lower == "pooled") return SearchCore::kPooled;
-  throw std::invalid_argument("unknown search core: " + name);
-}
-
 void SearchConfig::validate() const {
   if (theta_bw < 0.0 || theta_c < 0.0 || theta_bw + theta_c <= 0.0) {
     throw std::invalid_argument(

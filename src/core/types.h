@@ -44,27 +44,6 @@ enum class BudgetMode : std::uint8_t { kFixed, kAuto };
 /// otherwise.
 [[nodiscard]] BudgetMode parse_budget_mode(const std::string& name);
 
-/// Memory model of the BA*/DBA* inner loop (DESIGN.md section 11).
-///
-///  * kReference — the original containers: every branch deep-copies the
-///    PartialPlacement (four unordered_maps), the open list is a
-///    std::priority_queue of shared_ptr-holding entries, and the closed set
-///    is an unordered_set.  Kept as the differential baseline.
-///  * kPooled — zero-allocation steady state: search states live in a
-///    per-thread SearchArena (recycled between plans, never freed),
-///    branching records O(delta) copy-on-write parent-pointer deltas with a
-///    flatten threshold, the open list is a preallocated 4-ary heap keyed
-///    by the packed f-cost, and the closed/dedup sets are epoch-stamped
-///    flat tables.  Bit-identical to kReference — both modes pop the same
-///    strict total order and apply the same floating-point operation
-///    sequence — which the differential suite verifies.
-enum class SearchCore : std::uint8_t { kReference, kPooled };
-
-[[nodiscard]] const char* to_string(SearchCore core) noexcept;
-/// Parses "reference" / "pooled" (case-insensitive); throws
-/// std::invalid_argument otherwise.
-[[nodiscard]] SearchCore parse_search_core(const std::string& name);
-
 /// Tuning knobs shared by all algorithms.  Defaults mirror the paper's
 /// simulation setup (theta = 0.6/0.4, Section IV-C).
 struct SearchConfig {
@@ -127,20 +106,14 @@ struct SearchConfig {
   /// incumbent) once this many paths have been expanded (0 = unlimited).
   /// Unlike the open-queue valve — whose firing point depends on how
   /// pruning shapes the frontier — this caps the *work* directly, which
-  /// makes bounded apples-to-apples runs reproducible: the search-core
-  /// benchmark uses it to hold the expansion count fixed while comparing
-  /// memory models, and it never triggers kAuto budget retries.
+  /// makes bounded runs reproducible (benchmarks use it to hold the
+  /// expansion count fixed), and it never triggers kAuto budget retries.
   std::size_t max_expansions = 0;
 
   /// Search-budget sizing regime for max_open_paths / dba_beam_width; see
   /// BudgetMode.  kFixed (the default) is bit-identical to the constants
   /// above and is differential-tested against kAuto.
   BudgetMode budget_mode = BudgetMode::kFixed;
-
-  /// Memory model of the BA*/DBA* inner loop; see SearchCore.  kPooled (the
-  /// default) is bit-identical to kReference and differential-tested
-  /// against it; kReference keeps the original containers as the baseline.
-  SearchCore search_core = SearchCore::kPooled;
 
   /// kAuto only: at most this many geometrically widened retries after a
   /// valve-fire failure (hit_open_limit with no feasible placement) before
@@ -256,17 +229,10 @@ struct SearchStats {
   std::size_t effective_max_open_paths = 0;
   std::size_t effective_beam_width = 0;
   double runtime_seconds = 0.0;
-  /// SearchCore::kPooled only: bytes retained by this thread's SearchArena
-  /// after the run — pooled states, open heap, closed set, and scratch
-  /// ("search.bytes_per_plan" summary).  0 under kReference.
+  /// Bytes the search keeps after it returns.  Every search state, the
+  /// open queue and the closed set are freed when the run ends, so this is
+  /// always 0; it stays so memory reports can keep reading it.
   std::size_t arena_bytes = 0;
-  /// kPooled only: pooled states materialized during this run (recycled
-  /// into the arena's free list when the plan finishes).
-  std::uint64_t arena_states = 0;
-  /// kPooled only: the run reused a warm arena left by a previous plan on
-  /// the same thread instead of growing fresh memory
-  /// ("search.arena_reuse" counter).
-  bool arena_reused = false;
 };
 
 /// Result of one placement computation.

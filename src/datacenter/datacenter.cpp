@@ -51,16 +51,6 @@ Scope DataCenter::scope_between(HostId a, HostId b) const {
   return Scope::kCrossSite;
 }
 
-Scope DataCenter::scope_between_walk(HostId a, HostId b) const {
-  const Host& ha = host(a);
-  const Host& hb = host(b);
-  if (a == b) return Scope::kSameHost;
-  if (ha.rack == hb.rack) return Scope::kSameRack;
-  if (ha.pod == hb.pod) return Scope::kSamePod;
-  if (ha.datacenter == hb.datacenter) return Scope::kSameSite;
-  return Scope::kCrossSite;
-}
-
 bool DataCenter::separated_at(HostId a, HostId b,
                               topo::DiversityLevel level) const {
   if (a >= ancestors_.size() || b >= ancestors_.size()) {
@@ -97,24 +87,6 @@ PathLinks DataCenter::path_between(HostId a, HostId b) const {
     out.links[out.count++] = chain_b[i];
   }
   return out;
-}
-
-void DataCenter::path_links_walk(HostId a, HostId b,
-                                 std::vector<LinkId>& out) const {
-  if (a == b) return;
-  const Host& ha = host(a);
-  const Host& hb = host(b);
-  out.push_back(host_link(a));
-  out.push_back(host_link(b));
-  if (ha.rack == hb.rack) return;
-  out.push_back(rack_link(ha.rack));
-  out.push_back(rack_link(hb.rack));
-  if (ha.pod == hb.pod) return;
-  out.push_back(pod_link(ha.pod));
-  out.push_back(pod_link(hb.pod));
-  if (ha.datacenter == hb.datacenter) return;
-  out.push_back(site_link(ha.datacenter));
-  out.push_back(site_link(hb.datacenter));
 }
 
 std::size_t DataCenter::link_count() const noexcept {

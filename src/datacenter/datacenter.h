@@ -164,13 +164,6 @@ class DataCenter {
     return std::span<const LinkId, 4>(&uplink_chains_[std::size_t{h} * 4], 4);
   }
 
-  /// Reference implementations that walk the Host/Rack/Pod records instead
-  /// of the precomputed tables.  Kept (and unit-tested against the fast
-  /// paths across every scope pair) as the ground truth the tables must
-  /// reproduce exactly; not for hot-path use.
-  [[nodiscard]] Scope scope_between_walk(HostId a, HostId b) const;
-  void path_links_walk(HostId a, HostId b, std::vector<LinkId>& out) const;
-
   /// Link layout: [0,H) host uplinks, [H,H+R) ToR uplinks, [H+R,H+R+P) pod
   /// uplinks, [H+R+P,H+R+P+S) site uplinks.
   [[nodiscard]] std::size_t link_count() const noexcept;

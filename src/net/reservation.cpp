@@ -65,74 +65,37 @@ void PlacementTransaction::apply(const topo::AppTopology& topology,
   host_ops_.reserve(host_mark + topology.node_count());
   link_ops_.reserve(link_mark + topology.edge_count() * max_links_per_edge);
 
-  if (mode_ == Mode::kStaged) {
-    // Validate everything against the delta overlay; the occupancy is only
-    // touched by the final one-batch flush, so a failing apply causes zero
-    // reserve/release churn on the base.
-    delta_.clear();
-    try {
-      for (const auto& node : topology.nodes()) {
-        const dc::HostId host = assignment[node.id];
-        if (host == dc::kInvalidHost || host >= datacenter.host_count()) {
-          throw std::invalid_argument("node " + node.name + " is unplaced");
-        }
-        const bool was_active = delta_.is_active(host);
-        delta_.add_host_load(host, node.requirements);
-        host_ops_.push_back({host, node.requirements, was_active});
-      }
-      for (const auto& edge : topology.edges()) {
-        const dc::PathLinks path =
-            datacenter.path_between(assignment[edge.a], assignment[edge.b]);
-        for (const dc::LinkId link : path) {
-          delta_.reserve_link(link, edge.bandwidth_mbps);
-          link_ops_.push_back({link, edge.bandwidth_mbps});
-        }
-      }
-      occupancy_->apply_delta(delta_);
-      delta_.clear();
-    } catch (...) {
-      m_failures.inc();
-      host_ops_.resize(host_mark);
-      link_ops_.resize(link_mark);
-      delta_.clear();
-      throw;
-    }
-    return;
-  }
-
+  // Validate everything against the delta overlay; the occupancy is only
+  // touched by the final one-batch flush, so a failing apply causes zero
+  // reserve/release churn on the base.
+  delta_.clear();
   try {
     for (const auto& node : topology.nodes()) {
       const dc::HostId host = assignment[node.id];
       if (host == dc::kInvalidHost || host >= datacenter.host_count()) {
         throw std::invalid_argument("node " + node.name + " is unplaced");
       }
-      const bool was_active = occupancy_->is_active(host);
-      occupancy_->add_host_load(host, node.requirements);
+      const bool was_active = delta_.is_active(host);
+      delta_.add_host_load(host, node.requirements);
       host_ops_.push_back({host, node.requirements, was_active});
     }
     for (const auto& edge : topology.edges()) {
       const dc::PathLinks path =
           datacenter.path_between(assignment[edge.a], assignment[edge.b]);
       for (const dc::LinkId link : path) {
-        occupancy_->reserve_link(link, edge.bandwidth_mbps);
+        delta_.reserve_link(link, edge.bandwidth_mbps);
         link_ops_.push_back({link, edge.bandwidth_mbps});
       }
     }
+    occupancy_->apply_delta(delta_);
+    delta_.clear();
   } catch (...) {
     m_failures.inc();
-    // Undo this call's partial work in reverse order; earlier, still-pending
-    // reservations (prior successful apply() calls) are kept.
-    while (link_ops_.size() > link_mark) {
-      occupancy_->release_link(link_ops_.back().link, link_ops_.back().mbps);
-      link_ops_.pop_back();
-    }
-    while (host_ops_.size() > host_mark) {
-      occupancy_->remove_host_load(host_ops_.back().host,
-                                   host_ops_.back().load);
-      occupancy_->set_active(host_ops_.back().host,
-                             host_ops_.back().was_active);
-      host_ops_.pop_back();
-    }
+    // Drop this call's ops; earlier, still-pending reservations (prior
+    // successful apply() calls) are kept.
+    host_ops_.resize(host_mark);
+    link_ops_.resize(link_mark);
+    delta_.clear();
     throw;
   }
 }

@@ -2,12 +2,11 @@
 //
 // PlacementTransaction reserves every node's host resources and every pipe's
 // bandwidth along its physical path, with all-or-nothing semantics: if any
-// reservation fails the partial work is rolled back and the occupancy is
-// untouched.  The Heat engine (src/openstack) and the experiment runner use
-// it to commit successive applications onto a shared data center.
+// reservation fails the occupancy is untouched.  The Heat engine
+// (src/openstack) and the experiment runner use it to commit successive
+// applications onto a shared data center.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "datacenter/occupancy.h"
@@ -23,30 +22,20 @@ using Assignment = std::vector<dc::HostId>;
 /// RAII transaction: apply() reserves, commit() keeps, destruction rolls
 /// back whatever is still pending.
 ///
+/// apply() stages every op in an OccupancyDelta and flushes it with one
+/// Occupancy::apply_delta batch once everything validated, so a failed
+/// apply never touches the occupancy — no reserve/release churn.
+///
 /// State invariant: the transaction tracks exactly the reservations it has
-/// made and not yet committed or rolled back.  A failed apply() rolls its
-/// partial work back and leaves the transaction *empty but reusable* —
-/// apply() may be called again (on the same or a corrected assignment), and
-/// destruction is a no-op until it succeeds.  commit() and rollback() also
-/// return the transaction to the empty, reusable state.
+/// made and not yet committed or rolled back.  A failed apply() leaves the
+/// transaction *empty but reusable* — apply() may be called again (on the
+/// same or a corrected assignment), and destruction is a no-op until it
+/// succeeds.  commit() and rollback() also return the transaction to the
+/// empty, reusable state.
 class PlacementTransaction {
  public:
-  /// How apply() validates and applies its reservations.  Both modes yield
-  /// bit-identical occupancy state on success (asserted by the differential
-  /// tests); they differ in how a *failing* apply behaves internally.
-  enum class Mode : std::uint8_t {
-    /// Stage every op in an OccupancyDelta and flush with one
-    /// Occupancy::apply_delta batch once everything validated.  A failed
-    /// apply never touches the occupancy — no reserve/release churn.
-    kStaged,
-    /// Mutate the occupancy op by op and undo on failure.  The original
-    /// reference path; kept for differential testing.
-    kDirect,
-  };
-
-  explicit PlacementTransaction(dc::Occupancy& occupancy,
-                                Mode mode = Mode::kStaged)
-      : occupancy_(&occupancy), mode_(mode), delta_(occupancy) {}
+  explicit PlacementTransaction(dc::Occupancy& occupancy)
+      : occupancy_(&occupancy), delta_(occupancy) {}
   ~PlacementTransaction();
 
   PlacementTransaction(const PlacementTransaction&) = delete;
@@ -82,8 +71,7 @@ class PlacementTransaction {
   };
 
   dc::Occupancy* occupancy_;
-  Mode mode_ = Mode::kStaged;
-  /// Staging overlay reused across apply() calls (kStaged mode only).
+  /// Staging overlay reused across apply() calls.
   dc::OccupancyDelta delta_;
   std::vector<HostOp> host_ops_;
   std::vector<LinkOp> link_ops_;

@@ -165,8 +165,7 @@ TEST(CandidatesIndexTest, RolledBackTransactionLeavesCandidatesPristine) {
     // occupancy — index included — must be byte-identical to before, and
     // both candidate paths must agree with a never-touched control state.
     net::Assignment overload(app.node_count(), 0);
-    net::PlacementTransaction txn(occupancy,
-                                  net::PlacementTransaction::Mode::kStaged);
+    net::PlacementTransaction txn(occupancy);
     bool threw = false;
     for (int round = 0; round < 50 && !threw; ++round) {
       try {

@@ -1,8 +1,9 @@
 // Differential tests for the hot-path accelerations: the hoisted estimate
-// context, the precomputed topology tables, and the staged reservation mode
-// must produce bit-identical results to the reference paths — identical
-// assignments, identical objective values (exact double equality, not
-// EXPECT_NEAR), and identical post-commit Occupancy state.
+// context and the precomputed topology tables must produce bit-identical
+// results to the reference paths — identical assignments and identical
+// objective values (exact double equality, not EXPECT_NEAR) — and the
+// staged reservation transaction must leave the same Occupancy state as
+// reserving every host load and link directly.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -184,15 +185,21 @@ TEST(FastPathDifferentialTest, StagedTransactionMatchesDirectMode) {
     if (!outcome.feasible) continue;
     ++committed;
 
-    net::PlacementTransaction staged(
-        staged_occupancy, net::PlacementTransaction::Mode::kStaged);
-    staged.apply(app, outcome.state.assignment());
+    const net::Assignment& assignment = outcome.state.assignment();
+    net::PlacementTransaction staged(staged_occupancy);
+    staged.apply(app, assignment);
     staged.commit();
 
-    net::PlacementTransaction direct(
-        direct_occupancy, net::PlacementTransaction::Mode::kDirect);
-    direct.apply(app, outcome.state.assignment());
-    direct.commit();
+    // The same reservations made op by op on the occupancy itself.
+    for (const auto& node : app.nodes()) {
+      direct_occupancy.add_host_load(assignment[node.id], node.requirements);
+    }
+    for (const auto& edge : app.edges()) {
+      for (const dc::LinkId link :
+           datacenter.path_between(assignment[edge.a], assignment[edge.b])) {
+        direct_occupancy.reserve_link(link, edge.bandwidth_mbps);
+      }
+    }
 
     EXPECT_TRUE(staged_occupancy == direct_occupancy) << "trial " << trial;
   }
@@ -208,8 +215,7 @@ TEST(FastPathDifferentialTest, FailedStagedApplyLeavesOccupancyPristine) {
   // Pile every node onto host 0 repeatedly until bandwidth or compute must
   // give out; a failing staged apply must cause zero base churn.
   net::Assignment overload(app.node_count(), 0);
-  net::PlacementTransaction txn(occupancy,
-                                net::PlacementTransaction::Mode::kStaged);
+  net::PlacementTransaction txn(occupancy);
   bool threw = false;
   for (int round = 0; round < 50 && !threw; ++round) {
     try {
@@ -221,187 +227,6 @@ TEST(FastPathDifferentialTest, FailedStagedApplyLeavesOccupancyPristine) {
   ASSERT_TRUE(threw);
   txn.rollback();
   EXPECT_TRUE(occupancy == pristine);
-}
-
-// ---------------------------------------------------------------------------
-// SearchCore::kPooled vs SearchCore::kReference.  The pooled memory model
-// (arena states, packed-key heap, flat closed set; DESIGN.md section 11) is
-// required to be bit-identical: same assignments, same doubles, and the
-// same SearchStats — including the pop-order-sensitive counters, which
-// would diverge on the very first expansion if the heap's total order or
-// the COW chain's floating-point replay were off by anything at all.
-
-void expect_identical_stats(const SearchStats& pooled, const SearchStats& ref,
-                            int trial) {
-  EXPECT_EQ(pooled.paths_expanded, ref.paths_expanded) << "trial " << trial;
-  EXPECT_EQ(pooled.paths_generated, ref.paths_generated) << "trial " << trial;
-  EXPECT_EQ(pooled.paths_pruned_bound, ref.paths_pruned_bound)
-      << "trial " << trial;
-  EXPECT_EQ(pooled.paths_pruned_random, ref.paths_pruned_random)
-      << "trial " << trial;
-  EXPECT_EQ(pooled.paths_deduped, ref.paths_deduped) << "trial " << trial;
-  EXPECT_EQ(pooled.symmetry_pruned, ref.symmetry_pruned) << "trial " << trial;
-  EXPECT_EQ(pooled.open_queue_peak, ref.open_queue_peak) << "trial " << trial;
-  EXPECT_EQ(pooled.max_depth, ref.max_depth) << "trial " << trial;
-  EXPECT_EQ(pooled.eg_reruns, ref.eg_reruns) << "trial " << trial;
-  EXPECT_EQ(pooled.heuristic_calls, ref.heuristic_calls) << "trial " << trial;
-  EXPECT_EQ(pooled.truncated, ref.truncated) << "trial " << trial;
-}
-
-TEST(SearchCoreDifferentialTest, PooledBaStarMatchesReferenceBitwise) {
-  util::Rng rng(9001);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto datacenter =
-        trial % 2 == 0 ? small_dc(2, 3) : two_site_dc(2, 2);
-    const dc::Occupancy occupancy(datacenter);
-    const auto app = random_app(rng, 6);
-    SearchConfig pooled_config;
-    pooled_config.search_core = SearchCore::kPooled;
-    SearchConfig ref_config = pooled_config;
-    ref_config.search_core = SearchCore::kReference;
-    const Objective objective(app, datacenter, pooled_config);
-
-    const AStarOutcome pooled = run_astar(
-        initial_state(app, occupancy, objective), pooled_config, false,
-        nullptr);
-    const AStarOutcome reference = run_astar(
-        initial_state(app, occupancy, objective), ref_config, false, nullptr);
-    expect_identical(pooled, reference, trial);
-    expect_identical_stats(pooled.stats, reference.stats, trial);
-  }
-}
-
-TEST(SearchCoreDifferentialTest, PooledDbaStarMatchesReferenceBitwise) {
-  util::Rng rng(9002);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto datacenter =
-        trial % 2 == 0 ? small_dc(2, 2) : two_site_dc(1, 3);
-    const dc::Occupancy occupancy(datacenter);
-    const auto app = random_app(rng, 6);
-    SearchConfig pooled_config;
-    // deadline_seconds == 0 disables the prune pressure, so DBA* (sharp
-    // ordering, beam, depth-first pops) is deterministic and comparable.
-    pooled_config.deadline_seconds = 0.0;
-    pooled_config.greedy_estimate_in_astar = true;
-    pooled_config.search_core = SearchCore::kPooled;
-    SearchConfig ref_config = pooled_config;
-    ref_config.search_core = SearchCore::kReference;
-    const Objective objective(app, datacenter, pooled_config);
-
-    const AStarOutcome pooled = run_astar(
-        initial_state(app, occupancy, objective), pooled_config, true,
-        nullptr);
-    const AStarOutcome reference = run_astar(
-        initial_state(app, occupancy, objective), ref_config, true, nullptr);
-    expect_identical(pooled, reference, trial);
-    expect_identical_stats(pooled.stats, reference.stats, trial);
-  }
-}
-
-TEST(SearchCoreDifferentialTest, PooledMatchesReferenceFromPinnedPrefix) {
-  // A pinned prefix makes the root state a non-empty kMap placement, so
-  // assign_pooled_flat must reproduce accumulated deltas (not just the
-  // empty-state fast case) before the search even starts.
-  util::Rng rng(9003);
-  for (int trial = 0; trial < 15; ++trial) {
-    const auto datacenter = small_dc(2, 3);
-    const dc::Occupancy occupancy(datacenter);
-    const auto app = random_app(rng, 6);
-    SearchConfig pooled_config;
-    pooled_config.search_core = SearchCore::kPooled;
-    SearchConfig ref_config = pooled_config;
-    ref_config.search_core = SearchCore::kReference;
-    const Objective objective(app, datacenter, pooled_config);
-
-    PartialPlacement pooled_initial = initial_state(app, occupancy, objective);
-    const auto prefix = static_cast<std::size_t>(rng.uniform_int(1, 3));
-    for (std::size_t i = 0; i < prefix && i < app.node_count(); ++i) {
-      const auto node = static_cast<topo::NodeId>(i);
-      const auto host = static_cast<dc::HostId>(rng.uniform_int(
-          0, static_cast<int>(datacenter.host_count()) - 1));
-      if (pooled_initial.can_place(node, host)) {
-        pooled_initial.place(node, host);
-      }
-    }
-    const PartialPlacement ref_initial = pooled_initial;
-
-    const AStarOutcome pooled =
-        run_astar(pooled_initial, pooled_config, false, nullptr);
-    const AStarOutcome reference =
-        run_astar(ref_initial, ref_config, false, nullptr);
-    expect_identical(pooled, reference, trial);
-    expect_identical_stats(pooled.stats, reference.stats, trial);
-  }
-}
-
-TEST(SearchCoreDifferentialTest, PooledMatchesReferenceUnderAutoBudget) {
-  // Through the scheduler with budget_mode=kAuto: the valve/retry ladder
-  // must make the same decisions over the pooled core's identical stats.
-  util::Rng rng(9004);
-  for (int trial = 0; trial < 8; ++trial) {
-    const auto datacenter =
-        trial % 2 == 0 ? small_dc(2, 3) : two_site_dc(2, 2);
-    const auto app = random_app(rng, 6);
-
-    SearchConfig pooled_config;
-    pooled_config.budget_mode = BudgetMode::kAuto;
-    pooled_config.search_core = SearchCore::kPooled;
-    SearchConfig ref_config = pooled_config;
-    ref_config.search_core = SearchCore::kReference;
-
-    // Fresh schedulers per run: the BudgetController warm-starts from its
-    // own history, which must not leak between the two runs.
-    const OstroScheduler pooled_scheduler(datacenter, pooled_config);
-    const OstroScheduler ref_scheduler(datacenter, ref_config);
-    const Placement pooled = pooled_scheduler.plan(app, Algorithm::kBaStar);
-    const Placement reference = ref_scheduler.plan(app, Algorithm::kBaStar);
-
-    ASSERT_EQ(pooled.feasible, reference.feasible) << "trial " << trial;
-    if (!reference.feasible) continue;
-    EXPECT_EQ(pooled.assignment, reference.assignment) << "trial " << trial;
-    EXPECT_EQ(pooled.utility, reference.utility) << "trial " << trial;
-    EXPECT_EQ(pooled.reserved_bandwidth_mbps,
-              reference.reserved_bandwidth_mbps)
-        << "trial " << trial;
-    EXPECT_EQ(pooled.stats.budget_retries, reference.stats.budget_retries)
-        << "trial " << trial;
-    expect_identical_stats(pooled.stats, reference.stats, trial);
-  }
-}
-
-TEST(SearchCoreDifferentialTest, PooledPropertyRandomTopologies) {
-  // Property sweep at a larger trial count with alternating algorithms and
-  // fleet shapes; any representational drift in the COW chains shows up as
-  // a utility or stats mismatch long before a wrong assignment does.
-  util::Rng rng(9005);
-  for (int trial = 0; trial < 30; ++trial) {
-    const auto datacenter = trial % 3 == 0   ? small_dc(2, 2)
-                            : trial % 3 == 1 ? small_dc(3, 2)
-                                             : two_site_dc(1, 2);
-    const dc::Occupancy occupancy(datacenter);
-    const auto app = random_app(rng, 4 + trial % 4);
-    SearchConfig pooled_config;
-    pooled_config.use_estimate_context = trial % 2 == 0;
-    pooled_config.search_core = SearchCore::kPooled;
-    SearchConfig ref_config = pooled_config;
-    ref_config.search_core = SearchCore::kReference;
-    const Objective objective(app, datacenter, pooled_config);
-    const bool dba = trial % 5 == 0;
-    if (dba) {
-      pooled_config.deadline_seconds = 0.0;
-      pooled_config.greedy_estimate_in_astar = true;
-      ref_config.deadline_seconds = 0.0;
-      ref_config.greedy_estimate_in_astar = true;
-    }
-
-    const AStarOutcome pooled = run_astar(
-        initial_state(app, occupancy, objective), pooled_config, dba,
-        nullptr);
-    const AStarOutcome reference = run_astar(
-        initial_state(app, occupancy, objective), ref_config, dba, nullptr);
-    expect_identical(pooled, reference, trial);
-    expect_identical_stats(pooled.stats, reference.stats, trial);
-  }
 }
 
 }  // namespace

@@ -142,39 +142,6 @@ TEST(LabelsDifferentialTest, DbaStarMatchesReference) {
   }
 }
 
-TEST(LabelsDifferentialTest, PooledCoreMatchesWithLabels) {
-  // The labels flag must survive assign_pooled_flat / branch_from: the
-  // pooled core with labels on must match the reference core with labels
-  // on, and both must match the labels-off result.
-  util::Rng rng(12004);
-  for (int trial = 0; trial < 15; ++trial) {
-    const auto datacenter =
-        trial % 2 == 0 ? small_dc(2, 3) : two_site_dc(2, 2);
-    dc::Occupancy occupancy(datacenter);
-    if (trial % 3 == 1) drain_hosts(occupancy, rng, 2);
-    const auto app = random_app(rng, 6);
-    SearchConfig pooled_config;
-    pooled_config.search_core = SearchCore::kPooled;
-    SearchConfig ref_config = pooled_config;
-    ref_config.search_core = SearchCore::kReference;
-    const Objective objective(app, datacenter, pooled_config);
-
-    const AStarOutcome pooled = run_astar(
-        PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
-        pooled_config, false, nullptr);
-    const AStarOutcome reference = run_astar(
-        PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
-        ref_config, false, nullptr);
-    const AStarOutcome unlabeled = run_astar(
-        PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/false),
-        ref_config, false, nullptr);
-    expect_identical(pooled, reference, trial);
-    expect_identical(pooled, unlabeled, trial);
-    EXPECT_EQ(pooled.stats.paths_expanded, reference.stats.paths_expanded)
-        << "trial " << trial;
-  }
-}
-
 TEST(LabelsDifferentialTest, SchedulerFlagMatrixMatches) {
   // End to end through place_topology: the config knob must reach the
   // search state for every algorithm, and flipping it must not change any

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/scheduler.h"
 #include "helpers.h"
 
@@ -97,6 +99,29 @@ TEST(PlacementIoTest, MalformedJsonRejected) {
       (void)placement_from_text(R"({"no_assignment": 1})", f.app,
                                 f.occupancy, f.config),
       PlacementIoError);
+}
+
+TEST(PlacementIoTest, MistypedFieldsRejectedByName) {
+  // Valid JSON with the wrong types: a non-object assignment, and a host
+  // value that is not a string.  Both must surface as PlacementIoError
+  // naming the field, not as a JSON syntax error.
+  Fixture f;
+  const std::string wrong_assignment = R"({"assignment": 5})";
+  const std::string wrong_host = R"({"assignment": {"web": 7}})";
+  for (const std::string& text : {wrong_assignment, wrong_host}) {
+    EXPECT_THROW((void)placement_from_json(util::Json::parse(text), f.app,
+                                           f.occupancy, f.config),
+                 PlacementIoError)
+        << text;
+    try {
+      (void)placement_from_text(text, f.app, f.occupancy, f.config);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const PlacementIoError& e) {
+      const std::string message = e.what();
+      EXPECT_EQ(message.find("not valid JSON"), std::string::npos) << message;
+      EXPECT_NE(message.find("assignment"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(PlacementIoTest, StaleDocumentFailsRevalidation) {

@@ -367,22 +367,17 @@ TEST(ServiceStressTest, ConcurrentAutoBudgetPlansAreRaceFreeAndStable) {
   EXPECT_DOUBLE_EQ(fixed_after.utility, fixed_before.utility);
 }
 
-// Satellite regression for SearchCore::kPooled under concurrency: every
-// thread owns a private SearchArena (thread_search_arena), so pooled plans
-// running in parallel must share nothing — TSan proves the isolation, and
-// the bitwise comparison against a serial kReference plan proves that a
-// warm, concurrently reused arena still reproduces the reference search
-// exactly on every iteration.
-TEST(ServiceStressTest, ConcurrentPooledArenasStayIsolatedAndBitIdentical) {
+// BA* under concurrency: plans running in parallel on one scheduler must
+// share no search state — TSan proves the isolation, and the bitwise
+// comparison against serial plans of the same stacks proves every
+// concurrent search reproduces the serial one exactly.
+TEST(ServiceStressTest, ConcurrentBaStarPlansMatchSerialPlans) {
   const auto datacenter = small_dc(3, 3);
-  SearchConfig pooled_config = serial_config();
-  pooled_config.search_core = SearchCore::kPooled;
-  SearchConfig reference_config = pooled_config;
-  reference_config.search_core = SearchCore::kReference;
-  OstroScheduler scheduler(datacenter, pooled_config);
+  const SearchConfig config = serial_config();
+  OstroScheduler scheduler(datacenter, config);
 
   // A few distinct stacks so concurrent plans stress differently shaped
-  // searches (and differently sized arena states) on the same threads.
+  // searches on the same threads.
   std::vector<topo::AppTopology> stacks;
   util::Rng rng(20260808);
   for (int i = 0; i < 4; ++i) {
@@ -399,7 +394,7 @@ TEST(ServiceStressTest, ConcurrentPooledArenasStayIsolatedAndBitIdentical) {
   references.reserve(stacks.size());
   for (const auto& stack : stacks) {
     references.push_back(
-        scheduler.plan(stack, Algorithm::kBaStar, reference_config));
+        scheduler.plan(stack, Algorithm::kBaStar, config));
     ASSERT_TRUE(references.back().feasible);
   }
 
@@ -411,16 +406,15 @@ TEST(ServiceStressTest, ConcurrentPooledArenasStayIsolatedAndBitIdentical) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int j = 0; j < kPlansPerThread; ++j) {
-        // Round-robin over the stacks: after the first lap the thread's
-        // arena is warm and gets recycled across differently sized plans.
+        // Round-robin over the stacks so each thread interleaves
+        // differently sized plans.
         const std::size_t s =
             static_cast<std::size_t>(t + j) % stacks.size();
-        const Placement pooled =
-            scheduler.plan(stacks[s], Algorithm::kBaStar, pooled_config);
-        if (!pooled.feasible ||
-            pooled.assignment != references[s].assignment ||
-            pooled.utility != references[s].utility ||
-            pooled.stats.paths_expanded != references[s].stats.paths_expanded) {
+        const Placement plan =
+            scheduler.plan(stacks[s], Algorithm::kBaStar, config);
+        if (!plan.feasible || plan.assignment != references[s].assignment ||
+            plan.utility != references[s].utility ||
+            plan.stats.paths_expanded != references[s].stats.paths_expanded) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }

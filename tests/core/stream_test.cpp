@@ -485,12 +485,11 @@ TEST(StreamStressTest, BatchedCommitsMatchSerialReplay) {
   }
 }
 
-// Pooled-core variant of the stress test: multi-dispatcher batched commits
-// where every plan runs BA* on SearchCore::kPooled, so the dispatcher
-// threads' search arenas are created, warmed, and recycled concurrently.
-// The serial replay invariant plus TSan coverage proves per-thread arenas
+// BA* variant of the stress test: multi-dispatcher batched commits where
+// every plan runs the BA* search concurrently on the dispatcher threads.
+// The serial replay invariant plus TSan coverage proves concurrent searches
 // share no state across the streaming pipeline.
-TEST(StreamStressTest, PooledSearchCoreBatchedCommitsMatchSerialReplay) {
+TEST(StreamStressTest, BaStarBatchedCommitsMatchSerialReplay) {
   constexpr int kSubmitters = 4;
   constexpr int kStacksPerSubmitter = 25;
   constexpr int kTotal = kSubmitters * kStacksPerSubmitter;
@@ -498,7 +497,6 @@ TEST(StreamStressTest, PooledSearchCoreBatchedCommitsMatchSerialReplay) {
   const auto datacenter = small_dc(4, 4);
   SearchConfig config = stream_config(/*batch=*/4, /*capacity=*/kTotal);
   config.stream_dispatch_threads = 3;
-  config.search_core = SearchCore::kPooled;
   OstroScheduler scheduler(datacenter, config);
   PlacementService service(scheduler);
   StreamingService stream(service, config);
@@ -521,7 +519,7 @@ TEST(StreamStressTest, PooledSearchCoreBatchedCommitsMatchSerialReplay) {
       const std::size_t i =
           t * kStacksPerSubmitter + static_cast<std::size_t>(j);
       StreamRequest request = request_for(stacks[i]);
-      request.algorithm = Algorithm::kBaStar;  // exercise the pooled search
+      request.algorithm = Algorithm::kBaStar;  // exercise the BA* search
       futures[i] = stream.submit(std::move(request));
     }
   });

@@ -1,6 +1,6 @@
 // The precomputed topology tables (per-host ancestors, uplink chains) must
-// reproduce the tree-walking reference implementations exactly, across every
-// scope pair and on single- and multi-datacenter hierarchies.
+// reproduce a walk of the Host/Rack/Pod records exactly, across every scope
+// pair and on single- and multi-datacenter hierarchies.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -38,9 +38,9 @@ DataCenter deep_dc() {
   return builder.build();
 }
 
-/// Exhaustive pairwise comparison of the table-driven queries against the
-/// tree-walk references; returns per-scope pair counts so callers can assert
-/// which scopes the fixture actually exercised.
+/// Exhaustive pairwise comparison of the table-driven queries against a
+/// tree walk computed inline; returns per-scope pair counts so callers can
+/// assert which scopes the fixture actually exercised.
 std::array<int, 5> expect_tables_match(const DataCenter& dc) {
   std::array<int, 5> scope_pairs{};
   const auto n = static_cast<HostId>(dc.host_count());
@@ -57,13 +57,35 @@ std::array<int, 5> expect_tables_match(const DataCenter& dc) {
     EXPECT_EQ(chain[3], dc.site_link(host.datacenter));
 
     for (HostId b = 0; b < n; ++b) {
+      const Host& hb = dc.host(b);
+      // Walk the Host records: climb until both hosts share a unit, and
+      // collect both sides' uplinks on the way.
+      Scope walk = Scope::kSameHost;
+      std::vector<LinkId> via_walk;
+      if (a != b) {
+        walk = Scope::kSameRack;
+        via_walk = {dc.host_link(a), dc.host_link(b)};
+        if (host.rack != hb.rack) {
+          walk = Scope::kSamePod;
+          via_walk.insert(via_walk.end(),
+                          {dc.rack_link(host.rack), dc.rack_link(hb.rack)});
+        }
+        if (host.pod != hb.pod) {
+          walk = Scope::kSameSite;
+          via_walk.insert(via_walk.end(),
+                          {dc.pod_link(host.pod), dc.pod_link(hb.pod)});
+        }
+        if (host.datacenter != hb.datacenter) {
+          walk = Scope::kCrossSite;
+          via_walk.insert(via_walk.end(), {dc.site_link(host.datacenter),
+                                           dc.site_link(hb.datacenter)});
+        }
+      }
+
       const Scope fast = dc.scope_between(a, b);
-      const Scope walk = dc.scope_between_walk(a, b);
       EXPECT_EQ(fast, walk) << "hosts " << a << ", " << b;
       ++scope_pairs[static_cast<std::size_t>(fast)];
 
-      std::vector<LinkId> via_walk;
-      dc.path_links_walk(a, b, via_walk);
       std::vector<LinkId> via_table;
       dc.path_links(a, b, via_table);
       EXPECT_EQ(via_table, via_walk) << "hosts " << a << ", " << b;
@@ -77,7 +99,6 @@ std::array<int, 5> expect_tables_match(const DataCenter& dc) {
       for (const auto level :
            {topo::DiversityLevel::kHost, topo::DiversityLevel::kRack,
             topo::DiversityLevel::kPod, topo::DiversityLevel::kDatacenter}) {
-        const Host& hb = dc.host(b);
         bool walk_separated = false;
         switch (level) {
           case topo::DiversityLevel::kHost: walk_separated = a != b; break;

@@ -96,7 +96,6 @@ int cmd_place_service(util::ArgParser& args, int threads) {
   config.theta_c = args.get_double("theta-c");
   config.deadline_seconds = args.get_double("deadline");
   config.budget_mode = core::parse_budget_mode(args.get_string("budget"));
-  config.search_core = core::parse_search_core(args.get_string("search-core"));
   config.use_prune_labels =
       parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
   const auto algorithm = core::parse_algorithm(args.get_string("algorithm"));
@@ -164,7 +163,6 @@ int cmd_place_shards(util::ArgParser& args, int threads,
   config.theta_c = args.get_double("theta-c");
   config.deadline_seconds = args.get_double("deadline");
   config.budget_mode = core::parse_budget_mode(args.get_string("budget"));
-  config.search_core = core::parse_search_core(args.get_string("search-core"));
   config.use_prune_labels =
       parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
   const auto algorithm = core::parse_algorithm(args.get_string("algorithm"));
@@ -243,7 +241,6 @@ int cmd_place(util::ArgParser& args) {
   config.theta_c = args.get_double("theta-c");
   config.deadline_seconds = args.get_double("deadline");
   config.budget_mode = core::parse_budget_mode(args.get_string("budget"));
-  config.search_core = core::parse_search_core(args.get_string("search-core"));
   config.use_prune_labels =
       parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
   const auto algorithm = core::parse_algorithm(args.get_string("algorithm"));
@@ -330,7 +327,6 @@ int cmd_serve(util::ArgParser& args) {
   config.theta_c = args.get_double("theta-c");
   config.deadline_seconds = args.get_double("deadline");
   config.budget_mode = core::parse_budget_mode(args.get_string("budget"));
-  config.search_core = core::parse_search_core(args.get_string("search-core"));
   config.use_prune_labels =
       parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
   const auto default_algorithm =
@@ -571,9 +567,6 @@ int main(int argc, char** argv) {
     args.add_string("budget", "fixed",
                     "BA*/DBA* search-budget mode: fixed (paper constants) | "
                     "auto (adaptive sizing + widened retries)");
-    args.add_string("search-core", "pooled",
-                    "BA*/DBA* memory model: pooled (per-thread arena, "
-                    "bit-identical) | reference (original containers)");
     args.add_string("use-prune-labels", "on",
                     "precomputed subtree pruning labels for the admissible "
                     "bounds: on (bit-identical, fewer expansions) | off "
