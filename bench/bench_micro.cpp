@@ -294,23 +294,17 @@ void BM_CandidateEstimateContextFig7(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateEstimateContextFig7);
 
-// Whole-placement application at Figure-7 scale: the transaction validates
-// in the OccupancyDelta overlay and flushes one apply_delta batch, so the
-// occupancy.link_reservations per-op counter stays at zero on the success
-// path (the `reserve_calls` counter makes that visible per apply).
+// Whole-placement staging at Figure-7 scale: list the stack's ops and stage
+// them in an OccupancyDelta overlay — a commit short of its one apply_delta
+// flush, and the commit gate's check of a stale plan.
 void BM_TransactionStagedFig7(benchmark::State& state) {
   auto& f = fig7();
-  dc::Occupancy occupancy = f.occupancy;
-  auto& reservations = util::metrics::counter("occupancy.link_reservations");
-  const auto before = reservations.value();
-  net::PlacementTransaction txn(occupancy);
   for (auto _ : state) {
-    txn.apply(f.app, f.assignment);
-    txn.rollback();
+    dc::OccupancyDelta delta(f.occupancy);
+    net::stage_ops(delta, net::stack_ops(f.datacenter, f.app, f.assignment),
+                   net::OpDirection::kReserve);
+    benchmark::DoNotOptimize(delta.link_op_count());
   }
-  state.counters["reserve_calls"] = benchmark::Counter(
-      static_cast<double>(reservations.value() - before),
-      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_TransactionStagedFig7)->Unit(benchmark::kMicrosecond);
 

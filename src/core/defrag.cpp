@@ -138,7 +138,6 @@ PlacementService::MigrationBatch DefragPlanner::plan_batch(
     bool vacated = true;
     for (const Resident& r : res) {
       const topo::AppTopology& topology = *stacks[r.stack].topology;
-      const topo::Node& node = topology.node(r.node);
       net::Assignment& working = assignment_of(r.stack);
       bool placed = false;
       for (const RankedHost& target : targets) {
@@ -157,25 +156,11 @@ PlacementService::MigrationBatch DefragPlanner::plan_batch(
         // and drop the trial wholesale if anything refuses.
         dc::OccupancyDelta trial = attempt;
         try {
-          trial.remove_host_load(previous, node.requirements);
-          trial.add_host_load(target.host, node.requirements);
-          for (const topo::Neighbor& nb : topology.neighbors(r.node)) {
-            const dc::PathLinks old_path =
-                datacenter.path_between(previous, working[nb.node]);
-            for (const dc::LinkId link : old_path) {
-              trial.release_link(link, nb.bandwidth_mbps);
-            }
-            const dc::PathLinks new_path =
-                datacenter.path_between(target.host, working[nb.node]);
-            for (const dc::LinkId link : new_path) {
-              trial.reserve_link(link, nb.bandwidth_mbps);
-            }
-          }
+          net::stage_move(trial, topology, working, r.node, target.host);
         } catch (const std::exception&) {
           continue;  // target full (or a path saturated): next target
         }
         attempt = std::move(trial);
-        working[r.node] = target.host;
         placed = true;
         break;
       }

@@ -10,6 +10,26 @@
 
 namespace ostro::core {
 
+namespace {
+
+/// The commit gate for a stale plan: stages the stack's ops against the
+/// live occupancy exactly as the default commit will, so a plan the gate
+/// passes cannot then fail to commit.
+bool fits_live(const dc::Occupancy& live, const topo::AppTopology& topology,
+               const net::Assignment& assignment) {
+  dc::OccupancyDelta delta(live);
+  try {
+    net::stage_ops(delta,
+                   net::stack_ops(live.datacenter(), topology, assignment),
+                   net::OpDirection::kReserve);
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::uint64_t PlacementService::epoch() const {
   const std::shared_lock<std::shared_mutex> lock(mutex_);
   return scheduler_->occupancy().version();
@@ -52,58 +72,12 @@ PlacementService::CommitOutcome PlacementService::try_commit(
 PlacementService::CommitOutcome PlacementService::try_commit_with(
     const topo::AppTopology& topology, PlannedPlacement& planned,
     const Committer& committer, std::uint64_t* commit_epoch) {
-  static util::metrics::Counter& m_conflicts =
-      util::metrics::counter("service.conflicts");
-  static util::metrics::Counter& m_rejected =
-      util::metrics::counter("service.rejected");
-  static util::metrics::Summary& m_commit_wait =
-      util::metrics::summary("service.commit_wait_seconds");
-
-  Placement& placement = planned.placement;
-  if (!placement.feasible || placement.bandwidth_overcommitted) {
-    if (placement.feasible && placement.failure_reason.empty()) {
-      placement.failure_reason =
-          "placement overcommits link bandwidth; not committed";
-    }
-    m_rejected.inc();
-    return CommitOutcome::kRejected;
+  BatchCommitMember member{&topology, &planned, &committer};
+  try_commit_batch({&member, 1});
+  if (member.outcome == CommitOutcome::kCommitted && commit_epoch != nullptr) {
+    *commit_epoch = member.commit_epoch;
   }
-
-  util::WallTimer wait_timer;
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  m_commit_wait.observe(wait_timer.elapsed_seconds());
-
-  // The epoch gate: an unchanged version proves no mutation interleaved
-  // between snapshot and commit, so the plan's own constraint checks are
-  // still authoritative and re-validation can be skipped.  A changed
-  // version means a competing commit (or any occupancy mutation) landed —
-  // re-verify everything from first principles against the live state.
-  if (scheduler_->occupancy().version() != planned.epoch) {
-    const auto violations = verify_placement(scheduler_->occupancy(),
-                                             topology, placement.assignment);
-    if (!violations.empty()) {
-      m_conflicts.inc();
-      return CommitOutcome::kConflict;
-    }
-  }
-
-  if (committer) {
-    std::string failure;
-    if (!committer(placement, failure)) {
-      // The committer's refusal is deterministic (re-validation already
-      // passed), so a retry would refuse again: reject.
-      placement.failure_reason = std::move(failure);
-      m_rejected.inc();
-      return CommitOutcome::kRejected;
-    }
-  } else {
-    scheduler_->commit(topology, placement);
-  }
-  placement.committed = true;
-  if (commit_epoch != nullptr) {
-    *commit_epoch = scheduler_->occupancy().version();
-  }
-  return CommitOutcome::kCommitted;
+  return member.outcome;
 }
 
 std::size_t PlacementService::try_commit_batch(
@@ -117,7 +91,7 @@ std::size_t PlacementService::try_commit_batch(
 
   // Deterministic rejects need no lock: infeasible or bandwidth-
   // overcommitted members can never commit no matter what the live
-  // occupancy looks like (same pre-filter as try_commit_with).
+  // occupancy looks like.
   std::size_t pending = 0;
   for (BatchCommitMember& member : batch) {
     Placement& placement = member.planned->placement;
@@ -143,18 +117,18 @@ std::size_t PlacementService::try_commit_batch(
   for (BatchCommitMember& member : batch) {
     if (member.outcome == CommitOutcome::kRejected) continue;
     Placement& placement = member.planned->placement;
-    // Per-member epoch gate.  The first member of a fresh-snapshot batch
-    // commits without re-validation; its commit bumps the epoch, so every
-    // later member is re-verified from first principles against the
-    // occupancy its batch predecessors already mutated.
-    if (scheduler_->occupancy().version() != member.planned->epoch) {
-      const auto violations = verify_placement(
-          scheduler_->occupancy(), *member.topology, placement.assignment);
-      if (!violations.empty()) {
-        member.outcome = CommitOutcome::kConflict;
-        m_conflicts.inc();
-        continue;
-      }
+    // Per-member epoch gate.  An unchanged version proves no mutation
+    // interleaved since the snapshot, so the plan's own checks still hold.
+    // Otherwise (a competing commit, or a batch predecessor) the plan's ops
+    // are staged against the live occupancy with the commit's own
+    // arithmetic; the structure checks (tags, zones, affinity, latency) do
+    // not depend on occupancy and held when the plan was made.
+    if (scheduler_->occupancy().version() != member.planned->epoch &&
+        !fits_live(scheduler_->occupancy(), *member.topology,
+                   placement.assignment)) {
+      member.outcome = CommitOutcome::kConflict;
+      m_conflicts.inc();
+      continue;
     }
     if (member.committer != nullptr && *member.committer) {
       std::string failure;
@@ -294,30 +268,14 @@ std::size_t PlacementService::try_commit_migration(
     // Capacity and bandwidth are validated by staging the relocation in one
     // delta: each moved node releases its old load/paths before (in op
     // order) its new ones are reserved, so the member's own resources are
-    // netted — the reason verify_placement (which charges the new demand on
-    // top of the still-occupied old spots) cannot gate migrations.
+    // netted rather than charged twice.
     dc::OccupancyDelta delta(occupancy);
     net::Assignment working = member.from;
-    bool feasible = true;
     try {
       for (topo::NodeId n = 0; n < member.topology->node_count(); ++n) {
-        if (working[n] == member.to[n]) continue;
-        const topo::Node& node = member.topology->node(n);
-        delta.remove_host_load(working[n], node.requirements);
-        delta.add_host_load(member.to[n], node.requirements);
-        for (const topo::Neighbor& nb : member.topology->neighbors(n)) {
-          const dc::PathLinks old_path =
-              datacenter.path_between(working[n], working[nb.node]);
-          for (const dc::LinkId link : old_path) {
-            delta.release_link(link, nb.bandwidth_mbps);
-          }
-          const dc::PathLinks new_path =
-              datacenter.path_between(member.to[n], working[nb.node]);
-          for (const dc::LinkId link : new_path) {
-            delta.reserve_link(link, nb.bandwidth_mbps);
-          }
+        if (working[n] != member.to[n]) {
+          net::stage_move(delta, *member.topology, working, n, member.to[n]);
         }
-        working[n] = member.to[n];
       }
       occupancy.apply_delta(delta);
     } catch (const std::invalid_argument&) {
@@ -327,9 +285,6 @@ std::size_t PlacementService::try_commit_migration(
       // (std::out_of_range from a corrupt host id, std::logic_error from a
       // stale delta) is a programming error and must propagate, not be
       // miscounted as contention.
-      feasible = false;
-    }
-    if (!feasible) {
       m_conflicts.inc();
       continue;
     }

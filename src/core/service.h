@@ -14,9 +14,11 @@
 //      committers,
 //   3. *validates and commits* under the writer lock: when the live epoch
 //      still equals the snapshot epoch nothing interleaved and the plan
-//      commits directly; otherwise the placement is re-verified from first
-//      principles (core::verify_placement — capacity, bandwidth, zones)
-//      against the *current* occupancy before committing,
+//      commits directly; otherwise the plan's occupancy ops
+//      (net::stack_ops) are staged against the *current* occupancy with
+//      the commit's own capacity arithmetic before committing (tags,
+//      zones, affinity and latency do not depend on occupancy, so they
+//      still hold from planning time),
 //   4. on a validation *conflict* (a competing commit consumed resources
 //      this plan relies on), replans against a fresh snapshot, at most
 //      SearchConfig::service_max_conflict_retries times, before returning
@@ -153,10 +155,11 @@ class PlacementService {
                                       Algorithm algorithm,
                                       const SearchConfig& config) const;
 
-  /// Step 3: the validate-and-commit gate under the writer lock.  On
-  /// kCommitted, `planned.placement.committed` is set and `commit_epoch`
-  /// (when non-null) receives the post-commit epoch.  On kConflict the
-  /// placement is untouched so the caller can inspect or replan.
+  /// Step 3: the validate-and-commit gate under the writer lock
+  /// (try_commit_batch over this one member).  On kCommitted,
+  /// `planned.placement.committed` is set and `commit_epoch` (when
+  /// non-null) receives the post-commit epoch.  On kConflict the placement
+  /// is untouched so the caller can inspect or replan.
   CommitOutcome try_commit(const topo::AppTopology& topology,
                            PlannedPlacement& planned,
                            std::uint64_t* commit_epoch = nullptr);
@@ -182,10 +185,12 @@ class PlacementService {
   /// writer-lock acquisition, in batch order.  Members are typically
   /// planned against the same shared snapshot, so the first committable
   /// member takes the epoch fast path and every later member is
-  /// re-verified against the occupancy as already mutated by its batch
+  /// re-validated against the occupancy as already mutated by its batch
   /// predecessors — intra-batch resource collisions surface as kConflict
   /// exactly like cross-request races, and the caller spills those members
-  /// into the per-request conflict-replan ladder.  Returns the number of
+  /// into the per-request conflict-replan ladder.  Each member's `outcome`
+  /// is final as soon as it is decided, so when a committer throws, the
+  /// members before it keep their kCommitted.  Returns the number of
   /// members committed.
   std::size_t try_commit_batch(std::span<BatchCommitMember> batch);
 
@@ -262,10 +267,10 @@ class PlacementService {
   /// registry assignment.  A member whose stack moved on or whose target no
   /// longer fits becomes kConflict without disturbing the others —
   /// migrations race live placements exactly like competing placements race
-  /// each other.  Capacity/bandwidth validation happens via the delta
-  /// (which nets each member's own released resources against its new
-  /// demand — verify_placement would double-count them), plus
-  /// verify_assignment_structure for tags/zones/affinities/latency.
+  /// each other.  Capacity/bandwidth validation happens by staging each
+  /// moved node with net::stage_move (which nets the member's own released
+  /// resources against its new demand), plus verify_assignment_structure
+  /// for tags/zones/affinities/latency.
   /// Returns the number of members committed; `commit_epoch` (when
   /// non-null) receives the epoch after the last committed member (0 when
   /// none committed).

@@ -130,46 +130,30 @@ void CrossShardLedger::overlay(dc::Occupancy& global_occupancy) const {
 DecomposedOps decompose_ops(const dc::ShardLayout& layout,
                             const topo::AppTopology& topology,
                             const net::Assignment& assignment) {
-  if (assignment.size() != topology.node_count()) {
-    throw std::invalid_argument("decompose_ops: assignment size mismatch");
-  }
-  const dc::DataCenter& global = layout.global();
+  const net::StackOps global =
+      net::stack_ops(layout.global(), topology, assignment);
   DecomposedOps out;
   // Shard id -> index into out.shards, grown on first touch.
   std::vector<std::uint32_t> slot(layout.shard_count(),
                                   dc::ShardLayout::kLedgerOwned);
-  const auto shard_ops = [&](std::uint32_t shard) -> ShardOps& {
+  const auto shard_ops = [&](std::uint32_t shard) -> net::StackOps& {
     if (slot[shard] == dc::ShardLayout::kLedgerOwned) {
       slot[shard] = static_cast<std::uint32_t>(out.shards.size());
-      out.shards.push_back(ShardOps{});
-      out.shards.back().shard = shard;
+      out.shards.push_back(ShardOps{shard, {}});
     }
-    return out.shards[slot[shard]];
+    return out.shards[slot[shard]].ops;
   };
-  // Host loads in node order, mirroring net::PlacementTransaction::apply.
-  for (const topo::Node& node : topology.nodes()) {
-    const dc::HostId host = assignment[node.id];
-    if (host == dc::kInvalidHost || host >= global.host_count()) {
-      throw std::invalid_argument("decompose_ops: node " + node.name +
-                                  " is unplaced");
-    }
-    ShardOps& ops = shard_ops(layout.shard_of_host(host));
-    const dc::HostId local = layout.to_local_host(host);
-    ops.host_loads.emplace_back(local, node.requirements);
-    ops.touched_hosts.push_back(local);
+  for (const auto& [host, load] : global.host_loads) {
+    shard_ops(layout.shard_of_host(host))
+        .host_loads.emplace_back(layout.to_local_host(host), load);
   }
-  // Path links in edge-major path order; each link to its owner.
-  for (const topo::Edge& edge : topology.edges()) {
-    const dc::PathLinks path =
-        global.path_between(assignment[edge.a], assignment[edge.b]);
-    for (const dc::LinkId link : path) {
-      const std::uint32_t owner = layout.link_owner(link);
-      if (owner == dc::ShardLayout::kLedgerOwned) {
-        out.ledger.push_back({link, edge.bandwidth_mbps});
-      } else {
-        shard_ops(owner).link_mbps.emplace_back(layout.to_local_link(link),
-                                                edge.bandwidth_mbps);
-      }
+  for (const auto& [link, mbps] : global.link_mbps) {
+    const std::uint32_t owner = layout.link_owner(link);
+    if (owner == dc::ShardLayout::kLedgerOwned) {
+      out.ledger.push_back({link, mbps});
+    } else {
+      shard_ops(owner).link_mbps.emplace_back(layout.to_local_link(link),
+                                              mbps);
     }
   }
   std::sort(out.shards.begin(), out.shards.end(),
@@ -196,14 +180,13 @@ ShardRouter::ShardRouter(const dc::DataCenter& global,
 }
 
 std::uint64_t ShardRouter::append_commit(
-    CommitKind kind, StackId stack_id, bool cross_shard,
+    CommitKind kind, StackId stack_id,
     const std::shared_ptr<const topo::AppTopology>& topology,
     const net::Assignment& assignment) {
   const std::lock_guard<std::mutex> lock(log_mutex_);
   const std::uint64_t epoch = ++global_epoch_;
   if (config_.router_commit_log) {
-    log_.push_back(
-        {epoch, kind, stack_id, cross_shard, topology, assignment});
+    log_.push_back({epoch, kind, stack_id, topology, assignment});
   }
   return epoch;
 }
@@ -213,10 +196,7 @@ std::vector<ShardRouter::CommitRecord> ShardRouter::commit_log() const {
   return log_;
 }
 
-std::size_t ShardRouter::live_stacks() const {
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  return stacks_.size();
-}
+std::size_t ShardRouter::live_stacks() const { return registry_.size(); }
 
 dc::Occupancy ShardRouter::stitched_snapshot() const {
   static util::metrics::Summary& m_stitch =
@@ -306,8 +286,7 @@ ShardRouter::Result ShardRouter::place(
       global_assignment =
           to_global_assignment(layout_, k, placement.assignment);
       stack_id = next_stack_id_.fetch_add(1, std::memory_order_relaxed);
-      epoch = append_commit(CommitKind::kPlace, stack_id,
-                            /*cross_shard=*/false, topology,
+      epoch = append_commit(CommitKind::kPlace, stack_id, topology,
                             global_assignment);
       return true;
     };
@@ -323,13 +302,7 @@ ShardRouter::Result ShardRouter::place(
       result.shard = k;
       result.stack_id = stack_id;
       result.global_epoch = epoch;
-      {
-        const std::lock_guard<std::mutex> lock(registry_mutex_);
-        stacks_.emplace(stack_id,
-                        RouterStack{topology,
-                                    result.service.placement.assignment,
-                                    /*cross_shard=*/false});
-      }
+      registry_.add(stack_id, topology, result.service.placement.assignment);
       m_single.inc();
       return result;
     }
@@ -374,11 +347,7 @@ ShardRouter::Result ShardRouter::place(
     if (try_two_phase_commit(topology, planned.assignment, stack_id,
                              &epoch)) {
       planned.committed = true;
-      {
-        const std::lock_guard<std::mutex> lock(registry_mutex_);
-        stacks_.emplace(stack_id, RouterStack{topology, planned.assignment,
-                                              /*cross_shard=*/true});
-      }
+      registry_.add(stack_id, topology, planned.assignment);
       result.service.placement = std::move(planned);
       result.stack_id = stack_id;
       result.cross_shard = true;
@@ -423,13 +392,8 @@ bool ShardRouter::try_two_phase_commit(
   deltas.reserve(ops.shards.size());
   try {
     for (std::size_t i = 0; i < ops.shards.size(); ++i) {
-      dc::OccupancyDelta& delta = deltas.emplace_back(sessions[i].occupancy());
-      for (const auto& [host, load] : ops.shards[i].host_loads) {
-        delta.add_host_load(host, load);
-      }
-      for (const auto& [link, mbps] : ops.shards[i].link_mbps) {
-        delta.reserve_link(link, mbps);
-      }
+      net::stage_ops(deltas.emplace_back(sessions[i].occupancy()),
+                     ops.shards[i].ops, net::OpDirection::kReserve);
     }
   } catch (const std::invalid_argument&) {
     return false;
@@ -444,50 +408,29 @@ bool ShardRouter::try_two_phase_commit(
   for (std::size_t i = 0; i < ops.shards.size(); ++i) {
     sessions[i].occupancy().apply_delta(deltas[i]);
   }
-  *epoch = append_commit(CommitKind::kPlace, stack_id, /*cross_shard=*/true,
-                         topology, assignment);
+  *epoch = append_commit(CommitKind::kPlace, stack_id, topology, assignment);
   return true;
 }
 
 bool ShardRouter::release_stack(StackId id) {
   static util::metrics::Counter& m_releases =
       util::metrics::counter("router.releases");
-  RouterStack stack;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex_);
-    const auto it = stacks_.find(id);
-    if (it == stacks_.end()) return false;  // double-release guard
-    stack = std::move(it->second);
-    stacks_.erase(it);
-  }
-  const DecomposedOps ops = decompose_ops(layout_, *stack.topology,
-                                          stack.assignment);
+  const std::optional<DeployedStack> stack = registry_.remove(id);
+  if (!stack.has_value()) return false;  // double-release guard
+  const DecomposedOps ops =
+      decompose_ops(layout_, *stack->topology, stack->assignment);
   std::vector<PlacementService::ExclusiveSession> sessions;
   sessions.reserve(ops.shards.size());
   for (const ShardOps& shard_ops : ops.shards) {
     sessions.push_back(services_[shard_ops.shard]->exclusive());
   }
-  // Exact mirror of net::release_placement per shard: stage every removal
-  // in one delta (node order, then edge/path order), flush, then the
-  // deactivate_if_idle walk over the assignment's hosts.  A throw here
-  // means corrupted accounting and propagates.
+  // A throw here means corrupted accounting and propagates.
   for (std::size_t i = 0; i < ops.shards.size(); ++i) {
-    dc::Occupancy& occupancy = sessions[i].occupancy();
-    dc::OccupancyDelta delta(occupancy);
-    for (const auto& [host, load] : ops.shards[i].host_loads) {
-      delta.remove_host_load(host, load);
-    }
-    for (const auto& [link, mbps] : ops.shards[i].link_mbps) {
-      delta.release_link(link, mbps);
-    }
-    occupancy.apply_delta(delta);
-    for (const dc::HostId host : ops.shards[i].touched_hosts) {
-      occupancy.deactivate_if_idle(host);
-    }
+    net::apply_ops(sessions[i].occupancy(), ops.shards[i].ops,
+                   net::OpDirection::kRelease);
   }
   ledger_.release(ops.ledger);
-  append_commit(CommitKind::kRelease, id, stack.cross_shard, stack.topology,
-                stack.assignment);
+  append_commit(CommitKind::kRelease, id, stack->topology, stack->assignment);
   m_releases.inc();
   return true;
 }
@@ -512,37 +455,17 @@ std::vector<dc::Occupancy> replay_commit_log(
   for (const ShardRouter::CommitRecord& record : log) {
     const DecomposedOps ops =
         decompose_ops(layout, *record.topology, record.assignment);
+    const bool place = record.kind == ShardRouter::CommitKind::kPlace;
     for (const ShardOps& shard_ops : ops.shards) {
-      dc::Occupancy& occupancy = occupancies[shard_ops.shard];
-      dc::OccupancyDelta delta(occupancy);
-      if (record.kind == ShardRouter::CommitKind::kPlace) {
-        for (const auto& [host, load] : shard_ops.host_loads) {
-          delta.add_host_load(host, load);
-        }
-        for (const auto& [link, mbps] : shard_ops.link_mbps) {
-          delta.reserve_link(link, mbps);
-        }
-        occupancy.apply_delta(delta);
-      } else {
-        for (const auto& [host, load] : shard_ops.host_loads) {
-          delta.remove_host_load(host, load);
-        }
-        for (const auto& [link, mbps] : shard_ops.link_mbps) {
-          delta.release_link(link, mbps);
-        }
-        occupancy.apply_delta(delta);
-        for (const dc::HostId host : shard_ops.touched_hosts) {
-          occupancy.deactivate_if_idle(host);
-        }
-      }
+      net::apply_ops(occupancies[shard_ops.shard], shard_ops.ops,
+                     place ? net::OpDirection::kReserve
+                           : net::OpDirection::kRelease);
     }
-    if (record.kind == ShardRouter::CommitKind::kPlace) {
-      if (!led.try_reserve(ops.ledger)) {
-        throw std::logic_error(
-            "replay_commit_log: ledger reservation failed in serial order");
-      }
-    } else {
+    if (!place) {
       led.release(ops.ledger);
+    } else if (!led.try_reserve(ops.ledger)) {
+      throw std::logic_error(
+          "replay_commit_log: ledger reservation failed in serial order");
     }
   }
   return occupancies;

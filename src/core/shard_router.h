@@ -15,11 +15,11 @@
 //      onto one global Occupancy plus the ledger's shared-uplink usage),
 //      then run a two-phase validate-commit — lock every straddled shard's
 //      writer lock in ascending shard-id order, stage one OccupancyDelta per
-//      participant (staging validates capacity/bandwidth against the live
-//      state), reserve the shared wide-area uplinks through the
-//      CrossShardLedger, and either apply every delta or abort with nothing
-//      touched.  An abort replans from a fresh stitch, up to
-//      router_max_cross_retries times.
+//      participant with net::stage_ops (staging validates capacity and
+//      bandwidth against the live state), reserve the shared wide-area
+//      uplinks through the CrossShardLedger, and either apply every delta
+//      or abort with nothing touched.  An abort replans from a fresh
+//      stitch, up to router_max_cross_retries times.
 //
 // Global commit order: every commit (single-shard or cross-shard) and every
 // release draws a strictly increasing global epoch under the router's log
@@ -30,8 +30,8 @@
 // (replay_commit_log; raced under TSan by tests/core/shard_race_test.cpp).
 //
 // Lock order (deadlock freedom): shard writer locks in ascending shard id
-// -> ledger mutex -> log mutex.  The registry mutex is only ever held
-// alone.
+// -> ledger mutex -> log mutex.  The stack registry's mutex is only ever
+// held alone.
 //
 // Telemetry under "router." / "shard.": counters router.requests,
 // router.shard_attempts, router.single_shard_committed,
@@ -46,10 +46,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/service.h"
+#include "core/stack_registry.h"
 #include "datacenter/shard.h"
 
 namespace ostro::core {
@@ -109,19 +109,11 @@ class CrossShardLedger {
   std::vector<double> used_;  // by global LinkId; nonzero only on shared links
 };
 
-/// One shard's slice of a placement: the staged ops `decompose_ops` routes
-/// to it.  Local ids; op order mirrors net::PlacementTransaction exactly
-/// (nodes in topology order, then path links in edge/path order).
+/// One shard's slice of a placement: the ops of net::stack_ops that this
+/// shard owns, in local ids and in their original relative order.
 struct ShardOps {
   std::uint32_t shard = 0;
-  /// (local host, requirements) per node of the stack on this shard.
-  std::vector<std::pair<dc::HostId, topo::Resources>> host_loads;
-  /// (local link, mbps) per traversed owned link, edge-major path order.
-  std::vector<std::pair<dc::LinkId, double>> link_mbps;
-  /// Local hosts of this shard in assignment order (duplicates kept):
-  /// the release path's deactivate_if_idle walk, mirroring
-  /// net::release_placement.
-  std::vector<dc::HostId> touched_hosts;
+  net::StackOps ops;
 };
 
 /// A placement split by owning shard plus the ledger ops for shared links.
@@ -130,11 +122,12 @@ struct DecomposedOps {
   std::vector<CrossShardLedger::Op> ledger;  ///< shared-link ops, edge order
 };
 
-/// Splits a stack's global assignment into per-shard staged ops and ledger
-/// ops.  Every link of every edge path is routed to its owner (the
-/// ShardLayout invariant guarantees totality).  Shared by the router's
-/// two-phase commit, the release path, and replay_commit_log — one routing
-/// function, so live and replayed commits cannot diverge.
+/// Splits net::stack_ops of a stack's global assignment by owning shard:
+/// each host load and link op goes to the shard owning its host or link
+/// (the ShardLayout invariant guarantees totality), and ops on shared links
+/// go to the ledger.  Shared by the router's two-phase commit, the release
+/// path, and replay_commit_log — one routing function, so live and
+/// replayed commits cannot diverge.
 [[nodiscard]] DecomposedOps decompose_ops(const dc::ShardLayout& layout,
                                           const topo::AppTopology& topology,
                                           const net::Assignment& assignment);
@@ -148,7 +141,6 @@ class ShardRouter {
     std::uint64_t global_epoch = 0;
     CommitKind kind = CommitKind::kPlace;
     StackId stack_id = 0;
-    bool cross_shard = false;
     std::shared_ptr<const topo::AppTopology> topology;
     net::Assignment assignment;  ///< GLOBAL host ids
   };
@@ -196,9 +188,9 @@ class ShardRouter {
   Result place(std::shared_ptr<const topo::AppTopology> topology,
                Algorithm algorithm, const SearchConfig& config);
 
-  /// Releases a routed stack: exact per-shard staged release (mirroring
-  /// net::release_placement bit for bit) plus the ledger's shared-link
-  /// amounts.  Returns false when the id is not (or no longer) live.
+  /// Releases a routed stack: each participant shard releases its ops
+  /// (net::apply_ops, kRelease), and the ledger its shared-link amounts.
+  /// Returns false when the id is not (or no longer) live.
   bool release_stack(StackId id);
 
   [[nodiscard]] std::size_t live_stacks() const;
@@ -220,18 +212,12 @@ class ShardRouter {
   }
 
  private:
-  struct RouterStack {
-    std::shared_ptr<const topo::AppTopology> topology;
-    net::Assignment assignment;  // global host ids
-    bool cross_shard = false;
-  };
-
   /// Draws the next global epoch and (when enabled) appends a log record.
   /// Called while the participating shard writer lock(s) are held.
-  std::uint64_t append_commit(CommitKind kind, StackId stack_id,
-                              bool cross_shard,
-                              const std::shared_ptr<const topo::AppTopology>& topology,
-                              const net::Assignment& assignment);
+  std::uint64_t append_commit(
+      CommitKind kind, StackId stack_id,
+      const std::shared_ptr<const topo::AppTopology>& topology,
+      const net::Assignment& assignment);
 
   /// The cross-shard two-phase validate-commit.  True on commit (fills the
   /// epoch); false on a capacity/ledger conflict with no state touched.
@@ -247,8 +233,8 @@ class ShardRouter {
   CrossShardLedger ledger_;
 
   std::atomic<StackId> next_stack_id_{1};
-  mutable std::mutex registry_mutex_;
-  std::unordered_map<StackId, RouterStack> stacks_;
+  /// Live routed stacks in GLOBAL host ids.
+  StackRegistry registry_;
 
   mutable std::mutex log_mutex_;
   std::uint64_t global_epoch_ = 0;

@@ -1,5 +1,6 @@
 #include "core/stream.h"
 
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -278,24 +279,27 @@ std::size_t StreamingService::process_batch(
     members[i].planned = &planned[i].planned;
     members[i].committer = &planned[i].entry.request.committer;
   }
+  std::exception_ptr commit_error;
   try {
     service_->try_commit_batch(members);
   } catch (...) {
-    // One dispatch error per failed member: every planned promise is
-    // resolved exactly once with the batch-commit exception, std or not.
-    const auto error = std::current_exception();
-    for (Pending& pending : planned) {
-      m_errors.inc();
-      pending.entry.promise.set_exception(error);
-      ++completed;
-    }
-    return completed;
+    // A member's commit step threw.  Members already at kCommitted were
+    // applied and resolve as committed below; every other planned member
+    // is resolved with the exception, std or not, one dispatch error each.
+    commit_error = std::current_exception();
   }
 
   // Phase 3 — complete committed/rejected members; spill conflicted ones
   // back into the per-request conflict-replan ladder.
   for (std::size_t i = 0; i < planned.size(); ++i) {
     Pending& pending = planned[i];
+    if (commit_error &&
+        members[i].outcome != PlacementService::CommitOutcome::kCommitted) {
+      m_errors.inc();
+      pending.entry.promise.set_exception(commit_error);
+      ++completed;
+      continue;
+    }
     const StreamRequest& request = pending.entry.request;
     StreamResult result;
     result.wait_seconds = pending.wait;

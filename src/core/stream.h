@@ -27,8 +27,9 @@
 //
 // Every request resolves exactly once through its std::future, including
 // on shutdown (close() stops admissions, queued work still drains) and on
-// planning exceptions (delivered through the future, never allowed to
-// escape a dispatcher thread).
+// planning or commit exceptions (delivered through the future, never
+// allowed to escape a dispatcher thread).  When a member's commit step
+// throws, batch members already committed still resolve as committed.
 //
 // Telemetry under "stream.": submitted / rejected_queue_full /
 // deadline_misses / batches / spills / committed / failed counters,

@@ -65,8 +65,9 @@ class Occupancy {
   /// are modeled only as background load).
   void mark_active(HostId h);
 
-  /// Force the active flag (used by transactional rollback to restore the
-  /// exact pre-transaction state).  Clearing does not touch the host's load.
+  /// Forces the active flag (dc::ShardLayout::overlay copies each shard
+  /// host's exact flag onto the stitched global occupancy).  Clearing does
+  /// not touch the host's load.
   void set_active(HostId h, bool active);
 
   /// Deactivates `h` iff it is active and carries zero tracked load, and

@@ -19,11 +19,6 @@ double OccupancyDelta::link_available_mbps(LinkId link) const {
   return base_->datacenter().link_capacity(link) - it->second.effective;
 }
 
-bool OccupancyDelta::is_active(HostId h) const {
-  if (base_->is_active(h)) return true;
-  return host_state_.find(h) != host_state_.end();
-}
-
 void OccupancyDelta::add_host_load(HostId h, const topo::Resources& load) {
   topo::require_nonnegative(load, "OccupancyDelta::add_host_load");
   auto [it, inserted] = host_state_.try_emplace(h);
@@ -87,7 +82,6 @@ void OccupancyDelta::remove_host_load(HostId h, const topo::Resources& load) {
                           std::max(0.0, next.mem_gb),
                           std::max(0.0, next.disk_gb)};
   host_ops_.push_back({h, load, true});
-  has_releases_ = true;
 }
 
 void OccupancyDelta::release_link(LinkId link, double mbps) {
@@ -108,7 +102,6 @@ void OccupancyDelta::release_link(LinkId link, double mbps) {
   }
   it->second.effective = std::max(0.0, it->second.effective - mbps);
   link_ops_.push_back({link, mbps, true});
-  has_releases_ = true;
 }
 
 void OccupancyDelta::clear() noexcept {
@@ -116,7 +109,6 @@ void OccupancyDelta::clear() noexcept {
   link_state_.clear();
   host_ops_.clear();
   link_ops_.clear();
-  has_releases_ = false;
 }
 
 void Occupancy::apply_delta(const OccupancyDelta& delta) {

@@ -6,26 +6,16 @@
 // validates a direct mutation, and the op sequence is recorded in order.
 // Occupancy::apply_delta then flushes the whole delta in one batch, replaying
 // the recorded ops with the same arithmetic a direct op-by-op application
-// would have performed, so the resulting Occupancy is bit-identical to the
-// reserve/rollback style it replaces (see the differential tests).
+// would have performed, so the resulting Occupancy is bit-identical to
+// applying the ops one by one (see the differential tests).  A staging that
+// turns out infeasible never touches the base at all.
 //
-// The payoff is on the failure path and in per-op overhead: a reservation
-// that turns out infeasible used to mutate the base link by link and then
-// release link by link (occupancy.link_reservations churn); with the delta
-// it never touches the base at all.  PlacementTransaction uses this as its
-// default staging mode.
-//
-// Since the lifecycle subsystem (departures, host repair, defragmentation
-// migrations) the delta also stages the *release* direction —
-// remove_host_load / release_link mirror Occupancy's release mutators with
-// the same validation and clamping arithmetic — so a whole departure or a
-// migration (release old host + old paths, add new host + new paths) flushes
-// as one atomic batch.  CAUTION: a delta holding release ops is no longer a
-// consume-only overlay, so the base FeasibilityIndex aggregates stop being
-// sound upper bounds for the overlay view (a release can make a subtree
-// feasible that the base index rejects).  Search overlays never stage
-// releases; callers that do (the release/migration paths) must not feed the
-// delta to index-pruned candidate generation — has_releases() tells.
+// The delta stages both directions — remove_host_load / release_link mirror
+// Occupancy's release mutators with the same validation and clamping
+// arithmetic — so a whole departure or a migration (release old host + old
+// paths, add new host + new paths) flushes as one atomic batch.
+// net::stage_ops and net::stage_move (src/net/reservation.h) are the staging
+// routines every commit, release and migration goes through.
 //
 // The delta snapshots base values on first touch; the base must not be
 // mutated between staging and apply_delta (apply_delta verifies the
@@ -53,16 +43,6 @@ class OccupancyDelta {
   // ---- overlay queries (base plus staged deltas) ----
   [[nodiscard]] topo::Resources available(HostId h) const;
   [[nodiscard]] double link_available_mbps(LinkId link) const;
-  /// Active in the base or activated by a staged load.
-  [[nodiscard]] bool is_active(HostId h) const;
-
-  /// Feasibility aggregates of the base occupancy.  Staged ops only consume
-  /// capacity on top of the base, so these remain sound upper bounds for
-  /// subtree pruning against the overlay view: a subtree the base index
-  /// rejects holds no feasible host in the overlay either.
-  [[nodiscard]] const FeasibilityIndex& base_feasibility() const noexcept {
-    return base_->feasibility();
-  }
 
   // ---- staged mutations ----
   /// Stages `load` on host `h`; throws std::invalid_argument when the host
@@ -76,16 +56,11 @@ class OccupancyDelta {
 
   /// Stages a load release on host `h`; throws std::invalid_argument when
   /// more than the staged running value would be released (same check,
-  /// epsilon and clamping as Occupancy::remove_host_load).  Marks the delta
-  /// as holding releases (see the header comment on index soundness).
+  /// epsilon and clamping as Occupancy::remove_host_load).
   void remove_host_load(HostId h, const topo::Resources& load);
   /// Stages a bandwidth release; same check and clamping as
   /// Occupancy::release_link.
   void release_link(LinkId link, double mbps);
-
-  /// True when any release op was staged: the base feasibility aggregates
-  /// are then no longer sound upper bounds for this overlay view.
-  [[nodiscard]] bool has_releases() const noexcept { return has_releases_; }
 
   /// Discards everything staged; the delta is reusable.
   void clear() noexcept;
@@ -129,7 +104,6 @@ class OccupancyDelta {
   std::unordered_map<LinkId, LinkState> link_state_;
   std::vector<HostOp> host_ops_;
   std::vector<LinkOp> link_ops_;
-  bool has_releases_ = false;
 };
 
 }  // namespace ostro::dc

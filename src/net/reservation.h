@@ -1,12 +1,17 @@
-// Applying a finished placement to the data-center occupancy.
+// Applying a placed stack to the data-center occupancy.
 //
-// PlacementTransaction reserves every node's host resources and every pipe's
-// bandwidth along its physical path, with all-or-nothing semantics: if any
-// reservation fails the occupancy is untouched.  The Heat engine
-// (src/openstack) and the experiment runner use it to commit successive
-// applications onto a shared data center.
+// A placed stack charges the occupancy two things (Section II-B): each
+// node's resources on its host, and each pipe's bandwidth on every link of
+// its tree path.  stack_ops() lists those charges in the one order that
+// every commit, release, migration, shard commit and replay applies them;
+// stage_ops() stages the list into an OccupancyDelta in either direction
+// and apply_ops() flushes it in one batch.  Because every path applies the
+// same ops in the same order, a serial replay reproduces an occupancy bit
+// for bit.
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "datacenter/occupancy.h"
@@ -19,79 +24,58 @@ namespace ostro::net {
 /// (dc::kInvalidHost for unplaced nodes is not allowed here).
 using Assignment = std::vector<dc::HostId>;
 
-/// RAII transaction: apply() reserves, commit() keeps, destruction rolls
-/// back whatever is still pending.
-///
-/// apply() stages every op in an OccupancyDelta and flushes it with one
-/// Occupancy::apply_delta batch once everything validated, so a failed
-/// apply never touches the occupancy — no reserve/release churn.
-///
-/// State invariant: the transaction tracks exactly the reservations it has
-/// made and not yet committed or rolled back.  A failed apply() leaves the
-/// transaction *empty but reusable* — apply() may be called again (on the
-/// same or a corrected assignment), and destruction is a no-op until it
-/// succeeds.  commit() and rollback() also return the transaction to the
-/// empty, reusable state.
-class PlacementTransaction {
- public:
-  explicit PlacementTransaction(dc::Occupancy& occupancy)
-      : occupancy_(&occupancy), delta_(occupancy) {}
-  ~PlacementTransaction();
-
-  PlacementTransaction(const PlacementTransaction&) = delete;
-  PlacementTransaction& operator=(const PlacementTransaction&) = delete;
-
-  /// Reserves all resources of `topology` mapped by `assignment`.
-  /// Throws std::invalid_argument on any capacity violation or malformed
-  /// assignment; the occupancy is left exactly as before the call and the
-  /// transaction is empty and reusable.
-  void apply(const topo::AppTopology& topology, const Assignment& assignment);
-
-  /// Keeps the reservations; the transaction becomes empty and reusable.
-  void commit() noexcept;
-
-  /// Explicit rollback of everything applied and not yet committed; the
-  /// transaction becomes empty and reusable.
-  void rollback() noexcept;
-
-  /// True when the transaction holds no pending reservations.
-  [[nodiscard]] bool empty() const noexcept {
-    return host_ops_.empty() && link_ops_.empty();
-  }
-
- private:
-  struct HostOp {
-    dc::HostId host;
-    topo::Resources load;
-    bool was_active = false;  ///< active flag before this op (for rollback)
-  };
-  struct LinkOp {
-    dc::LinkId link;
-    double mbps;
-  };
-
-  dc::Occupancy* occupancy_;
-  /// Staging overlay reused across apply() calls.
-  dc::OccupancyDelta delta_;
-  std::vector<HostOp> host_ops_;
-  std::vector<LinkOp> link_ops_;
+/// The occupancy ops of one placed stack.
+struct StackOps {
+  /// (host, requirements) per node, in node order.
+  std::vector<std::pair<dc::HostId, topo::Resources>> host_loads;
+  /// (link, mbps) per link of each pipe's path: pipes in edge order, each
+  /// pipe's links in path order.
+  std::vector<std::pair<dc::LinkId, double>> link_mbps;
 };
 
-/// One-shot convenience: apply and commit, or throw leaving `occupancy`
-/// unchanged.
+/// Lists the ops of `topology` placed by `assignment` on `datacenter`.
+/// Throws std::invalid_argument on a size mismatch or an unplaced node.
+[[nodiscard]] StackOps stack_ops(const dc::DataCenter& datacenter,
+                                 const topo::AppTopology& topology,
+                                 const Assignment& assignment);
+
+enum class OpDirection : std::uint8_t { kReserve, kRelease };
+
+/// Stages every op of `ops` into `delta`, host loads first, each with the
+/// check of the matching Occupancy mutator (capacity for kReserve, never
+/// below zero for kRelease).  Throws std::invalid_argument at the first op
+/// that fails; `delta` then holds part of the ops and must be discarded.
+void stage_ops(dc::OccupancyDelta& delta, const StackOps& ops,
+               OpDirection direction);
+
+/// Stages `ops` against `occupancy` and flushes them in one batch (one
+/// epoch bump).  A release then deactivates each host of `ops.host_loads`
+/// left with zero tracked load (Occupancy::deactivate_if_idle) — pass
+/// `deactivate_emptied` = false when hosts carry untracked background
+/// tenants modeled via mark_active.  Throws std::invalid_argument when an
+/// op fails its check; `occupancy` is untouched in that case.
+void apply_ops(dc::Occupancy& occupancy, const StackOps& ops,
+               OpDirection direction, bool deactivate_emptied = true);
+
+/// Stages moving node `node` of `topology` from `working[node]` to `to`:
+/// its load leaves the old host and lands on `to`, then for each neighbour
+/// the pipe's old path is released and its new path reserved.  On success
+/// `working[node]` becomes `to`; on a capacity failure it throws
+/// std::invalid_argument with `working` unchanged and `delta` holding part
+/// of the move (discard it).
+void stage_move(dc::OccupancyDelta& delta, const topo::AppTopology& topology,
+                Assignment& working, topo::NodeId node, dc::HostId to);
+
+/// Reserves the stack's ops on `occupancy` (apply_ops, kReserve), or throws
+/// std::invalid_argument leaving `occupancy` unchanged.
 void commit_placement(dc::Occupancy& occupancy,
                       const topo::AppTopology& topology,
                       const Assignment& assignment);
 
-/// Inverse of commit_placement: releases every node's host load and every
-/// pipe's bandwidth along its physical path, staged in one OccupancyDelta
-/// and flushed atomically (one epoch bump).  Throws std::invalid_argument
-/// on a malformed assignment or when a release exceeds what is reserved
-/// (e.g. a double release); `occupancy` is untouched in that case.  When
-/// `deactivate_emptied` is set (the default), each distinct host in the
-/// assignment that ends up with zero tracked load is also deactivated
-/// (Occupancy::deactivate_if_idle) — pass false when hosts carry untracked
-/// background tenants modeled via mark_active.
+/// Inverse of commit_placement (apply_ops, kRelease).  Throws
+/// std::invalid_argument on a malformed assignment or when a release
+/// exceeds what is reserved (e.g. a double release); `occupancy` is
+/// untouched in that case.
 void release_placement(dc::Occupancy& occupancy,
                        const topo::AppTopology& topology,
                        const Assignment& assignment,

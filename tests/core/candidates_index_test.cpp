@@ -1,10 +1,9 @@
 // Differential tests for the feasibility-index candidate generation: the
 // indexed descent must return exactly the candidate list of the linear
 // can_place scan — same hosts, same ascending order, exact vector equality —
-// over randomized topologies and occupancy states, after failed/rolled-back
-// PlacementTransactions, and for diversity-zone-constrained nodes at every
-// hierarchy level.  The full searches must be end-to-end identical with the
-// index on and off.
+// over randomized topologies and occupancy states, after failed commits,
+// and for diversity-zone-constrained nodes at every hierarchy level.  The
+// full searches must be end-to-end identical with the index on and off.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -158,24 +157,23 @@ TEST(CandidatesIndexTest, RolledBackTransactionLeavesCandidatesPristine) {
     const auto datacenter = small_dc(2, 2);
     dc::Occupancy occupancy(datacenter);
     randomize_occupancy(occupancy, rng);
-    const dc::Occupancy pristine = occupancy;
+    dc::Occupancy pristine = occupancy;
     const auto app = tiny_app();
 
-    // Overload host 0 until a staged apply fails, then roll back: the base
-    // occupancy — index included — must be byte-identical to before, and
+    // Overload host 0 until a commit fails: the base occupancy — index
+    // included — must be byte-identical to before the failed commit, and
     // both candidate paths must agree with a never-touched control state.
     net::Assignment overload(app.node_count(), 0);
-    net::PlacementTransaction txn(occupancy);
     bool threw = false;
     for (int round = 0; round < 50 && !threw; ++round) {
+      pristine = occupancy;
       try {
-        txn.apply(app, overload);
+        net::commit_placement(occupancy, app, overload);
       } catch (const std::invalid_argument&) {
         threw = true;
       }
     }
     ASSERT_TRUE(threw) << "trial " << trial;
-    txn.rollback();
     ASSERT_TRUE(occupancy == pristine) << "trial " << trial;
     ASSERT_TRUE(occupancy.feasibility().selfcheck()) << "trial " << trial;
 

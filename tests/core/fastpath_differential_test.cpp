@@ -186,9 +186,7 @@ TEST(FastPathDifferentialTest, StagedTransactionMatchesDirectMode) {
     ++committed;
 
     const net::Assignment& assignment = outcome.state.assignment();
-    net::PlacementTransaction staged(staged_occupancy);
-    staged.apply(app, assignment);
-    staged.commit();
+    net::commit_placement(staged_occupancy, app, assignment);
 
     // The same reservations made op by op on the occupancy itself.
     for (const auto& node : app.nodes()) {
@@ -209,23 +207,22 @@ TEST(FastPathDifferentialTest, StagedTransactionMatchesDirectMode) {
 TEST(FastPathDifferentialTest, FailedStagedApplyLeavesOccupancyPristine) {
   const auto datacenter = small_dc(1, 2);
   dc::Occupancy occupancy(datacenter);
-  const dc::Occupancy pristine = occupancy;
+  dc::Occupancy pristine = occupancy;
   const auto app = tiny_app();
 
   // Pile every node onto host 0 repeatedly until bandwidth or compute must
-  // give out; a failing staged apply must cause zero base churn.
+  // give out; the failing commit must cause zero base churn.
   net::Assignment overload(app.node_count(), 0);
-  net::PlacementTransaction txn(occupancy);
   bool threw = false;
   for (int round = 0; round < 50 && !threw; ++round) {
+    pristine = occupancy;
     try {
-      txn.apply(app, overload);
+      net::commit_placement(occupancy, app, overload);
     } catch (const std::invalid_argument&) {
       threw = true;
     }
   }
   ASSERT_TRUE(threw);
-  txn.rollback();
   EXPECT_TRUE(occupancy == pristine);
 }
 

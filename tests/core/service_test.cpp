@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -125,6 +126,37 @@ TEST(ServiceTest, ConflictingCommitIsDetectedAtTheGate) {
             PlacementService::CommitOutcome::kConflict);
   EXPECT_FALSE(planned.placement.committed);
   // A conflict commits nothing.
+  EXPECT_TRUE(scheduler.occupancy() == before);
+}
+
+// The gate checks a stale plan with the commit's own link tolerance, so a
+// plan the gate accepts cannot make the commit throw.  B's pipe leaves a
+// 5e-7 Mbps overshoot once A commits: within a 1e-6 slack, past 1e-9.
+TEST(ServiceTest, StalePlanPastLinkCapacityIsAConflictNotAThrow) {
+  const auto datacenter = small_dc(1, 2);  // two hosts, 1000 Mbps uplinks
+  OstroScheduler scheduler(datacenter, serial_config());
+  PlacementService service(scheduler);
+  const auto spread_pair = [](double cores, double mbps) {
+    topo::TopologyBuilder builder;
+    builder.add_vm("a", {cores, cores, 0.0});
+    builder.add_vm("b", {cores, cores, 0.0});
+    builder.connect("a", "b", mbps);
+    builder.add_zone("spread", topo::DiversityLevel::kHost,
+                     std::vector<std::string>{"a", "b"});
+    return builder.build();
+  };
+
+  const auto app_b = spread_pair(1.0, 500.0000005);
+  PlannedPlacement planned = service.plan(app_b, Algorithm::kEg);
+  ASSERT_TRUE(planned.placement.feasible);
+  const ServiceResult a =
+      service.place(spread_pair(6.0, 500.0), Algorithm::kEg);
+  ASSERT_TRUE(a.placement.committed);
+
+  const dc::Occupancy before = scheduler.occupancy();
+  EXPECT_EQ(service.try_commit(app_b, planned),
+            PlacementService::CommitOutcome::kConflict);
+  EXPECT_FALSE(planned.placement.committed);
   EXPECT_TRUE(scheduler.occupancy() == before);
 }
 

@@ -162,6 +162,62 @@ TEST(ShardRouterTest, CrossShardReservesSharedUplinksExactlyOnce) {
   EXPECT_FALSE(router.release_stack(result.stack_id));  // double release
 }
 
+// decompose_ops splits net::stack_ops by owner: each participant's ops,
+// mapped back to global ids, are the subsequence of the global op list its
+// shard owns, in order, and the ledger receives exactly the unowned links.
+TEST(ShardRouterTest, DecomposeOpsSplitsStackOpsByOwner) {
+  const dc::DataCenter wan = sim::make_wan(2, 2, 1, 2);
+  const dc::ShardLayout layout(wan, 4);  // both sites split
+  ASSERT_FALSE(layout.shared_links().empty());
+  util::Rng rng(4242);
+  for (int trial = 0; trial < 20; ++trial) {
+    const topo::AppTopology app = random_app(rng, 5, 0.6, false);
+    net::Assignment assignment(app.node_count());
+    for (dc::HostId& host : assignment) {
+      host = static_cast<dc::HostId>(
+          rng.uniform_int(0, static_cast<int>(wan.host_count()) - 1));
+    }
+    const net::StackOps global = net::stack_ops(wan, app, assignment);
+    const DecomposedOps split = decompose_ops(layout, app, assignment);
+    const auto owned_links = [&](std::uint32_t owner) {
+      std::vector<std::pair<dc::LinkId, double>> links;
+      for (const auto& [link, mbps] : global.link_mbps) {
+        if (layout.link_owner(link) == owner) links.emplace_back(link, mbps);
+      }
+      return links;
+    };
+    std::size_t split_ops = split.ledger.size();
+    for (const ShardOps& part : split.shards) {
+      net::StackOps mapped;
+      for (const auto& [host, load] : part.ops.host_loads) {
+        mapped.host_loads.emplace_back(
+            layout.to_global_host(part.shard, host), load);
+      }
+      for (const auto& [link, mbps] : part.ops.link_mbps) {
+        mapped.link_mbps.emplace_back(
+            layout.to_global_link(part.shard, link), mbps);
+      }
+      net::StackOps expected;
+      for (const auto& [host, load] : global.host_loads) {
+        if (layout.shard_of_host(host) == part.shard) {
+          expected.host_loads.emplace_back(host, load);
+        }
+      }
+      EXPECT_EQ(mapped.host_loads, expected.host_loads) << "trial " << trial;
+      EXPECT_EQ(mapped.link_mbps, owned_links(part.shard)) << "trial " << trial;
+      split_ops += part.ops.host_loads.size() + part.ops.link_mbps.size();
+    }
+    std::vector<std::pair<dc::LinkId, double>> ledger;
+    for (const CrossShardLedger::Op& op : split.ledger) {
+      ledger.emplace_back(op.link, op.mbps);
+    }
+    EXPECT_EQ(ledger, owned_links(dc::ShardLayout::kLedgerOwned))
+        << "trial " << trial;
+    EXPECT_EQ(split_ops, global.host_loads.size() + global.link_mbps.size())
+        << "trial " << trial;
+  }
+}
+
 // A competing commit between planning and the two-phase commit aborts the
 // 2PC with nothing touched; the replan sees the new state.  Here the
 // competitor consumes the last free host, so the replan is infeasible and

@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -205,6 +207,32 @@ TEST(StreamTest, NonStdCommitterThrowResolvesPromiseOnceAndCounts) {
   EXPECT_EQ(stream.dispatch_once(), 1u);
   EXPECT_EQ(next.get().status, StreamStatus::kCommitted);
   EXPECT_EQ(errors.value(), 1u);  // healthy dispatches add nothing
+}
+
+// A member whose commit step throws must not poison batch members already
+// committed: their resources are applied, so their futures report the
+// commit, and only the rest see the exception.
+TEST(StreamTest, CommitterThrowKeepsEarlierBatchMembersCommitted) {
+  const auto datacenter = small_dc(2, 2);
+  const SearchConfig config = stream_config(/*batch=*/2);
+  OstroScheduler scheduler(datacenter, config);
+  PlacementService service(scheduler);
+  StreamingService stream(service, config, /*start_dispatchers=*/false);
+
+  auto first = stream.submit(request_for(tiny_app()));
+  StreamRequest crashing = request_for(one_vm("x", 1.0));
+  crashing.committer = [](const Placement&, std::string&) -> bool {
+    throw std::runtime_error("engine crashed");
+  };
+  auto second = stream.submit(std::move(crashing));
+  EXPECT_EQ(stream.dispatch_once(), 2u);
+
+  ASSERT_GT(scheduler.occupancy().version(), 0u);  // member 1 applied
+  const StreamResult result = first.get();
+  EXPECT_EQ(result.status, StreamStatus::kCommitted);
+  EXPECT_TRUE(result.service.placement.committed);
+  EXPECT_EQ(result.service.commit_epoch, scheduler.occupancy().version());
+  EXPECT_THROW(second.get(), std::runtime_error);
 }
 
 TEST(StreamTest, FullQueueRejectsImmediately) {

@@ -25,10 +25,8 @@ TEST(ReleasePathTest, ReleaseStagingLeavesBaseUntouched) {
   const Occupancy before = occupancy;
 
   OccupancyDelta delta(occupancy);
-  EXPECT_FALSE(delta.has_releases());
   delta.remove_host_load(0, {2.0, 2.0, 0.0});
   delta.release_link(datacenter.host_link(0), 100.0);
-  EXPECT_TRUE(delta.has_releases());
 
   EXPECT_TRUE(occupancy == before);
   const auto avail = delta.available(0);
@@ -48,7 +46,6 @@ TEST(ReleasePathTest, OverReleaseThrowsAndStagesNothing) {
   EXPECT_THROW(delta.release_link(datacenter.host_link(0), 200.0),
                std::invalid_argument);
   EXPECT_TRUE(delta.empty());
-  EXPECT_FALSE(delta.has_releases());
 
   // Validation is against the *overlay*: a staged release frees room for a
   // later release of the remainder, and a staged add covers releases the

@@ -38,11 +38,8 @@ TEST(OccupancyDeltaTest, OverlayQueriesSeeStagedState) {
 
   OccupancyDelta delta(occupancy);
   EXPECT_EQ(delta.available(0), occupancy.available(0));
-  EXPECT_TRUE(delta.is_active(1));
-  EXPECT_FALSE(delta.is_active(0));
 
   delta.add_host_load(0, {2.0, 4.0, 10.0});
-  EXPECT_TRUE(delta.is_active(0));
   const auto avail = delta.available(0);
   EXPECT_DOUBLE_EQ(avail.vcpus, 6.0);
   EXPECT_DOUBLE_EQ(avail.mem_gb, 12.0);

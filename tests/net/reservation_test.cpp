@@ -61,41 +61,6 @@ TEST(ReservationTest, HostOverCapacityRollsBack) {
   EXPECT_TRUE(occupancy == before);
 }
 
-TEST(ReservationTest, TransactionRollbackOnDestruction) {
-  const dc::DataCenter dc = small_dc(1, 2);
-  dc::Occupancy occupancy(dc);
-  const dc::Occupancy before = occupancy;
-  {
-    PlacementTransaction txn(occupancy);
-    txn.apply(tiny_app(), {0, 1, 1});
-    EXPECT_FALSE(occupancy == before);
-    // no commit -> rollback at scope exit
-  }
-  EXPECT_TRUE(occupancy == before);
-}
-
-TEST(ReservationTest, TransactionCommitKeeps) {
-  const dc::DataCenter dc = small_dc(1, 2);
-  dc::Occupancy occupancy(dc);
-  const dc::Occupancy before = occupancy;
-  {
-    PlacementTransaction txn(occupancy);
-    txn.apply(tiny_app(), {0, 1, 1});
-    txn.commit();
-  }
-  EXPECT_FALSE(occupancy == before);
-}
-
-TEST(ReservationTest, ExplicitRollback) {
-  const dc::DataCenter dc = small_dc(1, 2);
-  dc::Occupancy occupancy(dc);
-  const dc::Occupancy before = occupancy;
-  PlacementTransaction txn(occupancy);
-  txn.apply(tiny_app(), {0, 1, 1});
-  txn.rollback();
-  EXPECT_TRUE(occupancy == before);
-}
-
 TEST(ReservationTest, MidEdgeFailureLeavesOccupancyBitIdentical) {
   const dc::DataCenter dc = small_dc(2, 2);
   dc::Occupancy occupancy(dc);
@@ -106,9 +71,8 @@ TEST(ReservationTest, MidEdgeFailureLeavesOccupancyBitIdentical) {
   occupancy.reserve_link(dc.rack_link(1), 3950.0);
   const dc::Occupancy before = occupancy;
 
-  PlacementTransaction txn(occupancy);
-  EXPECT_THROW(txn.apply(tiny_app(), {0, 2, 2}), std::invalid_argument);
-  EXPECT_TRUE(txn.empty());
+  EXPECT_THROW(commit_placement(occupancy, tiny_app(), {0, 2, 2}),
+               std::invalid_argument);
   EXPECT_TRUE(occupancy == before);
   // Spell the invariant out field by field as well: host loads, active
   // flags, and link reservations all match the pre-apply snapshot.
@@ -125,50 +89,26 @@ TEST(ReservationTest, MidEdgeFailureLeavesOccupancyBitIdentical) {
         << "link " << l;
   }
 
-  // The failed transaction is reusable: free the uplink and the same
-  // assignment goes through on the same transaction object.
+  // Free the uplink and the same assignment goes through.
   occupancy.release_link(dc.rack_link(1), 3950.0);
-  txn.apply(tiny_app(), {0, 2, 2});
-  txn.commit();
+  commit_placement(occupancy, tiny_app(), {0, 2, 2});
   EXPECT_DOUBLE_EQ(occupancy.link_used_mbps(dc.rack_link(0)), 100.0);
   EXPECT_DOUBLE_EQ(occupancy.link_used_mbps(dc.rack_link(1)), 100.0);
   EXPECT_EQ(occupancy.used(2), (topo::Resources{4.0, 4.0, 100.0}));
 }
 
-TEST(ReservationTest, ApplyAfterRollbackStillRollsBackOnDestruction) {
-  const dc::DataCenter dc = small_dc(1, 2);
-  dc::Occupancy occupancy(dc);
-  const dc::Occupancy before = occupancy;
-  {
-    PlacementTransaction txn(occupancy);
-    txn.apply(tiny_app(), {0, 1, 1});
-    txn.rollback();
-    EXPECT_TRUE(occupancy == before);
-    // Regression: re-using the transaction after an explicit rollback must
-    // still roll the new reservations back at scope exit (an earlier
-    // version latched a "done" flag on the first rollback and leaked them).
-    txn.apply(tiny_app(), {0, 1, 1});
-    EXPECT_FALSE(occupancy == before);
+TEST(ReservationTest, StackOpsListHostsInNodeOrderThenPathsInEdgeOrder) {
+  const dc::DataCenter dc = small_dc(2, 2);
+  // web rack0, db+data rack1: web--db crosses racks, db--data stays on h2.
+  const StackOps ops = stack_ops(dc, tiny_app(), {0, 2, 2});
+  const std::vector<std::pair<dc::HostId, topo::Resources>> hosts{
+      {0, {2.0, 2.0, 0.0}}, {2, {4.0, 4.0, 0.0}}, {2, {0.0, 0.0, 100.0}}};
+  EXPECT_EQ(ops.host_loads, hosts);
+  std::vector<std::pair<dc::LinkId, double>> links;
+  for (const dc::LinkId link : dc.path_between(0, 2)) {
+    links.emplace_back(link, 100.0);
   }
-  EXPECT_TRUE(occupancy == before);
-}
-
-TEST(ReservationTest, CommitThenReuseKeepsOnlyCommittedWork) {
-  const dc::DataCenter dc = small_dc(1, 2);
-  dc::Occupancy occupancy(dc);
-  {
-    PlacementTransaction txn(occupancy);
-    txn.apply(tiny_app(), {0, 1, 1});
-    txn.commit();
-    EXPECT_TRUE(txn.empty());
-    // Second application on the same transaction, not committed: rolled
-    // back at scope exit without disturbing the committed first one.
-    txn.apply(tiny_app(), {0, 1, 1});
-  }
-  EXPECT_EQ(occupancy.used(0), (topo::Resources{2.0, 2.0, 0.0}));
-  EXPECT_EQ(occupancy.used(1), (topo::Resources{4.0, 4.0, 100.0}));
-  EXPECT_DOUBLE_EQ(occupancy.link_used_mbps(dc.host_link(0)), 100.0);
-  EXPECT_DOUBLE_EQ(occupancy.link_used_mbps(dc.host_link(1)), 100.0);
+  EXPECT_EQ(ops.link_mbps, links);
 }
 
 TEST(ReservationTest, MalformedAssignmentsRejected) {
