@@ -18,7 +18,6 @@
 #include "core/partial.h"
 #include "core/scheduler.h"
 #include "core/symmetry.h"
-#include "datacenter/prune_labels.h"
 #include "net/maxmin.h"
 #include "net/reservation.h"
 #include "sim/clusters.h"
@@ -517,8 +516,9 @@ void write_budget_json(bool smoke) {
 ///      the regime the labels were built for, where the separation ladder
 ///      and the host climb tighten nearly every edge bound.  Labels on vs
 ///      off, same final assignment required, expansion drop recorded.
-///   2. Maintenance cost — label rebuild seconds at 2400 hosts and the
-///      per-commit refresh cost on the live add/remove path.
+///   2. Maintenance cost — seconds per dc::FeasibilityIndex rebuild (the
+///      aggregates and label counters) at 2400 hosts and the per-commit
+///      refresh cost on the live add/remove path.
 void write_labels_json(bool smoke) {
   auto& f = fig7();
 
@@ -593,8 +593,8 @@ void write_labels_json(bool smoke) {
   const int rebuilds = smoke ? 3 : 20;
   const util::WallTimer rebuild_timer;
   for (int i = 0; i < rebuilds; ++i) {
-    dc::PruneLabels fresh;
-    fresh.rebuild(f.datacenter, full_occupancy.feasibility());
+    dc::FeasibilityIndex fresh;
+    fresh.rebuild(full_occupancy);
     benchmark::DoNotOptimize(&fresh);
   }
   const double rebuild_seconds = rebuild_timer.elapsed_seconds() / rebuilds;

@@ -15,10 +15,10 @@
 
 #include "core/scheduler.h"
 #include "sim/clusters.h"
-#include "sim/experiment.h"
 #include "sim/workloads.h"
 #include "util/args.h"
 #include "util/metrics.h"
+#include "util/stats.h"
 #include "util/string_util.h"
 #include "util/table.h"
 

@@ -22,6 +22,12 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
+/// Upper cap on the DBA* pruning range r.  Pruning with probability
+/// (r - s) / r confines path mortality to the shallowest r-fraction of the
+/// search depth; beyond the cap the frontier would die out faster than the
+/// candidate fan can replenish it and no path could ever complete.
+constexpr double kMaxPruneRange = 0.5;
+
 // Open-list backing reservation: sized to max_open_paths but capped so the
 // default 2M-path valve does not blindly reserve ~100 MB per plan.
 constexpr std::size_t kOpenReserveCap = 64 * 1024;
@@ -31,23 +37,6 @@ constexpr std::size_t kDefaultOpenReserve = 4 * 1024;
     const SearchConfig& config) noexcept {
   if (config.max_open_paths == 0) return kDefaultOpenReserve;
   return std::min<std::size_t>(config.max_open_paths + 1, kOpenReserveCap);
-}
-
-[[nodiscard]] dc::Scope forced_scope(topo::DiversityLevel level) noexcept {
-  switch (level) {
-    case topo::DiversityLevel::kHost: return dc::Scope::kSameRack;
-    case topo::DiversityLevel::kRack: return dc::Scope::kSamePod;
-    case topo::DiversityLevel::kPod: return dc::Scope::kSameSite;
-    case topo::DiversityLevel::kDatacenter: return dc::Scope::kCrossSite;
-  }
-  return dc::Scope::kSameRack;
-}
-
-/// Mirror of PartialPlacement's guard: the label feasibility counters track
-/// compute (vcpus, mem_gb) and only bound nodes that require it.
-[[nodiscard]] bool requires_compute(const topo::Resources& r) noexcept {
-  constexpr double kReqEps = 1e-9;
-  return r.vcpus > kReqEps && r.mem_gb > kReqEps;
 }
 
 using StateRef = std::shared_ptr<const PartialPlacement>;
@@ -124,7 +113,7 @@ struct ChildScore {
     }
     dc::Scope scope = parent.zone_scope_to_host(nb.node, host);
     if (const auto level = topology.required_separation(node, nb.node)) {
-      scope = std::max(scope, forced_scope(*level));
+      scope = std::max(scope, dc::forced_scope(*level));
     }
     if (scope == dc::Scope::kSameHost &&
         !topology.node(nb.node).requirements.fits_within(residual)) {
@@ -137,9 +126,9 @@ struct ChildScore {
       // never exceeds the exact bound — the open queue's re-queue test
       // stays sound.
       const topo::Resources& req = topology.node(nb.node).requirements;
-      scope = parent.base().labels().tighten_to_host(
-          scope, host, req, requires_compute(req), nb.bandwidth_mbps,
-          parent.base().feasibility());
+      scope = parent.base().feasibility().tighten_to_host(
+          scope, host, req, dc::requires_compute(req), nb.bandwidth_mbps,
+          parent.base());
     }
     bound += Objective::edge_cost(nb.bandwidth_mbps, scope);
   }
@@ -655,7 +644,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
       }
       if (expected > can_handle) {
         prune_range = std::min(
-            config.max_prune_range,
+            kMaxPruneRange,
             prune_range +
                 config.alpha_factor * (deadline.budget_seconds() / t_left));
       }

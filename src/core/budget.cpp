@@ -8,6 +8,10 @@
 namespace ostro::core {
 namespace {
 
+/// kAuto retry ladder: geometric growth of max_open_paths per widened
+/// retry (the beam doubles independently).
+constexpr double kWidenFactor = 8.0;
+
 [[nodiscard]] std::size_t clamp_budget(double value, std::size_t lo,
                                        std::size_t hi) noexcept {
   if (value <= static_cast<double>(lo)) return lo;
@@ -95,8 +99,8 @@ std::optional<BudgetDecision> BudgetController::widen(
 
   BudgetDecision next = previous;
   ++next.attempt;
-  const double widened = static_cast<double>(previous.max_open_paths) *
-                         config.budget_widen_factor;
+  const double widened =
+      static_cast<double>(previous.max_open_paths) * kWidenFactor;
   // Jump at least to the floor: a deliberately tiny seed ceiling should
   // reach a workable budget in one rung, not crawl up from single digits.
   next.max_open_paths =

@@ -46,8 +46,8 @@ struct BudgetDecision {
 };
 
 /// Controller constants.  The SearchConfig knobs users are expected to
-/// touch (seed ceiling, retry count, widening factor) stay in SearchConfig;
-/// these shape the estimator itself.
+/// touch (seed ceiling, retry count) stay in SearchConfig; these shape the
+/// estimator itself.
 struct BudgetPolicy {
   /// Never size an auto budget below this (except when the configured seed
   /// ceiling is itself smaller — an explicit tight-memory request).
@@ -83,8 +83,8 @@ class BudgetController {
                                       const SearchConfig& config);
 
   /// Next rung of the retry ladder after a valve-fire failure: geometric
-  /// widening by config.budget_widen_factor (beam doubles), jumping at
-  /// least to the policy floor.  Returns nullopt when the ladder is
+  /// widening by 8x (beam doubles), jumping at least to the policy floor.
+  /// Returns nullopt when the ladder is
   /// exhausted (attempt count, cap, or an unlimited budget that already
   /// failed) — the caller then falls back to EG.
   [[nodiscard]] std::optional<BudgetDecision> widen(

@@ -134,17 +134,18 @@ void get_candidates_indexed(const PartialPlacement& p, topo::NodeId node,
   }
   in.neighbor_hosts = &buf.neighbor_hosts;
 
-  // Tag-reachability prune (dc::PruneLabels): a subtree whose cached tag
-  // bitmap lacks a required bit holds no host that could pass tags_ok, so
-  // the descent skips it wholesale.  `tag_mask == 0` (no required tags, or
-  // the registry overflowed 64 distinct tags) disables the screen; a
-  // required tag carried by nowhere in the DC yields the all-ones mask,
-  // which prunes everything — exactly what the per-host check would do.
-  const dc::PruneLabels& labels = p.base().labels();
+  // Tag-reachability prune (the DataCenter's tag bitmaps): a subtree whose
+  // cached tag bitmap lacks a required bit holds no host that could pass
+  // tags_ok, so the descent skips it wholesale.  `tag_mask == 0` (no
+  // required tags, or the registry overflowed 64 distinct tags) disables
+  // the screen; a required tag carried by nowhere in the DC yields the
+  // all-ones mask, which prunes everything — exactly what the per-host
+  // check would do.
   std::uint64_t tag_mask = 0;
-  if (p.use_prune_labels() && labels.tags_indexable() &&
+  if (p.use_prune_labels() && datacenter.tags_indexable() &&
       !topology.node(node).required_tags.empty()) {
-    tag_mask = labels.required_tag_mask(topology.node(node).required_tags);
+    tag_mask =
+        datacenter.required_tag_mask(topology.node(node).required_tags);
   }
 
   std::uint64_t subtrees_pruned = 0;
@@ -163,7 +164,7 @@ void get_candidates_indexed(const PartialPlacement& p, topo::NodeId node,
   for (const dc::Site& site : datacenter.sites()) {
     const dc::FeasibilityIndex::Aggregate& site_agg = index.site(site.id);
     if (contains(buf.excluded_sites, site.id) ||
-        tags_unreachable(labels.site_tag_mask(site.id)) ||
+        tags_unreachable(datacenter.site_tag_mask(site.id)) ||
         !subtree_may_fit(site_agg, in, [&](dc::HostId nh) {
           return datacenter.ancestors(nh).site == site.id;
         })) {
@@ -173,7 +174,7 @@ void get_candidates_indexed(const PartialPlacement& p, topo::NodeId node,
     for (const std::uint32_t pod_id : site.pods) {
       const dc::FeasibilityIndex::Aggregate& pod_agg = index.pod(pod_id);
       if (contains(buf.excluded_pods, pod_id) ||
-          tags_unreachable(labels.pod_tag_mask(pod_id)) ||
+          tags_unreachable(datacenter.pod_tag_mask(pod_id)) ||
           !subtree_may_fit(pod_agg, in, [&](dc::HostId nh) {
             return datacenter.ancestors(nh).pod == pod_id;
           })) {
@@ -183,7 +184,7 @@ void get_candidates_indexed(const PartialPlacement& p, topo::NodeId node,
       for (const std::uint32_t rack_id : datacenter.pods()[pod_id].racks) {
         const dc::FeasibilityIndex::Aggregate& rack_agg = index.rack(rack_id);
         if (contains(buf.excluded_racks, rack_id) ||
-            tags_unreachable(labels.rack_tag_mask(rack_id)) ||
+            tags_unreachable(datacenter.rack_tag_mask(rack_id)) ||
             !subtree_may_fit(rack_agg, in, [&](dc::HostId nh) {
               return datacenter.ancestors(nh).rack == rack_id;
             })) {

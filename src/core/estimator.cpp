@@ -9,16 +9,6 @@
 namespace ostro::core {
 namespace {
 
-[[nodiscard]] dc::Scope forced_scope(topo::DiversityLevel level) noexcept {
-  switch (level) {
-    case topo::DiversityLevel::kHost: return dc::Scope::kSameRack;
-    case topo::DiversityLevel::kRack: return dc::Scope::kSamePod;
-    case topo::DiversityLevel::kPod: return dc::Scope::kSameSite;
-    case topo::DiversityLevel::kDatacenter: return dc::Scope::kCrossSite;
-  }
-  return dc::Scope::kSameRack;
-}
-
 /// Where a node sits during the imaginary completion: a real host, an
 /// imaginary host, or nowhere yet.
 struct Location {
@@ -143,7 +133,7 @@ Estimate Estimator::candidate_estimate(const PartialPlacement& p,
     // be co-zoned, or the remaining residual may be too small.
     dc::Scope scope = p.zone_scope_to_host(nb->node, host);
     if (const auto level = topology.required_separation(node, nb->node)) {
-      scope = std::max(scope, forced_scope(*level));
+      scope = std::max(scope, dc::forced_scope(*level));
     }
     // (c) A zone conflict with a neighbor already assumed onto this host.
     if (scope == dc::Scope::kSameHost) {
@@ -308,7 +298,7 @@ NodeEstimateContext::NodeEstimateContext(const PartialPlacement& p,
     f.bandwidth_mbps = nb->bandwidth_mbps;
     f.requirements = topology.node(nb->node).requirements;
     if (const auto level = topology.required_separation(node, nb->node)) {
-      f.forced = forced_scope(*level);
+      f.forced = dc::forced_scope(*level);
     }
     for (const auto zone_index : topology.zones_of(nb->node)) {
       const auto& zone = topology.zones()[zone_index];
@@ -417,7 +407,7 @@ Estimate NodeEstimateContext::estimate(dc::HostId host,
     dc::Scope scope = nb.forced;
     for (const auto& [member_host, level] : nb.zone_members) {
       if (!datacenter.separated_at(host, member_host, level)) {
-        scope = std::max(scope, forced_scope(level));
+        scope = std::max(scope, dc::forced_scope(level));
       }
     }
     if (scope == dc::Scope::kSameHost) {
@@ -571,7 +561,7 @@ Estimate Estimator::imaginary_completion(const PartialPlacement& p) {
       scope = datacenter.scope_between(la.index, lb.index);
     } else if (const auto level =
                    topology.required_separation(edge.a, edge.b)) {
-      scope = std::max(scope, forced_scope(*level));
+      scope = std::max(scope, dc::forced_scope(*level));
     }
     est.ubw += Objective::edge_cost(edge.bandwidth_mbps, scope);
   }

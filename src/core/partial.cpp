@@ -4,30 +4,6 @@
 #include <stdexcept>
 
 namespace ostro::core {
-namespace {
-
-/// Scope a diversity level forces between two co-zoned nodes.
-[[nodiscard]] dc::Scope forced_scope(topo::DiversityLevel level) noexcept {
-  switch (level) {
-    case topo::DiversityLevel::kHost: return dc::Scope::kSameRack;
-    case topo::DiversityLevel::kRack: return dc::Scope::kSamePod;
-    case topo::DiversityLevel::kPod: return dc::Scope::kSameSite;
-    case topo::DiversityLevel::kDatacenter: return dc::Scope::kCrossSite;
-  }
-  return dc::Scope::kSameRack;
-}
-
-/// Positive compute requirements (vcpus and mem_gb): only then does "no
-/// compute-feasible host" imply "this node cannot land there".  The label
-/// counters track compute feasibility and ignore disk, so a zero-disk VM is
-/// still covered; a volume (zero compute) fits a compute-exhausted host,
-/// which the counters don't see, and must not be tightened dynamically.
-[[nodiscard]] bool requires_compute(const topo::Resources& r) noexcept {
-  constexpr double kEps = 1e-9;
-  return r.vcpus > kEps && r.mem_gb > kEps;
-}
-
-}  // namespace
 
 PartialPlacement::PartialPlacement(const topo::AppTopology& topology,
                                    const dc::Occupancy& base,
@@ -169,7 +145,7 @@ dc::Scope PartialPlacement::zone_scope_to_host(topo::NodeId node,
       // that matters for its distance to `host` only when `host` is within
       // the forbidden unit around member_host.
       if (!datacenter.separated_at(host, member_host, zone.level)) {
-        scope = std::max(scope, forced_scope(zone.level));
+        scope = std::max(scope, dc::forced_scope(zone.level));
       }
     }
   }
@@ -196,7 +172,7 @@ double PartialPlacement::edge_lower_bound(const topo::Edge& edge) const {
     const topo::Resources& req_b = topology_->node(edge.b).requirements;
     dc::Scope scope = dc::Scope::kSameHost;
     if (const auto level = topology_->required_separation(edge.a, edge.b)) {
-      scope = forced_scope(*level);
+      scope = dc::forced_scope(*level);
     }
     if (scope == dc::Scope::kSameHost) {
       const topo::Resources combined = req_a + req_b;
@@ -212,8 +188,8 @@ double PartialPlacement::edge_lower_bound(const topo::Edge& edge) const {
       }
     }
     if (use_prune_labels_ && scope != dc::Scope::kSameHost) {
-      scope = base_->labels().tighten_separation(
-          scope, requires_compute(req_a) && requires_compute(req_b));
+      scope = base_->feasibility().tighten_separation(
+          scope, dc::requires_compute(req_a) && dc::requires_compute(req_b));
     }
     return Objective::edge_cost(edge.bandwidth_mbps, scope);
   }
@@ -223,9 +199,9 @@ double PartialPlacement::edge_lower_bound(const topo::Edge& edge) const {
   dc::Scope scope = min_scope_to_host(free, assignment_[placed]);
   if (use_prune_labels_ && scope != dc::Scope::kSameHost) {
     const topo::Resources& req = topology_->node(free).requirements;
-    scope = base_->labels().tighten_to_host(
-        scope, assignment_[placed], req, requires_compute(req),
-        edge.bandwidth_mbps, base_->feasibility());
+    scope = base_->feasibility().tighten_to_host(
+        scope, assignment_[placed], req, dc::requires_compute(req),
+        edge.bandwidth_mbps, *base_);
   }
   return Objective::edge_cost(edge.bandwidth_mbps, scope);
 }

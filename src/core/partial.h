@@ -39,8 +39,8 @@ namespace ostro::core {
 
 class PartialPlacement {
  public:
-  /// `use_prune_labels` opts the admissible bound into the precomputed
-  /// dc::PruneLabels tighteners (SearchConfig::use_prune_labels); the
+  /// `use_prune_labels` opts the admissible bound into the
+  /// dc::FeasibilityIndex tighteners (SearchConfig::use_prune_labels); the
   /// default keeps the reference bound so direct constructions (tests,
   /// differential baselines) are unaffected.
   PartialPlacement(const topo::AppTopology& topology,
@@ -132,7 +132,8 @@ class PartialPlacement {
   }
 
   /// Whether the admissible bound (and the candidate descent) consult the
-  /// base occupancy's dc::PruneLabels.  Fixed at construction; copies
+  /// base occupancy's prune labels (dc::FeasibilityIndex tighteners, tag
+  /// bitmaps of the dc::DataCenter).  Fixed at construction; copies
   /// inherit it so every state of one search prices pipes identically (the
   /// lazy-priority invariant).
   [[nodiscard]] bool use_prune_labels() const noexcept {

@@ -1,7 +1,7 @@
 // ShardRouter — the sharded scale-out front end (ROADMAP item 1).
 //
 // One PlacementService per dc::ShardLayout shard, each with its own writer
-// lock, FeasibilityIndex, PruneLabels and commit epochs, composed behind a
+// lock, FeasibilityIndex and commit epochs, composed behind a
 // router that:
 //
 //   1. *scores* shards from their FeasibilityIndex root aggregates (filter:

@@ -128,10 +128,16 @@ std::future<StreamResult> StreamingService::submit(StreamRequest request) {
   AdmissionQueue::Entry entry;
   entry.enqueued = AdmissionQueue::Clock::now();
   if (request.deadline_seconds > 0.0) {
-    entry.deadline =
-        entry.enqueued +
-        std::chrono::duration_cast<AdmissionQueue::Clock::duration>(
-            std::chrono::duration<double>(request.deadline_seconds));
+    // A deadline the clock cannot represent from now means "none", like
+    // <= 0: casting it to the clock's integer ticks would overflow.
+    using Duration = AdmissionQueue::Clock::duration;
+    const Duration headroom =
+        AdmissionQueue::Clock::time_point::max() - entry.enqueued;
+    const std::chrono::duration<double> wanted(request.deadline_seconds);
+    if (wanted < headroom) {
+      const auto ticks = std::chrono::duration_cast<Duration>(wanted);
+      if (ticks < headroom) entry.deadline = entry.enqueued + ticks;
+    }
   }
   entry.request = std::move(request);
   std::future<StreamResult> future = entry.promise.get_future();

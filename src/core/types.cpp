@@ -57,10 +57,6 @@ void SearchConfig::validate() const {
   if (alpha_factor < 0.0) {
     throw std::invalid_argument("SearchConfig: negative alpha_factor");
   }
-  if (budget_widen_factor <= 1.0) {
-    throw std::invalid_argument(
-        "SearchConfig: budget_widen_factor must be > 1");
-  }
   if (stream_queue_capacity == 0) {
     throw std::invalid_argument(
         "SearchConfig: stream_queue_capacity must be >= 1");

@@ -85,14 +85,14 @@ struct SearchConfig {
   bool use_candidate_index = true;
 
   /// Tighten the admissible bound (and the candidate descent) with the
-  /// precomputed dc::PruneLabels: separation-feasibility counters escalate
-  /// pipe scopes no completion can avoid, host-anchored climb labels price
-  /// placed-free pipes against the feasibility aggregates around the placed
-  /// host, and tag-reachability bitmaps skip subtrees lacking a required
-  /// hardware tag.  The tightened bound stays admissible, so BA*/DBA*
-  /// return bit-identical optima while expanding fewer states (this IS a
-  /// perf knob, differential-tested against the reference bound it
-  /// replaces; see DESIGN.md section 12).
+  /// prune labels: the dc::FeasibilityIndex pair counters escalate pipe
+  /// scopes no completion can avoid, its host climb prices placed-free
+  /// pipes against the aggregates around the placed host, and the
+  /// dc::DataCenter's tag-reachability bitmaps skip subtrees lacking a
+  /// required hardware tag.  The tightened bound stays admissible, so
+  /// BA*/DBA* return bit-identical optima while expanding fewer states
+  /// (this IS a perf knob, differential-tested against the reference bound
+  /// it replaces; see DESIGN.md section 12).
   bool use_prune_labels = true;
 
   /// Safety valve for BA*/DBA*: abort with the incumbent EG solution when
@@ -119,10 +119,6 @@ struct SearchConfig {
   /// valve-fire failure (hit_open_limit with no feasible placement) before
   /// the scheduler falls back to a greedy EG completion.
   std::uint32_t budget_max_retries = 3;
-
-  /// kAuto only: factor by which max_open_paths grows per widened retry
-  /// (the beam doubles per retry independently).  Must be > 1.
-  double budget_widen_factor = 8.0;
 
   /// Worker threads for EG's parallel candidate evaluation; 0 = hardware
   /// concurrency.
@@ -163,14 +159,10 @@ struct SearchConfig {
   /// alpha_factor is the paper's 0.2 in alpha = 0.2 * (T / T_left)).
   /// r starts at 0 (no pruning) and grows only under deadline pressure: a
   /// positive initial r makes P(x > s) = 1 at the shallow frontier, which
-  /// would discard the root before the search learns anything.
+  /// would discard the root before the search learns anything.  r never
+  /// grows past 0.5 (see astar.cpp).
   double initial_prune_range = 0.0;
   double alpha_factor = 0.2;
-  /// Upper cap on r.  Pruning with probability (r - s) / r confines path
-  /// mortality to the shallowest r-fraction of the search depth; beyond the
-  /// cap the frontier would die out faster than the candidate fan can
-  /// replenish it and no path could ever complete.
-  double max_prune_range = 0.5;
 
   void validate() const;  ///< throws std::invalid_argument on bad values
 };

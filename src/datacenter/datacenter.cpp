@@ -89,6 +89,17 @@ PathLinks DataCenter::path_between(HostId a, HostId b) const {
   return out;
 }
 
+std::uint64_t DataCenter::required_tag_mask(
+    const std::vector<std::string>& required) const noexcept {
+  std::uint64_t mask = 0;
+  for (const std::string& tag : required) {
+    const auto it = std::lower_bound(tag_names_.begin(), tag_names_.end(), tag);
+    if (it == tag_names_.end() || *it != tag) return ~0ULL;  // no host has it
+    mask |= 1ULL << static_cast<std::uint64_t>(it - tag_names_.begin());
+  }
+  return mask;
+}
+
 std::size_t DataCenter::link_count() const noexcept {
   return hosts_.size() + racks_.size() + pods_.size() + sites_.size();
 }
@@ -253,6 +264,47 @@ DataCenter DataCenterBuilder::build() {
     chain[1] = dc_.rack_link(h.rack);
     chain[2] = dc_.pod_link(h.pod);
     chain[3] = dc_.site_link(h.datacenter);
+  }
+
+  // Tag registry: one bit per distinct tag, OR-ed up the tree.
+  for (const Host& h : dc_.hosts_) {
+    dc_.tag_names_.insert(dc_.tag_names_.end(), h.tags.begin(), h.tags.end());
+  }
+  std::sort(dc_.tag_names_.begin(), dc_.tag_names_.end());
+  dc_.tag_names_.erase(
+      std::unique(dc_.tag_names_.begin(), dc_.tag_names_.end()),
+      dc_.tag_names_.end());
+  dc_.tag_overflow_ = dc_.tag_names_.size() > 64;
+  dc_.host_tag_mask_.assign(dc_.hosts_.size(), 0);
+  dc_.rack_tag_mask_.assign(dc_.racks_.size(), 0);
+  dc_.pod_tag_mask_.assign(dc_.pods_.size(), 0);
+  dc_.site_tag_mask_.assign(dc_.sites_.size(), 0);
+  // A fleet without tags keeps every mask 0.
+  if (!dc_.tag_overflow_ && !dc_.tag_names_.empty()) {
+    for (const Host& h : dc_.hosts_) {
+      const std::uint64_t mask = dc_.required_tag_mask(h.tags);
+      dc_.host_tag_mask_[h.id] = mask;
+      dc_.rack_tag_mask_[h.rack] |= mask;
+      dc_.pod_tag_mask_[h.pod] |= mask;
+      dc_.site_tag_mask_[h.datacenter] |= mask;
+    }
+  }
+
+  // Structural floors: which separations the tree can realize at all.
+  for (const Rack& rack : dc_.racks_) {
+    if (rack.hosts.size() >= 2) ++dc_.multi_host_racks_;
+  }
+  for (const Site& site : dc_.sites_) {
+    std::uint32_t nonempty_pods = 0;
+    for (const std::uint32_t p : site.pods) {
+      std::uint32_t nonempty_racks = 0;
+      for (const std::uint32_t r : dc_.pods_[p].racks) {
+        if (!dc_.racks_[r].hosts.empty()) ++nonempty_racks;
+      }
+      if (nonempty_racks >= 2) ++dc_.multi_rack_pods_;
+      if (nonempty_racks >= 1) ++nonempty_pods;
+    }
+    if (nonempty_pods >= 2) ++dc_.multi_pod_sites_;
   }
 
   DataCenter out = std::move(dc_);

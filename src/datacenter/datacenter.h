@@ -93,6 +93,19 @@ enum class Scope : std::uint8_t {
   return 2 * static_cast<int>(scope);
 }
 
+/// Minimum scope between two nodes a diversity zone at `level` keeps apart:
+/// host diversity puts them at least a rack apart, and so on up.
+[[nodiscard]] constexpr Scope forced_scope(
+    topo::DiversityLevel level) noexcept {
+  switch (level) {
+    case topo::DiversityLevel::kHost: return Scope::kSameRack;
+    case topo::DiversityLevel::kRack: return Scope::kSamePod;
+    case topo::DiversityLevel::kPod: return Scope::kSameSite;
+    case topo::DiversityLevel::kDatacenter: return Scope::kCrossSite;
+  }
+  return Scope::kSameRack;
+}
+
 /// Packed per-host ancestor triple.  DataCenterBuilder::build() precomputes
 /// one per host so the hot hierarchy queries (scope_between, separated_at)
 /// read 12 contiguous bytes instead of chasing the full Host record (which
@@ -203,6 +216,51 @@ class DataCenter {
   [[nodiscard]] std::optional<Scope> max_scope_for_latency(
       double budget_us) const noexcept;
 
+  // ---- tag-reachability bitmaps (DESIGN.md section 12) ----
+  // Hardware tags are immutable, so build() interns each distinct tag as
+  // one bit (up to 64) and every rack/pod/site caches the OR of its hosts'
+  // masks.  Candidate descent skips a subtree whose mask lacks a required
+  // bit: no host below can pass the per-host tag check.
+
+  /// True when every distinct hardware tag got a bit (<= 64 tags in the
+  /// data center).  When false the bitmaps are disabled and callers must
+  /// fall back to per-host tag checks alone.
+  [[nodiscard]] bool tags_indexable() const noexcept { return !tag_overflow_; }
+
+  /// Bitmask of `required` over the tag registry.  A required tag carried
+  /// by no host in the data center yields the all-ones mask, which no
+  /// subtree mask can cover — the caller then prunes everything, matching
+  /// the per-host check that would reject every host.
+  [[nodiscard]] std::uint64_t required_tag_mask(
+      const std::vector<std::string>& required) const noexcept;
+
+  [[nodiscard]] std::uint64_t host_tag_mask(HostId h) const noexcept {
+    return host_tag_mask_[h];
+  }
+  [[nodiscard]] std::uint64_t rack_tag_mask(std::uint32_t r) const noexcept {
+    return rack_tag_mask_[r];
+  }
+  [[nodiscard]] std::uint64_t pod_tag_mask(std::uint32_t p) const noexcept {
+    return pod_tag_mask_[p];
+  }
+  [[nodiscard]] std::uint64_t site_tag_mask(std::uint32_t s) const noexcept {
+    return site_tag_mask_[s];
+  }
+
+  // ---- structural floors of the separation ladder (DESIGN.md section 12) ----
+  /// Racks with >= 2 hosts: without one, no two nodes sit a rack apart.
+  [[nodiscard]] std::uint32_t multi_host_racks() const noexcept {
+    return multi_host_racks_;
+  }
+  /// Pods with >= 2 non-empty racks.
+  [[nodiscard]] std::uint32_t multi_rack_pods() const noexcept {
+    return multi_rack_pods_;
+  }
+  /// Sites with >= 2 non-empty pods.
+  [[nodiscard]] std::uint32_t multi_pod_sites() const noexcept {
+    return multi_pod_sites_;
+  }
+
  private:
   friend class DataCenterBuilder;
 
@@ -215,6 +273,16 @@ class DataCenter {
   // that scope_between / path_between read instead of walking the tree.
   std::vector<HostAncestors> ancestors_;
   std::vector<LinkId> uplink_chains_;
+  // Tag registry and structural floors, also derived by build().
+  std::vector<std::string> tag_names_;  ///< sorted; index = bit position
+  bool tag_overflow_ = false;
+  std::vector<std::uint64_t> host_tag_mask_;
+  std::vector<std::uint64_t> rack_tag_mask_;
+  std::vector<std::uint64_t> pod_tag_mask_;
+  std::vector<std::uint64_t> site_tag_mask_;
+  std::uint32_t multi_host_racks_ = 0;
+  std::uint32_t multi_rack_pods_ = 0;
+  std::uint32_t multi_pod_sites_ = 0;
   topo::Resources max_host_capacity_;
   double max_host_uplink_ = 0.0;
   Scope max_scope_ = Scope::kSameHost;

@@ -38,7 +38,6 @@ FragmentationStats compute_fragmentation(const Occupancy& occupancy,
         "compute_fragmentation: reference VM has no positive dimension");
   }
   const DataCenter& dc = occupancy.datacenter();
-  const FeasibilityIndex& index = occupancy.feasibility();
   FragmentationStats stats;
 
   double capacity_cpu = 0.0;
@@ -47,7 +46,7 @@ FragmentationStats compute_fragmentation(const Occupancy& occupancy,
   double free_uplink_stranded = 0.0;
   std::uint64_t total_units = 0;
   for (HostId h = 0; h < dc.host_count(); ++h) {
-    const topo::Resources& free = index.host_free(h);
+    const topo::Resources free = occupancy.available(h);
     capacity_cpu += dc.host(h).capacity.vcpus;
     capacity_mem += dc.host(h).capacity.mem_gb;
     stats.total_free_cpu += free.vcpus;
@@ -56,7 +55,7 @@ FragmentationStats compute_fragmentation(const Occupancy& occupancy,
     total_units += units;
     stats.usable_free_cpu += units * reference_vm.vcpus;
     stats.usable_free_mem += units * reference_vm.mem_gb;
-    const double uplink_free = index.host_uplink_free(h);
+    const double uplink_free = occupancy.link_available_mbps(dc.host_link(h));
     free_uplink_total += uplink_free;
     if (units == 0) free_uplink_stranded += uplink_free;
   }
@@ -68,9 +67,9 @@ FragmentationStats compute_fragmentation(const Occupancy& occupancy,
   stats.active_host_fraction =
       fraction(static_cast<double>(occupancy.active_host_count()),
                static_cast<double>(dc.host_count()));
-  stats.feasible_host_fraction =
-      fraction(static_cast<double>(index.root().feasible_hosts),
-               static_cast<double>(dc.host_count()));
+  stats.feasible_host_fraction = fraction(
+      static_cast<double>(occupancy.feasibility().root().feasible_hosts),
+      static_cast<double>(dc.host_count()));
   stats.unusable_free_cpu_fraction = fraction(
       stats.total_free_cpu - stats.usable_free_cpu, stats.total_free_cpu);
   stats.unusable_free_mem_fraction = fraction(
@@ -89,8 +88,9 @@ FragmentationStats compute_fragmentation(const Occupancy& occupancy,
     double rack_free_cpu = 0.0;
     std::uint64_t rack_units = 0;
     for (const HostId h : rack.hosts) {
-      rack_free_cpu += index.host_free(h).vcpus;
-      rack_units += units_of(index.host_free(h), reference_vm);
+      const topo::Resources free = occupancy.available(h);
+      rack_free_cpu += free.vcpus;
+      rack_units += units_of(free, reference_vm);
     }
     rack_sum += rack_free_cpu;
     rack_sum_sq += rack_free_cpu * rack_free_cpu;

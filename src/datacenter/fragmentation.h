@@ -68,7 +68,7 @@ struct FragmentationStats {
   std::uint32_t total_placeable_vms = 0;
 };
 
-/// Computes the stats in one O(hosts) pass over the feasibility index.
+/// Computes the stats in one O(hosts) pass over the occupancy.
 /// `reference_vm` must be non-negative with at least one positive dimension;
 /// zero dimensions (e.g. disk for the paper's VM classes) are ignored when
 /// counting units.

@@ -11,29 +11,17 @@ Occupancy::Occupancy(const DataCenter& dc)
       host_used_(dc.host_count()),
       link_used_(dc.link_count(), 0.0),
       active_(dc.host_count(), false) {
-  // All-idle: every host's free capacity is its full capacity, every host
-  // uplink is unreserved.  The expressions mirror available() /
-  // link_available_mbps() so incremental updates land on identical values.
-  std::vector<topo::Resources> host_free(dc.host_count());
-  std::vector<double> uplink_free(dc.host_count());
-  for (HostId h = 0; h < dc.host_count(); ++h) {
-    host_free[h] = dc.host(h).capacity - host_used_[h];
-    uplink_free[h] = dc.link_capacity(dc.host_link(h)) - link_used_[dc.host_link(h)];
-  }
-  index_.rebuild(dc, std::move(host_free), std::move(uplink_free));
-  labels_.rebuild(dc, index_);
+  index_.rebuild(*this);
 }
 
-void Occupancy::index_host(HostId h) {
-  const topo::Resources free = dc_->host(h).capacity - host_used_[h];
-  index_.set_host_free(h, free);
-  labels_.on_host_update(h, free);
+void Occupancy::index_host(HostId h, const topo::Resources& old_used) {
+  index_.set_host_free(h, dc_->host(h).capacity - old_used, *this);
 }
 
-void Occupancy::index_link(LinkId link) {
+void Occupancy::index_link(LinkId link, double old_used) {
   if (link < dc_->host_count()) {
     index_.set_host_uplink_free(static_cast<HostId>(link),
-                                dc_->link_capacity(link) - link_used_[link]);
+                                dc_->link_capacity(link) - old_used, *this);
   }
 }
 
@@ -56,7 +44,7 @@ topo::Resources Occupancy::used(HostId h) const {
 
 topo::Resources Occupancy::available(HostId h) const {
   check_host(h);
-  return dc_->host(h).capacity - host_used_[h];
+  return available_unchecked(h);
 }
 
 double Occupancy::link_used_mbps(LinkId link) const {
@@ -82,9 +70,10 @@ void Occupancy::add_host_load(HostId h, const topo::Resources& load) {
     throw std::invalid_argument("Occupancy::add_host_load: host " +
                                 dc_->host(h).name + " over capacity");
   }
+  const topo::Resources old_used = host_used_[h];
   host_used_[h] = next;
   ++version_;
-  index_host(h);
+  index_host(h, old_used);
   if (!active_[h]) {
     active_[h] = true;
     ++active_count_;
@@ -101,10 +90,11 @@ void Occupancy::remove_host_load(HostId h, const topo::Resources& load) {
         "Occupancy::remove_host_load: releasing more than used on " +
         dc_->host(h).name);
   }
+  const topo::Resources old_used = host_used_[h];
   host_used_[h] = {std::max(0.0, next.vcpus), std::max(0.0, next.mem_gb),
                    std::max(0.0, next.disk_gb)};
   ++version_;
-  index_host(h);
+  index_host(h, old_used);
   // Active status is sticky: releasing load does not mark a host idle; the
   // caller decides (a host that hosted a tenant may still hold others not
   // tracked here).
@@ -124,9 +114,10 @@ void Occupancy::reserve_link(LinkId link, double mbps) {
     throw std::invalid_argument("Occupancy::reserve_link: link " +
                                 dc_->link_name(link) + " over capacity");
   }
+  const double old_used = link_used_[link];
   link_used_[link] += mbps;
   ++version_;
-  index_link(link);
+  index_link(link, old_used);
   m_reservations.inc();
   m_mbps.observe(mbps);
 }
@@ -143,9 +134,10 @@ void Occupancy::release_link(LinkId link, double mbps) {
         "Occupancy::release_link: releasing more than reserved on " +
         dc_->link_name(link));
   }
+  const double old_used = link_used_[link];
   link_used_[link] = std::max(0.0, link_used_[link] - mbps);
   ++version_;
-  index_link(link);
+  index_link(link, old_used);
   m_releases.inc();
 }
 

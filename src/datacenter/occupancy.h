@@ -1,7 +1,9 @@
 // Mutable occupancy state of a DataCenter: per-host used resources, per-link
 // reserved bandwidth, and the host active/idle flag the u_c objective term
 // counts (Section II-B-1: hosts "that already contain existing nodes of this
-// or other applications (i.e., they are not idle)").
+// or other applications (i.e., they are not idle)").  These arrays are the
+// one copy of per-host state; the FeasibilityIndex kept beside them holds
+// only per-subtree summaries.
 //
 // Occupancy is a plain value (copyable) so callers can snapshot/restore
 // around tentative placements.  Tentative state is cheaper than a copy:
@@ -15,7 +17,6 @@
 
 #include "datacenter/datacenter.h"
 #include "datacenter/feasibility_index.h"
-#include "datacenter/prune_labels.h"
 #include "topology/resources.h"
 
 namespace ostro::dc {
@@ -32,6 +33,16 @@ class Occupancy {
   // ---- queries ----
   [[nodiscard]] topo::Resources used(HostId h) const;
   [[nodiscard]] topo::Resources available(HostId h) const;
+  /// available(h) and link_available_mbps(host_link(h)) without the id
+  /// checks, for loops over valid host ids: the FeasibilityIndex rebuild
+  /// and its rescans read every host of a subtree through these.  Host h's
+  /// uplink is link h (DataCenter's link layout).
+  [[nodiscard]] topo::Resources available_unchecked(HostId h) const noexcept {
+    return dc_->hosts()[h].capacity - host_used_[h];
+  }
+  [[nodiscard]] double uplink_available_unchecked(HostId h) const noexcept {
+    return dc_->hosts()[h].uplink_mbps - link_used_[h];
+  }
   [[nodiscard]] double link_used_mbps(LinkId link) const;
   [[nodiscard]] double link_available_mbps(LinkId link) const;
   [[nodiscard]] bool is_active(HostId h) const;
@@ -91,18 +102,15 @@ class Occupancy {
   [[nodiscard]] double total_reserved_mbps() const noexcept;
 
   /// Per-subtree feasibility aggregates (max free resources / uplink,
-  /// feasible-host counts), kept in sync with every mutation above in
-  /// O(tree depth).  Candidate generation prunes whole racks/pods/sites
-  /// against these before any per-host constraint check.
+  /// feasible and compute-feasible host counts, separation pair counters),
+  /// kept in sync with every mutation above in O(tree depth).  Candidate
+  /// generation prunes whole racks/pods/sites against these before any
+  /// per-host constraint check, and the admissible-bound tighteners read
+  /// them when SearchConfig::use_prune_labels is set.  The index holds no
+  /// per-host state of its own: calls that need it take this occupancy.
   [[nodiscard]] const FeasibilityIndex& feasibility() const noexcept {
     return index_;
   }
-
-  /// Precomputed pruning labels (separation-feasibility counters, host
-  /// climb labels, tag bitmaps), refreshed next to the feasibility index on
-  /// every host-load mutation.  Consumed by the admissible-bound tighteners
-  /// and the candidate descent when SearchConfig::use_prune_labels is set.
-  [[nodiscard]] const PruneLabels& labels() const noexcept { return labels_; }
 
   /// State equality: same datacenter, loads, reservations and active flags.
   /// The mutation version is deliberately excluded — two occupancies that
@@ -110,18 +118,18 @@ class Occupancy {
   friend bool operator==(const Occupancy& a, const Occupancy& b) noexcept {
     return a.dc_ == b.dc_ && a.host_used_ == b.host_used_ &&
            a.link_used_ == b.link_used_ && a.active_ == b.active_ &&
-           a.active_count_ == b.active_count_ && a.index_ == b.index_ &&
-           a.labels_ == b.labels_;
+           a.active_count_ == b.active_count_ && a.index_ == b.index_;
   }
 
  private:
   void check_host(HostId h) const;
   void check_link(LinkId link) const;
-  /// Pushes host `h`'s current free resources into the index.
-  void index_host(HostId h);
-  /// Pushes the free bandwidth of `link` into the index when it is a
-  /// host uplink (other links carry no per-host aggregate).
-  void index_link(LinkId link);
+  /// Refreshes the index after host `h`'s used resources moved from
+  /// `old_used` to their current value.
+  void index_host(HostId h, const topo::Resources& old_used);
+  /// Same for `link`'s reserved bandwidth when it is a host uplink (other
+  /// links carry no per-host aggregate).
+  void index_link(LinkId link, double old_used);
 
   const DataCenter* dc_;
   std::vector<topo::Resources> host_used_;
@@ -130,7 +138,6 @@ class Occupancy {
   std::size_t active_count_ = 0;
   std::uint64_t version_ = 0;
   FeasibilityIndex index_;
-  PruneLabels labels_;
 };
 
 }  // namespace ostro::dc

@@ -2,7 +2,7 @@
 //
 // ShardLayout cuts the global hierarchy into `shard_count` disjoint host
 // sets and rebuilds each as a self-contained DataCenter, so every shard can
-// own its own Occupancy / FeasibilityIndex / PruneLabels behind its own
+// own its own Occupancy / FeasibilityIndex behind its own
 // writer lock (core::ShardRouter composes one core::PlacementService per
 // shard).  The partitioning invariant that keeps per-shard planning sound:
 //

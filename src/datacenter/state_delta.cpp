@@ -168,14 +168,15 @@ void Occupancy::apply_delta(const OccupancyDelta& delta) {
       link_used_[op.link] += op.mbps;
     }
   }
-  // Refresh the feasibility index once per touched host/link (not per op):
-  // the aggregates are a function of the final free values, so the result
-  // is identical to per-op maintenance on the direct path.
+  // Refresh the feasibility index once per touched host/link (not per op),
+  // from the value each held at staging time to its final one: the
+  // aggregates are a function of the final free values, so the result is
+  // identical to per-op maintenance on the direct path.
   for (const auto& [host, state] : delta.host_state_) {
-    index_host(host);
+    index_host(host, state.initial);
   }
   for (const auto& [link, state] : delta.link_state_) {
-    index_link(link);
+    index_link(link, state.initial);
   }
   // One epoch per flushed batch: snapshot-staleness detection only needs
   // "did anything change", not an op count.

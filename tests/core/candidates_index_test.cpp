@@ -6,6 +6,7 @@
 // full searches must be end-to-end identical with the index on and off.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/astar.h"
 #include "core/candidates.h"
 #include "core/greedy.h"
+#include "datacenter/state_delta.h"
 #include "net/reservation.h"
 #include "helpers.h"
 #include "util/metrics.h"
@@ -175,7 +177,8 @@ TEST(CandidatesIndexTest, RolledBackTransactionLeavesCandidatesPristine) {
     }
     ASSERT_TRUE(threw) << "trial " << trial;
     ASSERT_TRUE(occupancy == pristine) << "trial " << trial;
-    ASSERT_TRUE(occupancy.feasibility().selfcheck()) << "trial " << trial;
+    ASSERT_TRUE(occupancy.feasibility().selfcheck(occupancy))
+        << "trial " << trial;
 
     SearchConfig config;
     const Objective objective(app, datacenter, config);
@@ -189,6 +192,65 @@ TEST(CandidatesIndexTest, RolledBackTransactionLeavesCandidatesPristine) {
     }
     expect_candidates_identical(state, buf, trial);
   }
+}
+
+// The index keeps no pointer back to its Occupancy, so a copy mutated
+// after its source is destroyed must stay exact (ASan catches a dangling
+// read) and prune like a fresh occupancy driven through the same ops.
+TEST(CandidatesIndexTest, CopyMutatedAfterSourceDiesMatchesFreshReplay) {
+  const auto datacenter = deep_dc();
+  const topo::Resources slice{2.0, 4.0, 100.0};
+  // Direct ops in both directions, then one staged batch through
+  // apply_delta.  Every op depends only on the state it runs against.
+  const auto after_copy = [&](dc::Occupancy& occupancy) {
+    std::vector<dc::HostId> loaded;
+    for (dc::HostId h = 0; h < datacenter.host_count(); h += 2) {
+      if (slice.fits_within(occupancy.available(h))) {
+        occupancy.add_host_load(h, slice);
+        loaded.push_back(h);
+      }
+    }
+    const dc::LinkId released = datacenter.host_link(1);
+    occupancy.release_link(released, occupancy.link_used_mbps(released));
+    dc::OccupancyDelta delta(occupancy);
+    for (dc::HostId h = 1; h < datacenter.host_count(); h += 2) {
+      if (slice.fits_within(delta.available(h))) delta.add_host_load(h, slice);
+      const dc::LinkId link = datacenter.host_link(h);
+      delta.reserve_link(link, delta.link_available_mbps(link) / 2.0);
+    }
+    for (const dc::HostId h : loaded) delta.remove_host_load(h, slice);
+    occupancy.apply_delta(delta);
+  };
+
+  util::Rng source_rng(4711);
+  auto source = std::make_unique<dc::Occupancy>(datacenter);
+  randomize_occupancy(*source, source_rng);
+  dc::Occupancy copy = *source;
+  after_copy(copy);
+  source.reset();
+
+  util::Rng fresh_rng(4711);
+  dc::Occupancy fresh(datacenter);
+  randomize_occupancy(fresh, fresh_rng);
+  after_copy(fresh);
+
+  ASSERT_TRUE(copy.feasibility().selfcheck(copy));
+  EXPECT_TRUE(copy == fresh);
+
+  util::Rng app_rng(4712);
+  const auto app = random_app(app_rng, 7);
+  SearchConfig config;
+  const Objective objective(app, datacenter, config);
+  const PartialPlacement on_copy(app, copy, objective, true);
+  const PartialPlacement on_fresh(app, fresh, objective, true);
+  CandidateBuffer copy_buf;
+  CandidateBuffer fresh_buf;
+  for (topo::NodeId node = 0; node < app.node_count(); ++node) {
+    EXPECT_EQ(get_candidates(on_copy, node, copy_buf),
+              get_candidates(on_fresh, node, fresh_buf))
+        << "node " << node;
+  }
+  expect_candidates_identical(on_copy, copy_buf, 0);
 }
 
 TEST(CandidatesIndexTest, GreedyVariantsIdenticalWithAndWithoutIndex) {

@@ -7,9 +7,9 @@
 // the merged records serially in commit_epoch order (members of one
 // migration batch in member order — nothing interleaves inside a batch)
 // on a fresh occupancy must reproduce the live occupancy bit for bit:
-// host loads, link reservations, active flags, FeasibilityIndex, and
-// PruneLabels.  All requirements and bandwidths are integral so releases
-// cancel additions exactly.
+// host loads, link reservations, active flags and the FeasibilityIndex.
+// All requirements and bandwidths are integral so releases cancel
+// additions exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>

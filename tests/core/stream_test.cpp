@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -299,6 +300,24 @@ TEST(StreamTest, NoDeadlineNeverExpires) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(stream.dispatch_once(), 1u);
   EXPECT_EQ(future.get().status, StreamStatus::kCommitted);
+}
+
+TEST(StreamTest, UnrepresentableDeadlineMeansNone) {
+  // steady_clock counts int64 nanoseconds, so a deadline past ~9.2e9 s
+  // from now cannot be represented; it must mean "no deadline" instead of
+  // overflowing into one that has already passed.
+  const auto datacenter = small_dc(1, 1);
+  const SearchConfig config = stream_config();
+  OstroScheduler scheduler(datacenter, config);
+  PlacementService service(scheduler);
+  StreamingService stream(service, config, /*start_dispatchers=*/false);
+  for (const double deadline :
+       {1e10, std::numeric_limits<double>::infinity()}) {
+    auto future = stream.submit(
+        request_for(one_vm("vm", 1.0), StreamPriority::kNormal, deadline));
+    EXPECT_EQ(stream.dispatch_once(), 1u);
+    EXPECT_EQ(future.get().status, StreamStatus::kCommitted) << deadline;
+  }
 }
 
 TEST(StreamTest, HigherPriorityOvertakesQueuedWork) {

@@ -43,6 +43,7 @@ FeasibilityIndex::Aggregate brute_force(const Occupancy& occupancy,
     if (free.vcpus > 0.0 && free.mem_gb > 0.0 && free.disk_gb > 0.0) {
       ++agg.feasible_hosts;
     }
+    if (free.vcpus > 0.0 && free.mem_gb > 0.0) ++agg.compute_feasible_hosts;
   }
   return agg;
 }
@@ -78,7 +79,7 @@ void expect_aggregates_exact(const Occupancy& occupancy) {
         << "site " << site.id;
   }
   EXPECT_EQ(index.root(), brute_force(occupancy, all_hosts));
-  EXPECT_TRUE(index.selfcheck());
+  EXPECT_TRUE(index.selfcheck(occupancy));
 }
 
 TEST(FeasibilityIndexTest, FreshOccupancyAggregatesMatchCapacities) {
@@ -191,7 +192,7 @@ TEST(FeasibilityIndexTest, RandomizedOpSoakStaysExact) {
           }
           break;
       }
-      ASSERT_TRUE(occupancy.feasibility().selfcheck())
+      ASSERT_TRUE(occupancy.feasibility().selfcheck(occupancy))
           << "trial " << trial << " op " << op;
     }
     expect_aggregates_exact(occupancy);
@@ -226,7 +227,8 @@ TEST(FeasibilityIndexTest, ApplyDeltaMatchesDirectMutation) {
     // Occupancy::operator== includes the index, so this checks both the
     // resource state and the aggregates in one shot.
     EXPECT_TRUE(staged == direct) << "trial " << trial;
-    EXPECT_TRUE(staged.feasibility().selfcheck()) << "trial " << trial;
+    EXPECT_TRUE(staged.feasibility().selfcheck(staged))
+        << "trial " << trial;
     expect_aggregates_exact(staged);
   }
 }

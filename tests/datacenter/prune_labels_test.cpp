@@ -1,16 +1,16 @@
-// dc::PruneLabels invariants.  The separation-feasibility counters must
-// equal a from-scratch rebuild after any sequence of Occupancy mutations
-// (direct, via apply_delta batches, and across discarded deltas — the
-// incremental O(depth) refresh is exact), the scope tighteners must
-// escalate exactly when no completion can realize the entry scope, and the
-// tag bitmaps must mirror the per-host tag sets.
-#include "datacenter/prune_labels.h"
-
+// Prune-label invariants (DESIGN.md section 12).  The FeasibilityIndex's
+// separation pair counters must equal a from-scratch rebuild after any
+// sequence of Occupancy mutations (direct, via apply_delta batches, and
+// across discarded deltas — the incremental O(depth) refresh is exact),
+// the scope tighteners must escalate exactly when no completion can
+// realize the entry scope, and the DataCenter's structural floors and tag
+// bitmaps must mirror the tree and the per-host tag sets.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "datacenter/datacenter.h"
+#include "datacenter/feasibility_index.h"
 #include "datacenter/occupancy.h"
 #include "datacenter/state_delta.h"
 #include "helpers.h"
@@ -27,14 +27,14 @@ topo::Resources full_host() { return {8.0, 16.0, 500.0}; }
 TEST(PruneLabelsTest, FreshOccupancyCounters) {
   const auto dc = small_dc(2, 3);  // 1 site, 1 pod, 2 racks x 3 hosts
   const Occupancy occupancy(dc);
-  const PruneLabels& labels = occupancy.labels();
+  const FeasibilityIndex& labels = occupancy.feasibility();
   EXPECT_EQ(labels.racks_with_multi_feasible(), 2u);
   EXPECT_EQ(labels.pods_with_multi_feasible_racks(), 1u);
   EXPECT_EQ(labels.sites_with_multi_feasible_pods(), 0u);  // one pod only
-  EXPECT_EQ(labels.static_multi_host_racks(), 2u);
-  EXPECT_EQ(labels.static_multi_rack_pods(), 1u);
-  EXPECT_EQ(labels.static_multi_pod_sites(), 0u);
-  EXPECT_TRUE(labels.selfcheck(occupancy.feasibility()));
+  EXPECT_EQ(dc.multi_host_racks(), 2u);
+  EXPECT_EQ(dc.multi_rack_pods(), 1u);
+  EXPECT_EQ(dc.multi_pod_sites(), 0u);
+  EXPECT_TRUE(labels.selfcheck(occupancy));
 }
 
 TEST(PruneLabelsTest, StaticFloorsEscalateImpossibleSeparations) {
@@ -43,8 +43,8 @@ TEST(PruneLabelsTest, StaticFloorsEscalateImpossibleSeparations) {
   // push kSameSite to kCrossSite regardless of occupancy or positivity.
   const auto dc = two_site_dc(2, 2);
   const Occupancy occupancy(dc);
-  const PruneLabels& labels = occupancy.labels();
-  EXPECT_EQ(labels.static_multi_pod_sites(), 0u);
+  const FeasibilityIndex& labels = occupancy.feasibility();
+  EXPECT_EQ(dc.multi_pod_sites(), 0u);
   EXPECT_EQ(labels.tighten_separation(Scope::kSameSite, false),
             Scope::kCrossSite);
   EXPECT_EQ(labels.tighten_separation(Scope::kSameSite, true),
@@ -63,7 +63,7 @@ TEST(PruneLabelsTest, StaticFloorsEscalateImpossibleSeparations) {
 TEST(PruneLabelsTest, DynamicLadderChainsAsCapacityDrains) {
   const auto dc = small_dc(2, 2);  // racks {0,1}, {2,3}
   Occupancy occupancy(dc);
-  const PruneLabels& labels = occupancy.labels();
+  const FeasibilityIndex& labels = occupancy.feasibility();
   EXPECT_EQ(labels.tighten_separation(Scope::kSameRack, true),
             Scope::kSameRack);
 
@@ -84,7 +84,7 @@ TEST(PruneLabelsTest, DynamicLadderChainsAsCapacityDrains) {
   EXPECT_EQ(labels.pods_with_multi_feasible_racks(), 0u);
   EXPECT_EQ(labels.tighten_separation(Scope::kSameRack, true),
             Scope::kCrossSite);
-  EXPECT_TRUE(labels.selfcheck(occupancy.feasibility()));
+  EXPECT_TRUE(labels.selfcheck(occupancy));
 
   // Releasing restores the fresh answers exactly.
   occupancy.remove_host_load(0, full_host());
@@ -92,41 +92,41 @@ TEST(PruneLabelsTest, DynamicLadderChainsAsCapacityDrains) {
   occupancy.remove_host_load(3, full_host());
   EXPECT_EQ(labels.tighten_separation(Scope::kSameRack, true),
             Scope::kSameRack);
-  EXPECT_TRUE(labels.selfcheck(occupancy.feasibility()));
+  EXPECT_TRUE(labels.selfcheck(occupancy));
 }
 
 TEST(PruneLabelsTest, TightenToHostClimbsOnFeasibilityAndUplink) {
   const auto dc = small_dc(2, 2);  // rack 0: hosts {0,1}, rack 1: {2,3}
   Occupancy occupancy(dc);
-  const PruneLabels& labels = occupancy.labels();
+  const FeasibilityIndex& labels = occupancy.feasibility();
   const topo::Resources req{1.0, 1.0, 1.0};
 
   // Fresh DC: a same-rack neighbor for host 0 exists (host 1).
   EXPECT_EQ(labels.tighten_to_host(Scope::kSameRack, 0, req, true, 10.0,
-                                   occupancy.feasibility()),
+                                   occupancy),
             Scope::kSameRack);
 
   // Exhaust host 1: rack 0's only feasible host is host 0 itself, so a
   // positive free node separated from it at host level must leave the rack.
   occupancy.add_host_load(1, full_host());
   EXPECT_EQ(labels.tighten_to_host(Scope::kSameRack, 0, req, true, 10.0,
-                                   occupancy.feasibility()),
+                                   occupancy),
             Scope::kSamePod);
   // The pod still offers feasible hosts outside rack 0 (hosts 2, 3).
   EXPECT_EQ(labels.tighten_to_host(Scope::kSamePod, 0, req, true, 10.0,
-                                   occupancy.feasibility()),
+                                   occupancy),
             Scope::kSamePod);
   // Without strictly positive requirements the feasibility argument does
   // not apply (host 1 could still take a zero-requirement node).
   EXPECT_EQ(labels.tighten_to_host(Scope::kSameRack, 0, req, false, 10.0,
-                                   occupancy.feasibility()),
+                                   occupancy),
             Scope::kSameRack);
   occupancy.remove_host_load(1, full_host());
 
   // A pipe wider than every free host uplink (1000 Mbps in helpers.h) can
   // never terminate below the root: the climb runs to cross-site.
   EXPECT_EQ(labels.tighten_to_host(Scope::kSameRack, 0, req, true, 1500.0,
-                                   occupancy.feasibility()),
+                                   occupancy),
             Scope::kCrossSite);
 }
 
@@ -140,31 +140,29 @@ TEST(PruneLabelsTest, TagBitmapsMirrorHostTags) {
   builder.add_host(rack0, "h1", {8.0, 16.0, 500.0}, 1000.0, {"ssd"});
   builder.add_host(rack1, "h2", {8.0, 16.0, 500.0}, 1000.0, {"sriov"});
   const auto dc = builder.build();
-  const Occupancy occupancy(dc);
-  const PruneLabels& labels = occupancy.labels();
-  ASSERT_TRUE(labels.tags_indexable());
+  ASSERT_TRUE(dc.tags_indexable());
 
-  const std::uint64_t gpu = labels.required_tag_mask({"gpu"});
-  const std::uint64_t ssd = labels.required_tag_mask({"ssd"});
-  const std::uint64_t sriov = labels.required_tag_mask({"sriov"});
-  EXPECT_EQ(labels.required_tag_mask({"gpu", "ssd"}), gpu | ssd);
-  EXPECT_EQ(labels.host_tag_mask(0), gpu | ssd);
-  EXPECT_EQ(labels.host_tag_mask(1), ssd);
-  EXPECT_EQ(labels.host_tag_mask(2), sriov);
-  EXPECT_EQ(labels.rack_tag_mask(rack0), gpu | ssd);
-  EXPECT_EQ(labels.rack_tag_mask(rack1), sriov);
-  EXPECT_EQ(labels.pod_tag_mask(pod), gpu | ssd | sriov);
-  EXPECT_EQ(labels.site_tag_mask(site), gpu | ssd | sriov);
+  const std::uint64_t gpu = dc.required_tag_mask({"gpu"});
+  const std::uint64_t ssd = dc.required_tag_mask({"ssd"});
+  const std::uint64_t sriov = dc.required_tag_mask({"sriov"});
+  EXPECT_EQ(dc.required_tag_mask({"gpu", "ssd"}), gpu | ssd);
+  EXPECT_EQ(dc.host_tag_mask(0), gpu | ssd);
+  EXPECT_EQ(dc.host_tag_mask(1), ssd);
+  EXPECT_EQ(dc.host_tag_mask(2), sriov);
+  EXPECT_EQ(dc.rack_tag_mask(rack0), gpu | ssd);
+  EXPECT_EQ(dc.rack_tag_mask(rack1), sriov);
+  EXPECT_EQ(dc.pod_tag_mask(pod), gpu | ssd | sriov);
+  EXPECT_EQ(dc.site_tag_mask(site), gpu | ssd | sriov);
   // rack1's mask cannot cover "ssd": the descent would prune it, exactly
   // matching the per-host tag check that rejects h2.
-  EXPECT_NE(labels.rack_tag_mask(rack1) & ssd, ssd);
+  EXPECT_NE(dc.rack_tag_mask(rack1) & ssd, ssd);
   // A tag no host carries yields the all-ones mask, which nothing covers.
-  EXPECT_EQ(labels.required_tag_mask({"fpga"}), ~0ULL);
+  EXPECT_EQ(dc.required_tag_mask({"fpga"}), ~0ULL);
 }
 
-// The satellite property test: labels rebuilt from scratch equal labels
-// maintained through a randomized soak of direct mutations, apply_delta
-// commits, and discarded (rolled back) deltas.
+// Property test: labels rebuilt from scratch equal labels maintained
+// through a randomized soak of direct mutations, apply_delta commits, and
+// discarded (rolled back) deltas.
 TEST(PruneLabelsTest, RandomizedOpSoakMatchesFreshRebuild) {
   util::Rng rng(20260807);
   for (int trial = 0; trial < 6; ++trial) {
@@ -210,9 +208,9 @@ TEST(PruneLabelsTest, RandomizedOpSoakMatchesFreshRebuild) {
             }
           }
           if (rng.chance(0.5)) {
-            const PruneLabels before = occupancy.labels();
+            const FeasibilityIndex before = occupancy.feasibility();
             delta.clear();  // rollback: nothing may change
-            EXPECT_TRUE(occupancy.labels() == before);
+            EXPECT_TRUE(occupancy.feasibility() == before);
           } else if (!delta.empty()) {
             for (const HostId g : staged) added[g] = added[g] + load;
             occupancy.apply_delta(delta);
@@ -228,14 +226,14 @@ TEST(PruneLabelsTest, RandomizedOpSoakMatchesFreshRebuild) {
           break;
         }
       }
-      ASSERT_TRUE(occupancy.labels().selfcheck(occupancy.feasibility()))
+      ASSERT_TRUE(occupancy.feasibility().selfcheck(occupancy))
           << "trial " << trial << " op " << op;
     }
-    // Final cross-check: an occupancy rebuilt from the same datacenter and
-    // driven to the same state compares equal labels-included.
-    PruneLabels fresh;
-    fresh.rebuild(dc, occupancy.feasibility());
-    EXPECT_TRUE(occupancy.labels() == fresh) << "trial " << trial;
+    // Final cross-check: an index rebuilt from scratch over the same
+    // occupancy equals the incrementally maintained one, labels included.
+    FeasibilityIndex fresh;
+    fresh.rebuild(occupancy);
+    EXPECT_TRUE(occupancy.feasibility() == fresh) << "trial " << trial;
   }
 }
 
@@ -255,10 +253,10 @@ TEST(PruneLabelsTest, ApplyDeltaMatchesDirectMutation) {
     }
   }
   staged.apply_delta(delta);
-  // Occupancy::operator== now includes the labels, so this checks the
-  // counters and bitmaps along with the resource state and the index.
+  // Occupancy::operator== includes the index, so this checks the label
+  // counters along with the resource state and the aggregates.
   EXPECT_TRUE(staged == direct);
-  EXPECT_TRUE(staged.labels().selfcheck(staged.feasibility()));
+  EXPECT_TRUE(staged.feasibility().selfcheck(staged));
 }
 
 }  // namespace

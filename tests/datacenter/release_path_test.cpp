@@ -2,7 +2,7 @@
 // staged releases validate against the overlay, replay with the exact
 // arithmetic of the direct mutators, never touch active flags, and a
 // fill-then-release roundtrip leaves the occupancy (including its
-// FeasibilityIndex and PruneLabels) bit-identical to a fresh one.
+// FeasibilityIndex) bit-identical to a fresh one.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -106,8 +106,7 @@ TEST(ReleasePathTest, MixedAddReleaseReplayIsBitIdentical) {
     staged.apply_delta(delta);
   }
   EXPECT_TRUE(staged == direct);
-  EXPECT_TRUE(staged.feasibility().selfcheck());
-  EXPECT_TRUE(staged.labels().selfcheck(staged.feasibility()));
+  EXPECT_TRUE(staged.feasibility().selfcheck(staged));
 }
 
 TEST(ReleasePathTest, ReleasesDoNotDeactivate) {
@@ -177,7 +176,7 @@ TEST(ReleasePathTest, FloatingPointResidueClampsToZero) {
   occupancy.apply_delta(delta);
   EXPECT_EQ(occupancy.used(0).vcpus, 0.0);
   EXPECT_EQ(occupancy.used(0).mem_gb, 0.0);
-  EXPECT_TRUE(occupancy.feasibility().selfcheck());
+  EXPECT_TRUE(occupancy.feasibility().selfcheck(occupancy));
 }
 
 TEST(ReleasePathTest, RandomizedFillReleaseSoakMatchesFreshRebuild) {
@@ -218,8 +217,7 @@ TEST(ReleasePathTest, RandomizedFillReleaseSoakMatchesFreshRebuild) {
       held.push_back(entry);
     }
     if (step % 50 == 0) {
-      ASSERT_TRUE(occupancy.feasibility().selfcheck());
-      ASSERT_TRUE(occupancy.labels().selfcheck(occupancy.feasibility()));
+      ASSERT_TRUE(occupancy.feasibility().selfcheck(occupancy));
     }
   }
   for (const Held& h : held) {

@@ -1,6 +1,6 @@
 // net::release_placement as the exact inverse of commit_placement: a
 // place-then-release roundtrip leaves the occupancy bit-identical to fresh
-// (FeasibilityIndex and PruneLabels included), double releases throw
+// (FeasibilityIndex included), double releases throw
 // without touching anything, and a randomized place/release soak keeps the
 // incremental un-index equal to a fresh rebuild.
 #include "net/reservation.h"
@@ -33,8 +33,7 @@ TEST(ReleasePlacementTest, RoundtripIsBitIdenticalToFresh) {
   release_placement(occupancy, tiny_app(), assignment);
   EXPECT_TRUE(occupancy == fresh);
   EXPECT_EQ(occupancy.active_host_count(), 0u);
-  EXPECT_TRUE(occupancy.feasibility().selfcheck());
-  EXPECT_TRUE(occupancy.labels().selfcheck(occupancy.feasibility()));
+  EXPECT_TRUE(occupancy.feasibility().selfcheck(occupancy));
 }
 
 TEST(ReleasePlacementTest, DoubleReleaseThrowsAndTouchesNothing) {
@@ -117,8 +116,7 @@ TEST(ReleasePlacementTest, RandomizedPlacementSoakDrainsToFresh) {
       live.push_back({tiny_app(), assignment});
     }
     if (step % 40 == 0) {
-      ASSERT_TRUE(occupancy.feasibility().selfcheck());
-      ASSERT_TRUE(occupancy.labels().selfcheck(occupancy.feasibility()));
+      ASSERT_TRUE(occupancy.feasibility().selfcheck(occupancy));
     }
   }
   while (!live.empty()) {

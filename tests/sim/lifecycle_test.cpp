@@ -1,7 +1,7 @@
 // sim::Lifecycle: bit-exact determinism from one seed, the differential
 // soak (randomized arrival/departure churn, then drain every live stack and
 // compare against a fresh occupancy — proving the incremental release path
-// un-indexes FeasibilityIndex and PruneLabels exactly), and the
+// un-indexes the FeasibilityIndex exactly), and the
 // failure/repair accounting.
 #include "sim/lifecycle.h"
 
@@ -90,8 +90,8 @@ TEST(LifecycleSimTest, SoakThenDrainMatchesFreshRebuild) {
   // The differential soak: after hundreds of interleaved placements,
   // releases, and defrag migrations, draining the survivors through the
   // same release path must land on a bit-identical fresh occupancy —
-  // host loads, link reservations, active flags, FeasibilityIndex, and
-  // PruneLabels all compare.
+  // host loads, link reservations, active flags and the FeasibilityIndex
+  // all compare.
   for (const core::DeployedStack& stack : lifecycle.registry().snapshot()) {
     EXPECT_TRUE(service.release_stack(lifecycle.registry(), stack.id));
   }
