@@ -131,12 +131,14 @@ struct CandidateFixture {
                                      rng);
         }()),
         objective(app, datacenter, config) {
+    dc::OccupancyDelta fill(occupancy);
     for (const dc::Rack& rack : datacenter.racks()) {
       if (rack.id % 20 == 0) continue;  // every 20th rack stays open
       for (const dc::HostId h : rack.hosts) {
-        occupancy.add_host_load(h, occupancy.available(h));
+        fill.add_host_load(h, occupancy.available(h));
       }
     }
+    occupancy.apply_delta(fill);
   }
 
   /// Partial placement with one node down, so the measured node has a
@@ -529,18 +531,20 @@ void write_labels_json(bool smoke) {
   // co-location escalate (root max_free) and the one-feasible-host-per-rack
   // separation ladder correct it to the true cross-rack distance.
   dc::Occupancy full_occupancy(f.datacenter);
+  dc::OccupancyDelta fill(full_occupancy);
   for (const dc::Rack& rack : f.datacenter.racks()) {
     for (std::size_t i = 0; i < rack.hosts.size(); ++i) {
       const dc::HostId h = rack.hosts[i];
+      const topo::Resources free = full_occupancy.available(h);
       if (i == 0 && rack.id % 15 == 0) {
-        const topo::Resources free = full_occupancy.available(h);
-        full_occupancy.add_host_load(
+        fill.add_host_load(
             h, {free.vcpus - 5.0, free.mem_gb - 10.0, free.disk_gb - 300.0});
         continue;
       }
-      full_occupancy.add_host_load(h, full_occupancy.available(h));
+      fill.add_host_load(h, free);
     }
   }
+  full_occupancy.apply_delta(fill);
   util::Rng app_rng(13);
   const topo::AppTopology ba_app = sim::make_multitier(
       smoke ? 10 : 15, sim::RequirementMix::kHeterogeneous, app_rng);
@@ -608,8 +612,13 @@ void write_labels_json(bool smoke) {
   for (int i = 0; i < refresh_ops; ++i) {
     // Alternating add/remove flips host 0's feasibility every other op, so
     // the measured cost covers both the early-out and the cascade path.
-    full_occupancy.add_host_load(open_host, slice);
-    full_occupancy.remove_host_load(open_host, slice);
+    // Each op is a one-op batch, as a single-node commit stages it.
+    dc::OccupancyDelta add(full_occupancy);
+    add.add_host_load(open_host, slice);
+    full_occupancy.apply_delta(add);
+    dc::OccupancyDelta remove(full_occupancy);
+    remove.remove_host_load(open_host, slice);
+    full_occupancy.apply_delta(remove);
   }
   const double refresh_seconds = refresh_timer.elapsed_seconds();
   const std::uint64_t refreshes = m_refreshes.value() - refreshes_before;

@@ -14,9 +14,13 @@
 #      docs document each knob.
 #   4. Every flag bench_lifecycle and bench_shard declare themselves
 #      (beyond the common bench flags) — the README lists them.
+#   5. The reverse of 2: every "| `name` | counter" or "| `name` | summary"
+#      row of the README glossary names a metric registered in src/ or
+#      tools/, so a deleted metric cannot leave a stale row behind.
 #
-# Exits non-zero listing every undocumented token, so a PR adding a config
-# knob or a counter without documenting it fails CI.
+# Exits non-zero listing every undocumented token or stale row, so a PR
+# adding a config knob or a counter without documenting it, or deleting a
+# metric without its row, fails CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,10 +88,26 @@ for name in $metric_names; do
   check "metrics name" "$name"
 done
 
+glossary_names=$(grep -oE '^\| `[a-z_.]+` \| (counter|summary) ' README.md |
+  sed -E 's/^\| `([a-z_.]+)`.*/\1/' | sort -u)
+if [[ -z "$glossary_names" ]]; then
+  echo "extraction failure: no metrics glossary rows found in README.md" >&2
+  exit 1
+fi
+for name in $glossary_names; do
+  if ! grep -qxF -- "$name" <<<"$metric_names"; then
+    echo "STALE glossary row: '$name' (no counter/summary registered in" \
+         "src/ or tools/)" >&2
+    status=1
+  fi
+done
+
 if [[ "$status" -eq 0 ]]; then
   count_fields=$(wc -w <<<"$config_fields")
   count_metrics=$(wc -w <<<"$metric_names")
+  count_rows=$(wc -w <<<"$glossary_names")
   echo "docs consistent: $count_fields SearchConfig fields and" \
-       "$count_metrics metrics names all documented"
+       "$count_metrics metrics names all documented; $count_rows glossary" \
+       "rows all registered"
 fi
 exit "$status"

@@ -28,6 +28,11 @@ constexpr double kEps = 1e-12;
 /// candidate fan can replenish it and no path could ever complete.
 constexpr double kMaxPruneRange = 0.5;
 
+/// The paper's adaptation constant: r grows by
+/// alpha = kAlphaFactor * (T / T_left) under deadline pressure
+/// (Section III-C).
+constexpr double kAlphaFactor = 0.2;
+
 // Open-list backing reservation: sized to max_open_paths but capped so the
 // default 2M-path valve does not blindly reserve ~100 MB per plan.
 constexpr std::size_t kOpenReserveCap = 64 * 1024;
@@ -646,7 +651,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
         prune_range = std::min(
             kMaxPruneRange,
             prune_range +
-                config.alpha_factor * (deadline.budget_seconds() / t_left));
+                kAlphaFactor * (deadline.budget_seconds() / t_left));
       }
       next_check_elapsed = deadline.elapsed_seconds() + t_left / 2.0;
     }

@@ -12,7 +12,7 @@
 // DBA* layers the paper's probabilistic pruning on top: a popped path of
 // progress s = |V*_p| / |V| is discarded with probability P(x > s) for
 // x ~ U[0, r); r starts at SearchConfig::initial_prune_range and grows by
-// alpha = alpha_factor * (T / T_left) whenever the open-queue load estimate
+// alpha = 0.2 * (T / T_left) whenever the open-queue load estimate
 // (the L[i] recurrence of Section III-C) says the search cannot finish
 // within the remaining deadline.  Deeper paths are pruned less, biasing the
 // search depth-first exactly as the paper describes.

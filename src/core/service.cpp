@@ -199,7 +199,9 @@ topo::Resources PlacementService::fail_host(StackRegistry& registry,
   // stale its snapshot, can pass the commit-gate re-validation with a node
   // on this host while it is down.
   const topo::Resources quarantine = occupancy.available(host);
-  occupancy.add_host_load(host, quarantine);
+  dc::OccupancyDelta consume(occupancy);
+  consume.add_host_load(host, quarantine);
+  occupancy.apply_delta(consume);
   if (stacks_killed != nullptr) *stacks_killed = killed;
   if (commit_epoch != nullptr) *commit_epoch = occupancy.version();
   m_failures.inc();
@@ -214,7 +216,9 @@ void PlacementService::repair_host(dc::HostId host,
       util::metrics::counter("service.host_repairs");
   const std::unique_lock<std::shared_mutex> lock(mutex_);
   dc::Occupancy& occupancy = scheduler_->occupancy();
-  occupancy.remove_host_load(host, quarantine);
+  dc::OccupancyDelta restore(occupancy);
+  restore.remove_host_load(host, quarantine);
+  occupancy.apply_delta(restore);
   occupancy.deactivate_if_idle(host);
   if (commit_epoch != nullptr) *commit_epoch = occupancy.version();
   m_repairs.inc();

@@ -1,6 +1,7 @@
 #include "core/shard_router.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,6 +13,12 @@
 namespace ostro::core {
 
 namespace {
+
+/// How many of the best-scoring shards the router tries before falling back
+/// to cross-shard placement.
+constexpr std::uint32_t kRouterMaxShardAttempts = 2;
+/// Replans of the cross-shard path after a two-phase-commit abort.
+constexpr std::uint32_t kRouterMaxCrossRetries = 2;
 
 /// Component-wise max node requirement of a stack: the cheapest sound
 /// filter against a shard's root max_free aggregate.
@@ -40,15 +47,40 @@ const ShardConfig& validated(const ShardConfig& config) {
   return config;
 }
 
+/// Sets each op's link in `used` to step(current value, op), in order; at
+/// the first nullopt restores every link set so far and returns that op
+/// (nullptr when all applied).  Throws std::invalid_argument on a malformed
+/// op before touching anything.
+template <class Step>
+const CrossShardLedger::Op* apply_all_or_nothing(
+    std::vector<double>& used, const std::vector<CrossShardLedger::Op>& ops,
+    Step step) {
+  for (const CrossShardLedger::Op& op : ops) {
+    if (op.link >= used.size() || op.mbps < 0.0) {
+      throw std::invalid_argument("CrossShardLedger: malformed op");
+    }
+  }
+  std::vector<std::pair<dc::LinkId, double>> saved;
+  saved.reserve(ops.size());
+  for (const CrossShardLedger::Op& op : ops) {
+    const std::optional<double> next = step(used[op.link], op);
+    if (!next) {
+      for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+        used[it->first] = it->second;
+      }
+      return &op;
+    }
+    saved.emplace_back(op.link, used[op.link]);
+    used[op.link] = *next;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 void ShardConfig::validate() const {
   if (shards == 0) {
     throw std::invalid_argument("ShardConfig: shards must be >= 1");
-  }
-  if (router_max_shard_attempts == 0) {
-    throw std::invalid_argument(
-        "ShardConfig: router_max_shard_attempts must be >= 1");
   }
 }
 
@@ -64,26 +96,14 @@ bool CrossShardLedger::try_reserve(const std::vector<Op>& ops) {
       util::metrics::counter("shard.ledger_conflicts");
   if (ops.empty()) return true;
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Op& op : ops) {
-    if (op.link >= used_.size() || op.mbps < 0.0) {
-      throw std::invalid_argument("CrossShardLedger: malformed reserve op");
-    }
-  }
-  // Accumulate-and-check per op, exactly like Occupancy::reserve_link, with
-  // the pre-op values saved for an exact restore on conflict.
-  std::vector<std::pair<dc::LinkId, double>> saved;
-  saved.reserve(ops.size());
-  constexpr double kEps = 1e-9;
-  for (const Op& op : ops) {
-    if (used_[op.link] + op.mbps > dc_->link_capacity(op.link) + kEps) {
-      for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-        used_[it->first] = it->second;
-      }
-      m_conflicts.inc();
-      return false;
-    }
-    saved.emplace_back(op.link, used_[op.link]);
-    used_[op.link] += op.mbps;
+  const Op* rejected =
+      apply_all_or_nothing(used_, ops, [this](double used, const Op& op) {
+        return dc::link_after_reserve(used, op.mbps,
+                                      dc_->link_capacity(op.link));
+      });
+  if (rejected != nullptr) {
+    m_conflicts.inc();
+    return false;
   }
   m_reservations.add(ops.size());
   return true;
@@ -94,19 +114,14 @@ void CrossShardLedger::release(const std::vector<Op>& ops) {
       util::metrics::counter("shard.ledger_releases");
   if (ops.empty()) return;
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Op& op : ops) {
-    if (op.link >= used_.size() || op.mbps < 0.0) {
-      throw std::invalid_argument("CrossShardLedger: malformed release op");
-    }
-    if (used_[op.link] - op.mbps < -1e-6) {
-      throw std::invalid_argument(
-          "CrossShardLedger: releasing more than reserved on " +
-          dc_->link_name(op.link));
-    }
-  }
-  // Same clamping arithmetic as Occupancy::release_link.
-  for (const Op& op : ops) {
-    used_[op.link] = std::max(0.0, used_[op.link] - op.mbps);
+  const Op* rejected =
+      apply_all_or_nothing(used_, ops, [](double used, const Op& op) {
+        return dc::link_after_release(used, op.mbps);
+      });
+  if (rejected != nullptr) {
+    throw std::invalid_argument(
+        "CrossShardLedger: releasing more than reserved on " +
+        dc_->link_name(rejected->link));
   }
   m_releases.add(ops.size());
 }
@@ -117,12 +132,14 @@ double CrossShardLedger::used_mbps(dc::LinkId link) const {
 }
 
 void CrossShardLedger::overlay(dc::Occupancy& global_occupancy) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (dc::LinkId link = 0; link < used_.size(); ++link) {
-    if (used_[link] > 0.0) {
-      global_occupancy.reserve_link(link, used_[link]);
+  dc::OccupancyDelta stitch(global_occupancy);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (dc::LinkId link = 0; link < used_.size(); ++link) {
+      if (used_[link] > 0.0) stitch.reserve_link(link, used_[link]);
     }
   }
+  global_occupancy.apply_delta(stitch);
 }
 
 // ------------------------------------------------------------- decompose
@@ -265,7 +282,7 @@ ShardRouter::Result ShardRouter::place(
                 return a.shard < b.shard;
               });
     const std::size_t attempts = std::min<std::size_t>(
-        scored.size(), config_.router_max_shard_attempts);
+        scored.size(), kRouterMaxShardAttempts);
     for (std::size_t i = 0; i < attempts; ++i) {
       candidates.push_back(scored[i].shard);
     }
@@ -316,7 +333,7 @@ ShardRouter::Result ShardRouter::place(
   }
 
   // ---- cross-shard fallback: stitched plan + two-phase commit ----
-  if (shard_count() == 1 || !config_.router_allow_cross_shard) {
+  if (shard_count() == 1) {
     if (candidates.empty()) {
       result.service.placement.feasible = false;
       result.service.placement.failure_reason =
@@ -357,11 +374,11 @@ ShardRouter::Result ShardRouter::place(
     }
     m_cross_aborts.inc();
     ++result.service.conflicts;
-    if (attempt >= config_.router_max_cross_retries) {
+    if (attempt >= kRouterMaxCrossRetries) {
       planned.committed = false;
       planned.failure_reason =
           "cross-shard commit conflict: " +
-          std::to_string(config_.router_max_cross_retries) +
+          std::to_string(kRouterMaxCrossRetries) +
           " replan(s) exhausted";
       result.service.placement = std::move(planned);
       return result;

@@ -8,8 +8,7 @@
 //      the component-wise max free capacity must fit the stack's largest
 //      node; score: feasible-host count, descending, ties to the lowest
 //      shard id) and tries to place the whole stack inside each of the top
-//      ShardConfig::router_max_shard_attempts shards — the common case,
-//      touching exactly one shard lock;
+//      two shards — the common case, touching exactly one shard lock;
 //   2. falls back to *cross-shard* placement when no single shard commits:
 //      plan against a stitched global snapshot (per-shard snapshots overlaid
 //      onto one global Occupancy plus the ledger's shared-uplink usage),
@@ -19,7 +18,7 @@
 //      bandwidth against the live state), reserve the shared wide-area
 //      uplinks through the CrossShardLedger, and either apply every delta
 //      or abort with nothing touched.  An abort replans from a fresh
-//      stitch, up to router_max_cross_retries times.
+//      stitch, up to two times.
 //
 // Global commit order: every commit (single-shard or cross-shard) and every
 // release draws a strictly increasing global epoch under the router's log
@@ -60,14 +59,6 @@ struct ShardConfig {
   /// Number of occupancy shards (1 = monolithic, bit-identical to a plain
   /// PlacementService).  Must not exceed the datacenter's pod count.
   std::uint32_t shards = 1;
-  /// How many of the best-scoring shards to try before falling back to
-  /// cross-shard placement.
-  std::uint32_t router_max_shard_attempts = 2;
-  /// Replans of the cross-shard path after a two-phase-commit abort.
-  std::uint32_t router_max_cross_retries = 2;
-  /// When false, a stack no single shard can hold fails instead of taking
-  /// the cross-shard path.
-  bool router_allow_cross_shard = true;
   /// Records every commit/release in the router's commit log (the serial-
   /// replay correctness harness; unbounded memory — tests/benches only).
   bool router_commit_log = false;
@@ -89,18 +80,19 @@ class CrossShardLedger {
 
   explicit CrossShardLedger(const dc::DataCenter& global);
 
-  /// All-or-nothing: applies every op in order with the same accumulate-
-  /// and-check arithmetic as dc::Occupancy::reserve_link, or restores the
-  /// prior state and returns false when any op would exceed capacity.
+  /// All-or-nothing: applies every op in order with the occupancy's own
+  /// link arithmetic (dc::link_after_reserve), or restores the prior state
+  /// and returns false when any op would exceed capacity.
   [[nodiscard]] bool try_reserve(const std::vector<Op>& ops);
-  /// Releases previously reserved amounts (same clamping as
-  /// Occupancy::release_link).  Throws std::invalid_argument when an op
+  /// Releases previously reserved amounts, all or nothing, with
+  /// dc::link_after_release.  Throws std::invalid_argument when an op
   /// releases more than is reserved — corrupted accounting, never benign.
   void release(const std::vector<Op>& ops);
 
   [[nodiscard]] double used_mbps(dc::LinkId link) const;
-  /// Adds the ledger's usage onto a global-datacenter occupancy (the final
-  /// stitch step of ShardRouter::stitched_snapshot).
+  /// Adds the ledger's usage onto a global-datacenter occupancy in one
+  /// OccupancyDelta batch (the final stitch step of
+  /// ShardRouter::stitched_snapshot).
   void overlay(dc::Occupancy& global_occupancy) const;
 
  private:

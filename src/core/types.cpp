@@ -54,9 +54,6 @@ void SearchConfig::validate() const {
   if (initial_prune_range < 0.0) {
     throw std::invalid_argument("SearchConfig: negative initial_prune_range");
   }
-  if (alpha_factor < 0.0) {
-    throw std::invalid_argument("SearchConfig: negative alpha_factor");
-  }
   if (stream_queue_capacity == 0) {
     throw std::invalid_argument(
         "SearchConfig: stream_queue_capacity must be >= 1");

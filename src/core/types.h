@@ -155,14 +155,12 @@ struct SearchConfig {
   /// BA* keeps every child (it claims optimality).  0 = unlimited.
   std::size_t dba_beam_width = 32;
 
-  /// DBA* initial pruning-range r and adaptation constant (Section III-C;
-  /// alpha_factor is the paper's 0.2 in alpha = 0.2 * (T / T_left)).
-  /// r starts at 0 (no pruning) and grows only under deadline pressure: a
-  /// positive initial r makes P(x > s) = 1 at the shallow frontier, which
-  /// would discard the root before the search learns anything.  r never
-  /// grows past 0.5 (see astar.cpp).
+  /// DBA* initial pruning-range r (Section III-C).  r starts at 0 (no
+  /// pruning) and grows by the paper's alpha = 0.2 * (T / T_left) only
+  /// under deadline pressure: a positive initial r makes P(x > s) = 1 at
+  /// the shallow frontier, which would discard the root before the search
+  /// learns anything.  r never grows past 0.5 (see astar.cpp).
   double initial_prune_range = 0.0;
-  double alpha_factor = 0.2;
 
   void validate() const;  ///< throws std::invalid_argument on bad values
 };

@@ -1,6 +1,11 @@
 #include "datacenter/dc_io.h"
 
+#include <algorithm>
 #include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "datacenter/state_delta.h"
 
 namespace ostro::dc {
 namespace {
@@ -172,37 +177,50 @@ Occupancy occupancy_from_json(const DataCenter& datacenter,
   for (LinkId link = 0; link < datacenter.link_count(); ++link) {
     link_index[datacenter.link_name(link)] = link;
   }
+  // The document lists hosts and links by name; they are staged in id
+  // order so the one batch appends (a name-ordered staging of a large
+  // fleet would insert into the middle every time).
+  OccupancyDelta loads(occupancy);
+  std::vector<HostId> active;
   try {
     if (document.contains("hosts")) {
+      std::vector<std::pair<HostId, topo::Resources>> hosts;
       for (const auto& [name, host_doc] : document.at("hosts").as_object()) {
         const auto host = datacenter.find_host(name);
         if (!host) throw DcIoError("occupancy names unknown host " + name);
         const topo::Resources used{host_doc.number_or("vcpus", 0.0),
                                    host_doc.number_or("mem_gb", 0.0),
                                    host_doc.number_or("disk_gb", 0.0)};
-        if (!used.is_zero()) {
-          occupancy.add_host_load(*host, used);
-        }
+        if (!used.is_zero()) hosts.emplace_back(*host, used);
         if (host_doc.contains("active") &&
             host_doc.at("active").as_bool()) {
-          occupancy.mark_active(*host);
+          active.push_back(*host);
         }
       }
+      std::sort(hosts.begin(), hosts.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (const auto& [host, used] : hosts) loads.add_host_load(host, used);
     }
     if (document.contains("links")) {
+      std::vector<std::pair<LinkId, double>> links;
       for (const auto& [name, used] : document.at("links").as_object()) {
         const auto it = link_index.find(name);
         if (it == link_index.end()) {
           throw DcIoError("occupancy names unknown link " + name);
         }
-        occupancy.reserve_link(it->second, used.as_number());
+        links.emplace_back(it->second, used.as_number());
       }
+      std::sort(links.begin(), links.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (const auto& [link, mbps] : links) loads.reserve_link(link, mbps);
     }
   } catch (const util::JsonError& e) {
     throw DcIoError(std::string("malformed occupancy document: ") + e.what());
   } catch (const std::invalid_argument& e) {
     throw DcIoError(std::string("invalid occupancy document: ") + e.what());
   }
+  occupancy.apply_delta(loads);
+  for (const HostId host : active) occupancy.mark_active(host);
   return occupancy;
 }
 

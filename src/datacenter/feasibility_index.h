@@ -1,6 +1,6 @@
 // Hierarchical feasibility index: the one per-subtree summary of an
-// Occupancy, maintained incrementally by its mutators (DESIGN.md sections 7
-// and 12).
+// Occupancy, maintained incrementally by Occupancy::apply_delta (DESIGN.md
+// sections 7 and 12).
 //
 // For every unit of the data-center tree (rack, pod, site, and the root)
 // the index keeps
@@ -94,7 +94,7 @@ class FeasibilityIndex {
   /// Its DataCenter must outlive the index.
   void rebuild(const Occupancy& occupancy);
 
-  // ---- incremental updates (called by Occupancy's mutators) ----
+  // ---- incremental updates (called by Occupancy::apply_delta) ----
   /// Host `h`'s free resources moved from `old_free` to
   /// `occupancy.available(h)`: refreshes both host counts, the pair
   /// counters and the maxima along its ancestor chain in one walk.

@@ -6,10 +6,11 @@
 // only per-subtree summaries.
 //
 // Occupancy is a plain value (copyable) so callers can snapshot/restore
-// around tentative placements.  Tentative state is cheaper than a copy:
-// search paths layer core/partial.h (PartialPlacement) on top of a const
-// Occupancy base, and reservations stage through an OccupancyDelta overlay
-// (datacenter/state_delta.h) that apply_delta() flushes in one batch.
+// around tentative placements.  Loads and bandwidth change only through
+// apply_delta(): every writer stages its batch in an OccupancyDelta
+// (datacenter/state_delta.h), which holds the one copy of the capacity
+// checks and release clamping.  Search paths layer core/partial.h
+// (PartialPlacement) on top of a const Occupancy base instead.
 #pragma once
 
 #include <cstdint>
@@ -51,63 +52,49 @@ class Occupancy {
     return active_count_;
   }
 
-  /// Monotonic mutation epoch: incremented by every state change (host
-  /// loads, link reservations, active flags; apply_delta counts as one
-  /// epoch per batch).  Two reads returning the same version bracket a
-  /// window with no interleaved mutation, which is what the optimistic
-  /// plan-against-a-snapshot / validate-and-commit protocol of
-  /// core::PlacementService relies on to detect stale snapshots.  The
-  /// version is bookkeeping, not state: copies inherit it, equality
-  /// ignores it.
+  /// Monotonic mutation epoch: incremented by every state change (one per
+  /// non-empty apply_delta batch, one per active-flag change).  Two reads
+  /// returning the same version bracket a window with no interleaved
+  /// mutation, which is what the optimistic plan-against-a-snapshot /
+  /// validate-and-commit protocol of core::PlacementService relies on to
+  /// detect stale snapshots.  The version is bookkeeping, not state: copies
+  /// inherit it, equality ignores it.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   // ---- mutations ----
-  /// Consumes `load` on host `h` and marks it active.
-  /// Throws std::invalid_argument when the host lacks capacity.
-  void add_host_load(HostId h, const topo::Resources& load);
-  /// Releases load previously added; throws when releasing more than used.
-  void remove_host_load(HostId h, const topo::Resources& load);
-
-  /// Reserves bandwidth on one link; throws when capacity would be exceeded.
-  void reserve_link(LinkId link, double mbps);
-  void release_link(LinkId link, double mbps);
+  /// The one writer of loads and bandwidth: writes every host and link
+  /// value staged in `delta` (staged against *this* occupancy), marks each
+  /// host that received load active, and bumps the version once.  Releases
+  /// leave active flags alone.  Throws std::logic_error when the delta was
+  /// staged against another occupancy or the base state changed since
+  /// staging; this occupancy is untouched in that case.  Defined in
+  /// state_delta.cpp.
+  void apply_delta(const OccupancyDelta& delta);
 
   /// Marks a host active without adding load (e.g. pre-existing tenants that
   /// are modeled only as background load).
   void mark_active(HostId h);
 
-  /// Forces the active flag (dc::ShardLayout::overlay copies each shard
-  /// host's exact flag onto the stitched global occupancy).  Clearing does
-  /// not touch the host's load.
-  void set_active(HostId h, bool active);
-
   /// Deactivates `h` iff it is active and carries zero tracked load, and
   /// returns whether it did.  This is the release-path counterpart of the
-  /// sticky activation in add_host_load: departures and migrations call it
+  /// sticky activation in apply_delta: departures and migrations call it
   /// per vacated host so the u_c objective (count of non-idle hosts) stops
   /// charging for hosts that emptied out.  Callers that model untracked
   /// background tenants via mark_active must NOT call this — zero tracked
   /// load does not mean idle for them.
   bool deactivate_if_idle(HostId h);
 
-  /// Flushes a delta staged against *this* occupancy in one batch, replaying
-  /// its op log in staging order with the exact arithmetic of the direct
-  /// mutations (bit-identical result).  Throws std::logic_error when the
-  /// delta was staged against another occupancy or the base state changed
-  /// since staging; this occupancy is untouched in that case.  Defined in
-  /// state_delta.cpp.
-  void apply_delta(const OccupancyDelta& delta);
-
   /// Total bandwidth reserved across all links (the u_bw measure).
   [[nodiscard]] double total_reserved_mbps() const noexcept;
 
   /// Per-subtree feasibility aggregates (max free resources / uplink,
   /// feasible and compute-feasible host counts, separation pair counters),
-  /// kept in sync with every mutation above in O(tree depth).  Candidate
-  /// generation prunes whole racks/pods/sites against these before any
-  /// per-host constraint check, and the admissible-bound tighteners read
-  /// them when SearchConfig::use_prune_labels is set.  The index holds no
-  /// per-host state of its own: calls that need it take this occupancy.
+  /// kept in sync by apply_delta in O(tree depth) per touched host or link.
+  /// Candidate generation prunes whole racks/pods/sites against these
+  /// before any per-host constraint check, and the admissible-bound
+  /// tighteners read them when SearchConfig::use_prune_labels is set.  The
+  /// index holds no per-host state of its own: calls that need it take this
+  /// occupancy.
   [[nodiscard]] const FeasibilityIndex& feasibility() const noexcept {
     return index_;
   }

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "datacenter/state_delta.h"
+
 namespace ostro::dc {
 
 namespace {
@@ -224,21 +226,27 @@ void ShardLayout::overlay(Occupancy& global_occupancy, std::uint32_t shard,
     throw std::invalid_argument(
         "ShardLayout::overlay: target is not the global datacenter");
   }
+  // Local ids map to ascending global ids, so the batch appends.
+  OccupancyDelta stitch(global_occupancy);
   for (HostId local = 0; local < sh.dc.host_count(); ++local) {
-    const HostId g = sh.local_to_global_host[local];
     const topo::Resources used = shard_occupancy.used(local);
     if (!used.is_zero()) {
-      global_occupancy.add_host_load(g, used);
+      stitch.add_host_load(sh.local_to_global_host[local], used);
     }
-    // add_host_load marks hosts active; copy the shard's exact flag so
-    // zero-load-but-active hosts (and inactive loaded hosts, which cannot
-    // occur today) stitch faithfully.
-    global_occupancy.set_active(g, shard_occupancy.is_active(local));
   }
   for (LinkId local = 0; local < sh.dc.link_count(); ++local) {
     const double used = shard_occupancy.link_used_mbps(local);
     if (used > 0.0) {
-      global_occupancy.reserve_link(sh.local_to_global_link[local], used);
+      stitch.reserve_link(sh.local_to_global_link[local], used);
+    }
+  }
+  global_occupancy.apply_delta(stitch);
+  // apply_delta activated every loaded host, and a loaded host is always
+  // active, so marking the shard's active hosts copies its flags exactly
+  // (zero-load active hosts included).
+  for (HostId local = 0; local < sh.dc.host_count(); ++local) {
+    if (shard_occupancy.is_active(local)) {
+      global_occupancy.mark_active(sh.local_to_global_host[local]);
     }
   }
 }

@@ -113,10 +113,10 @@ class ShardLayout {
 
   /// Adds one shard's occupancy (host loads, link reservations, active
   /// flags) onto an occupancy of the GLOBAL DataCenter — the stitch step of
-  /// a cross-shard snapshot.  Each touched host/link receives exactly one
-  /// op carrying the shard's stored value, so the stitched state is
-  /// bit-identical to a monolithic occupancy that performed the same
-  /// logical mutations.  `shard_occupancy` must belong to
+  /// a cross-shard snapshot.  One OccupancyDelta batch stages exactly one op
+  /// per touched host/link, carrying the shard's stored value, so the
+  /// stitched state is bit-identical to a monolithic occupancy that
+  /// performed the same logical mutations.  `shard_occupancy` must belong to
   /// shard_datacenter(shard); split-site local uplinks always carry zero
   /// (the invariant above), so shared links are never double-counted.
   void overlay(Occupancy& global_occupancy, std::uint32_t shard,

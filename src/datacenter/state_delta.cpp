@@ -2,113 +2,151 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/metrics.h"
 
 namespace ostro::dc {
+namespace {
+
+/// Slack of a link reservation's capacity check (hosts use
+/// Resources::fits_within's equal slack).
+constexpr double kReserveSlack = 1e-9;
+/// How far below zero a release may leave a value (floating-point
+/// accumulation error) before it counts as releasing more than held.
+constexpr double kReleaseTolerance = 1e-6;
+
+/// A released value, or nullopt when it is below zero by more than the
+/// tolerance.  A value within the tolerance of zero is exactly 0, so
+/// releasing what was reserved never leaves a residue (0.1 + 0.2 - 0.1 -
+/// 0.2 would otherwise keep 2.8e-17 and the host would never read idle).
+[[nodiscard]] std::optional<double> released(double next) noexcept {
+  if (next < -kReleaseTolerance) return std::nullopt;
+  return next <= kReleaseTolerance ? 0.0 : next;
+}
+
+/// Position of `id` in an id-sorted entry table, or where it would go.
+/// Checks the back first so ascending bulk staging appends in O(1).
+template <class Entries, class Id>
+[[nodiscard]] auto slot_of(Entries& entries, Id id) {
+  if (entries.empty() || entries.back().id < id) return entries.end();
+  return std::lower_bound(
+      entries.begin(), entries.end(), id,
+      [](const auto& entry, Id value) { return entry.id < value; });
+}
+
+}  // namespace
+
+std::optional<double> link_after_reserve(double used, double mbps,
+                                         double capacity) noexcept {
+  if (used + mbps > capacity + kReserveSlack) return std::nullopt;
+  return used + mbps;
+}
+
+std::optional<double> link_after_release(double used, double mbps) noexcept {
+  return released(used - mbps);
+}
 
 topo::Resources OccupancyDelta::available(HostId h) const {
-  const auto it = host_state_.find(h);
-  if (it == host_state_.end()) return base_->available(h);
-  return base_->datacenter().host(h).capacity - it->second.effective;
+  const auto it = slot_of(hosts_, h);
+  if (it == hosts_.end() || it->id != h) return base_->available(h);
+  return base_->datacenter().host(h).capacity - it->staged;
 }
 
 double OccupancyDelta::link_available_mbps(LinkId link) const {
-  const auto it = link_state_.find(link);
-  if (it == link_state_.end()) return base_->link_available_mbps(link);
-  return base_->datacenter().link_capacity(link) - it->second.effective;
+  const auto it = slot_of(links_, link);
+  if (it == links_.end() || it->id != link) {
+    return base_->link_available_mbps(link);
+  }
+  return base_->datacenter().link_capacity(link) - it->staged;
 }
 
 void OccupancyDelta::add_host_load(HostId h, const topo::Resources& load) {
-  topo::require_nonnegative(load, "OccupancyDelta::add_host_load");
-  auto [it, inserted] = host_state_.try_emplace(h);
-  if (inserted) {
-    it->second.initial = base_->used(h);  // validates h
-    it->second.effective = it->second.initial;
-  }
-  // Same running-value arithmetic and check as Occupancy::add_host_load, so
-  // staged acceptance matches what a direct application would decide.
-  const topo::Resources next = it->second.effective + load;
-  if (!next.fits_within(base_->datacenter().host(h).capacity)) {
-    if (inserted) host_state_.erase(it);
-    throw std::invalid_argument("OccupancyDelta::add_host_load: host " +
-                                base_->datacenter().host(h).name +
-                                " over capacity");
-  }
-  it->second.effective = next;
-  host_ops_.push_back({h, load, false});
-}
-
-void OccupancyDelta::reserve_link(LinkId link, double mbps) {
-  if (mbps < 0.0) {
-    throw std::invalid_argument("OccupancyDelta::reserve_link: negative amount");
-  }
-  auto [it, inserted] = link_state_.try_emplace(link);
-  if (inserted) {
-    it->second.initial = base_->link_used_mbps(link);  // validates link
-    it->second.effective = it->second.initial;
-  }
-  constexpr double kEps = 1e-9;
-  if (it->second.effective + mbps >
-      base_->datacenter().link_capacity(link) + kEps) {
-    if (inserted) link_state_.erase(it);
-    throw std::invalid_argument("OccupancyDelta::reserve_link: link " +
-                                base_->datacenter().link_name(link) +
-                                " over capacity");
-  }
-  it->second.effective += mbps;
-  link_ops_.push_back({link, mbps, false});
+  stage_host(h, load, false);
 }
 
 void OccupancyDelta::remove_host_load(HostId h, const topo::Resources& load) {
-  topo::require_nonnegative(load, "OccupancyDelta::remove_host_load");
-  auto [it, inserted] = host_state_.try_emplace(h);
-  if (inserted) {
-    it->second.initial = base_->used(h);  // validates h
-    it->second.effective = it->second.initial;
-  }
-  // Same running-value arithmetic, epsilon and clamping as
-  // Occupancy::remove_host_load, so staged acceptance (and the replayed
-  // result) matches a direct application bit for bit.
-  const topo::Resources next = it->second.effective - load;
-  constexpr double kEps = -1e-6;
-  if (next.vcpus < kEps || next.mem_gb < kEps || next.disk_gb < kEps) {
-    if (inserted) host_state_.erase(it);
-    throw std::invalid_argument(
-        "OccupancyDelta::remove_host_load: releasing more than used on " +
-        base_->datacenter().host(h).name);
-  }
-  it->second.effective = {std::max(0.0, next.vcpus),
-                          std::max(0.0, next.mem_gb),
-                          std::max(0.0, next.disk_gb)};
-  host_ops_.push_back({h, load, true});
+  stage_host(h, load, true);
+}
+
+void OccupancyDelta::reserve_link(LinkId link, double mbps) {
+  stage_link(link, mbps, false);
 }
 
 void OccupancyDelta::release_link(LinkId link, double mbps) {
+  stage_link(link, mbps, true);
+}
+
+void OccupancyDelta::stage_host(HostId h, const topo::Resources& load,
+                                bool release) {
+  topo::require_nonnegative(load, release ? "OccupancyDelta::remove_host_load"
+                                          : "OccupancyDelta::add_host_load");
+  const auto it = slot_of(hosts_, h);
+  const bool touched = it != hosts_.end() && it->id == h;
+  const topo::Resources used = touched ? it->staged : base_->used(h);
+  const Host& host = base_->datacenter().host(h);
+  topo::Resources next;
+  if (release) {
+    const topo::Resources diff = used - load;
+    const auto vcpus = released(diff.vcpus);
+    const auto mem_gb = released(diff.mem_gb);
+    const auto disk_gb = released(diff.disk_gb);
+    if (!vcpus || !mem_gb || !disk_gb) {
+      throw std::invalid_argument(
+          "OccupancyDelta::remove_host_load: releasing more than used on " +
+          host.name);
+    }
+    next = {*vcpus, *mem_gb, *disk_gb};
+  } else {
+    next = used + load;
+    if (!next.fits_within(host.capacity)) {
+      throw std::invalid_argument("OccupancyDelta::add_host_load: host " +
+                                  host.name + " over capacity");
+    }
+  }
+  if (touched) {
+    it->staged = next;
+    it->loaded = it->loaded || !release;
+  } else {
+    hosts_.insert(it, {h, !release, used, next});
+  }
+  ++host_ops_;
+}
+
+void OccupancyDelta::stage_link(LinkId link, double mbps, bool release) {
   if (mbps < 0.0) {
     throw std::invalid_argument(
-        "OccupancyDelta::release_link: negative amount");
+        release ? "OccupancyDelta::release_link: negative amount"
+                : "OccupancyDelta::reserve_link: negative amount");
   }
-  auto [it, inserted] = link_state_.try_emplace(link);
-  if (inserted) {
-    it->second.initial = base_->link_used_mbps(link);  // validates link
-    it->second.effective = it->second.initial;
-  }
-  if (it->second.effective - mbps < -1e-6) {
-    if (inserted) link_state_.erase(it);
+  const auto it = slot_of(links_, link);
+  const bool touched = it != links_.end() && it->id == link;
+  const double used = touched ? it->staged : base_->link_used_mbps(link);
+  const std::optional<double> next =
+      release ? link_after_release(used, mbps)
+              : link_after_reserve(used, mbps,
+                                   base_->datacenter().link_capacity(link));
+  if (!next) {
+    const std::string name = base_->datacenter().link_name(link);
     throw std::invalid_argument(
-        "OccupancyDelta::release_link: releasing more than reserved on " +
-        base_->datacenter().link_name(link));
+        release ? "OccupancyDelta::release_link: releasing more than "
+                  "reserved on " + name
+                : "OccupancyDelta::reserve_link: link " + name +
+                      " over capacity");
   }
-  it->second.effective = std::max(0.0, it->second.effective - mbps);
-  link_ops_.push_back({link, mbps, true});
+  if (touched) {
+    it->staged = *next;
+  } else {
+    links_.insert(it, {link, used, *next});
+  }
+  ++link_ops_;
 }
 
 void OccupancyDelta::clear() noexcept {
-  host_state_.clear();
-  link_state_.clear();
-  host_ops_.clear();
-  link_ops_.clear();
+  hosts_.clear();
+  links_.clear();
+  host_ops_ = 0;
+  link_ops_ = 0;
 }
 
 void Occupancy::apply_delta(const OccupancyDelta& delta) {
@@ -123,66 +161,43 @@ void Occupancy::apply_delta(const OccupancyDelta& delta) {
         "Occupancy::apply_delta: delta was staged against another occupancy");
   }
   // Reject a stale delta before touching anything: every snapshot taken at
-  // first touch must still match, or the staged running values (and their
-  // capacity checks) no longer describe this state.  With an up-to-date
-  // delta the staged `effective` values already passed the same capacity
-  // checks a direct application would run, so the replay below cannot
-  // overflow.
-  for (const auto& [host, state] : delta.host_state_) {
-    if (!(host_used_[host] == state.initial)) {
+  // first touch must still match, or the staged values (and the checks
+  // that accepted them) no longer describe this state.
+  for (const auto& entry : delta.hosts_) {
+    if (!(host_used_[entry.id] == entry.initial)) {
       m_stale.inc();
       throw std::logic_error(
           "Occupancy::apply_delta: base host state changed since staging");
     }
   }
-  for (const auto& [link, state] : delta.link_state_) {
-    if (link_used_[link] != state.initial) {
+  for (const auto& entry : delta.links_) {
+    if (link_used_[entry.id] != entry.initial) {
       m_stale.inc();
       throw std::logic_error(
           "Occupancy::apply_delta: base link state changed since staging");
     }
   }
-  // Replay the op log in staging order with the exact arithmetic of
-  // add_host_load / reserve_link / remove_host_load / release_link, so the
-  // result is bit-identical to a direct op-by-op application.  Releases do
-  // not touch active flags, matching Occupancy::remove_host_load (the
-  // caller decides when an emptied host goes dark — deactivate_if_idle).
-  for (const auto& op : delta.host_ops_) {
-    if (op.release) {
-      const topo::Resources next = host_used_[op.host] - op.load;
-      host_used_[op.host] = {std::max(0.0, next.vcpus),
-                             std::max(0.0, next.mem_gb),
-                             std::max(0.0, next.disk_gb)};
-    } else {
-      host_used_[op.host] = host_used_[op.host] + op.load;
-      if (!active_[op.host]) {
-        active_[op.host] = true;
-        ++active_count_;
-      }
+  // Write each touched entry's staged value and refresh the feasibility
+  // index once per entry, from its value at staging time: the aggregates
+  // are a function of the final free values alone.  A host that received
+  // load becomes active; releases leave flags alone.
+  for (const auto& entry : delta.hosts_) {
+    host_used_[entry.id] = entry.staged;
+    if (entry.loaded && !active_[entry.id]) {
+      active_[entry.id] = true;
+      ++active_count_;
     }
+    index_host(entry.id, entry.initial);
   }
-  for (const auto& op : delta.link_ops_) {
-    if (op.release) {
-      link_used_[op.link] = std::max(0.0, link_used_[op.link] - op.mbps);
-    } else {
-      link_used_[op.link] += op.mbps;
-    }
-  }
-  // Refresh the feasibility index once per touched host/link (not per op),
-  // from the value each held at staging time to its final one: the
-  // aggregates are a function of the final free values, so the result is
-  // identical to per-op maintenance on the direct path.
-  for (const auto& [host, state] : delta.host_state_) {
-    index_host(host, state.initial);
-  }
-  for (const auto& [link, state] : delta.link_state_) {
-    index_link(link, state.initial);
+  for (const auto& entry : delta.links_) {
+    link_used_[entry.id] = entry.staged;
+    index_link(entry.id, entry.initial);
   }
   // One epoch per flushed batch: snapshot-staleness detection only needs
   // "did anything change", not an op count.
-  if (!delta.host_ops_.empty() || !delta.link_ops_.empty()) ++version_;
+  if (!delta.empty()) ++version_;
   m_commits.inc();
-  m_link_ops.add(delta.link_ops_.size());
+  m_link_ops.add(delta.link_ops_);
 }
 
 }  // namespace ostro::dc

@@ -1,34 +1,47 @@
-// Copy-on-write occupancy overlay for tentative reservations and releases.
+// Staged occupancy writes: the one way host loads and link bandwidth change.
 //
-// OccupancyDelta stages the mutations of a placement (host loads, link
-// bandwidth) on top of a const Occupancy base without touching it: every
-// staged op is validated against base-plus-delta exactly the way Occupancy
-// validates a direct mutation, and the op sequence is recorded in order.
-// Occupancy::apply_delta then flushes the whole delta in one batch, replaying
-// the recorded ops with the same arithmetic a direct op-by-op application
-// would have performed, so the resulting Occupancy is bit-identical to
-// applying the ops one by one (see the differential tests).  A staging that
-// turns out infeasible never touches the base at all.
+// OccupancyDelta stages the mutations of a batch (host loads, link
+// bandwidth, in either direction) on top of a const Occupancy base without
+// touching it.  Every staged op is checked against base-plus-delta —
+// capacity for a reservation, never below zero for a release — and moves
+// the staged value of the host or link it touches.  Occupancy::apply_delta
+// then writes each touched entry's staged value in one batch; it is the
+// only writer of an Occupancy's loads and bandwidth, so the check-and-clamp
+// arithmetic below exists once (core::CrossShardLedger runs its shared
+// uplinks through link_after_reserve and link_after_release).  A staging
+// that turns out infeasible never touches the base at all.  A staged value
+// comes from the same ops in the same order whether they arrive in one
+// batch or one delta each, so batching never changes the result.
 //
-// The delta stages both directions — remove_host_load / release_link mirror
-// Occupancy's release mutators with the same validation and clamping
-// arithmetic — so a whole departure or a migration (release old host + old
-// paths, add new host + new paths) flushes as one atomic batch.
-// net::stage_ops and net::stage_move (src/net/reservation.h) are the staging
-// routines every commit, release and migration goes through.
+// net::stage_ops and net::stage_move (src/net/reservation.h) are the
+// staging routines every commit, release and migration goes through; set-up
+// paths (preloads, occupancy files, quarantine, shard stitching) stage
+// their own batch.
 //
 // The delta snapshots base values on first touch; the base must not be
 // mutated between staging and apply_delta (apply_delta verifies the
-// snapshots and rejects a stale delta).
+// snapshots and rejects a stale delta).  Touched entries live in id-sorted
+// vectors: a bulk stager that feeds ids in ascending order appends in O(1).
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "datacenter/occupancy.h"
 
 namespace ostro::dc {
+
+/// Reserved bandwidth of a link holding `used` of `capacity` Mbps after
+/// reserving `mbps` more, or nullopt when that exceeds the capacity by more
+/// than 1e-9.
+[[nodiscard]] std::optional<double> link_after_reserve(
+    double used, double mbps, double capacity) noexcept;
+/// Reserved bandwidth after releasing `mbps` of `used`, or nullopt when the
+/// release exceeds `used` by more than the 1e-6 over-release tolerance.  A
+/// result within that tolerance of zero is exactly 0.
+[[nodiscard]] std::optional<double> link_after_release(double used,
+                                                       double mbps) noexcept;
 
 class OccupancyDelta {
  public:
@@ -46,64 +59,62 @@ class OccupancyDelta {
 
   // ---- staged mutations ----
   /// Stages `load` on host `h`; throws std::invalid_argument when the host
-  /// would exceed capacity (same check as Occupancy::add_host_load, against
-  /// the staged running value).  The base is never touched.
+  /// would exceed capacity (1e-9 slack per component).  apply_delta marks
+  /// every host that received load active.
   void add_host_load(HostId h, const topo::Resources& load);
   /// Stages a bandwidth reservation; throws std::invalid_argument when the
-  /// link would exceed capacity (same check and epsilon as
-  /// Occupancy::reserve_link).
+  /// link would exceed capacity (link_after_reserve).
   void reserve_link(LinkId link, double mbps);
 
   /// Stages a load release on host `h`; throws std::invalid_argument when
-  /// more than the staged running value would be released (same check,
-  /// epsilon and clamping as Occupancy::remove_host_load).
+  /// a component would drop below zero by more than 1e-6.  A component left
+  /// within 1e-6 of zero becomes exactly 0, so releasing everything a host
+  /// received leaves it at zero load.  Active flags are untouched: the
+  /// caller decides when an emptied host goes dark (deactivate_if_idle).
   void remove_host_load(HostId h, const topo::Resources& load);
-  /// Stages a bandwidth release; same check and clamping as
-  /// Occupancy::release_link.
+  /// Stages a bandwidth release (link_after_release); throws
+  /// std::invalid_argument when more than is reserved would be released.
   void release_link(LinkId link, double mbps);
 
   /// Discards everything staged; the delta is reusable.
   void clear() noexcept;
   [[nodiscard]] bool empty() const noexcept {
-    return host_ops_.empty() && link_ops_.empty();
+    return hosts_.empty() && links_.empty();
   }
+  /// Host and link ops staged so far (failed ones excluded).
   [[nodiscard]] std::size_t host_op_count() const noexcept {
-    return host_ops_.size();
+    return host_ops_;
   }
   [[nodiscard]] std::size_t link_op_count() const noexcept {
-    return link_ops_.size();
+    return link_ops_;
   }
 
  private:
-  friend class Occupancy;  // apply_delta replays the op log
+  friend class Occupancy;  // apply_delta writes the staged values
 
-  /// Running effective value of one touched host/link: the value the base
-  /// field would hold after the staged ops.  `initial` is the base value at
-  /// first touch; apply_delta checks it to reject stale deltas.
-  struct HostState {
+  /// One touched host or link.  `initial` is the base value at first touch
+  /// (apply_delta checks it to reject stale deltas); `staged` the value
+  /// after the ops staged so far.
+  struct HostEntry {
+    HostId id = 0;
+    bool loaded = false;  ///< received load in this batch
     topo::Resources initial;
-    topo::Resources effective;
+    topo::Resources staged;
   };
-  struct LinkState {
+  struct LinkEntry {
+    LinkId id = 0;
     double initial = 0.0;
-    double effective = 0.0;
+    double staged = 0.0;
   };
-  struct HostOp {
-    HostId host;
-    topo::Resources load;
-    bool release = false;  ///< remove_host_load instead of add_host_load
-  };
-  struct LinkOp {
-    LinkId link;
-    double mbps;
-    bool release = false;  ///< release_link instead of reserve_link
-  };
+
+  void stage_host(HostId h, const topo::Resources& load, bool release);
+  void stage_link(LinkId link, double mbps, bool release);
 
   const Occupancy* base_;
-  std::unordered_map<HostId, HostState> host_state_;
-  std::unordered_map<LinkId, LinkState> link_state_;
-  std::vector<HostOp> host_ops_;
-  std::vector<LinkOp> link_ops_;
+  std::vector<HostEntry> hosts_;  ///< ascending id
+  std::vector<LinkEntry> links_;  ///< ascending id
+  std::size_t host_ops_ = 0;
+  std::size_t link_ops_ = 0;
 };
 
 }  // namespace ostro::dc

@@ -41,10 +41,10 @@ struct StackOps {
 
 enum class OpDirection : std::uint8_t { kReserve, kRelease };
 
-/// Stages every op of `ops` into `delta`, host loads first, each with the
-/// check of the matching Occupancy mutator (capacity for kReserve, never
-/// below zero for kRelease).  Throws std::invalid_argument at the first op
-/// that fails; `delta` then holds part of the ops and must be discarded.
+/// Stages every op of `ops` into `delta`, host loads first, each with
+/// OccupancyDelta's check (capacity for kReserve, never below zero for
+/// kRelease).  Throws std::invalid_argument at the first op that fails;
+/// `delta` then holds part of the ops and must be discarded.
 void stage_ops(dc::OccupancyDelta& delta, const StackOps& ops,
                OpDirection direction);
 

@@ -1,6 +1,7 @@
 #include "openstack/heat_engine.h"
 
 #include "core/verify.h"
+#include "datacenter/state_delta.h"
 #include "openstack/nova.h"
 
 namespace ostro::os {
@@ -47,7 +48,9 @@ StackDeployment HeatEngine::deploy(const util::Json& annotated) {
                        (forced.empty() ? "" : " (forced to " + forced + ")");
       return result;
     }
-    scratch.add_host_load(*host, node.requirements);
+    dc::OccupancyDelta tentative(scratch);
+    tentative.add_host_load(*host, node.requirements);
+    scratch.apply_delta(tentative);
     result.assignment[node.id] = *host;
   }
 

@@ -40,40 +40,7 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  const std::size_t workers = size();
-  // Below ~2 items per worker the dispatch overhead dominates; run inline.
-  if (workers <= 1 || n < workers * 2) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  const std::size_t blocks = std::min(workers, n);
-  const std::size_t chunk = (n + blocks - 1) / blocks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t begin = b * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    futures.push_back(submit([&body, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    }));
-  }
-  // Wait for EVERY block before rethrowing.  Rethrowing from the first
-  // failed future while later blocks are still running would unwind the
-  // caller's stack under the workers' feet: they hold a reference to `body`
-  // (and through it the caller's captures), which dangles the moment this
-  // frame is gone.  All blocks must be finished — successfully or not —
-  // before an exception may escape.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  parallel_for_slots(n, [&body](std::size_t, std::size_t i) { body(i); });
 }
 
 void ThreadPool::parallel_for_slots(
@@ -81,6 +48,7 @@ void ThreadPool::parallel_for_slots(
     const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
   const std::size_t workers = size();
+  // Below ~2 items per worker the dispatch overhead dominates; run inline.
   if (workers <= 1 || n < workers * 2) {
     for (std::size_t i = 0; i < n; ++i) body(0, i);
     return;
@@ -97,8 +65,12 @@ void ThreadPool::parallel_for_slots(
       for (std::size_t i = begin; i < end; ++i) body(b, i);
     }));
   }
-  // Same exception discipline as parallel_for: every block must finish
-  // before rethrowing, or the workers' reference to `body` dangles.
+  // Wait for EVERY block before rethrowing.  Rethrowing from the first
+  // failed future while later blocks are still running would unwind the
+  // caller's stack under the workers' feet: they hold a reference to `body`
+  // (and through it the caller's captures), which dangles the moment this
+  // frame is gone.  All blocks must be finished — successfully or not —
+  // before an exception may escape.
   std::exception_ptr first_error;
   for (auto& f : futures) {
     try {

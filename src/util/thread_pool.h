@@ -45,11 +45,12 @@ class ThreadPool {
   }
 
   /// Runs body(i) for i in [0, n), partitioned into contiguous blocks across
-  /// the pool, and blocks until all complete.  Executes inline when the pool
-  /// has a single worker or n is small.  Exceptions from the body are
-  /// rethrown (the first one encountered, in block order) — but only after
-  /// every block has finished, so `body` and the caller's captures are never
-  /// referenced past this call's lifetime.
+  /// the pool, and blocks until all complete: parallel_for_slots with the
+  /// slot ignored.  Executes inline when the pool has a single worker or n
+  /// is small.  Exceptions from the body are rethrown (the first one
+  /// encountered, in block order) — but only after every block has
+  /// finished, so `body` and the caller's captures are never referenced
+  /// past this call's lifetime.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// parallel_for variant whose body additionally receives the index of the

@@ -10,6 +10,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
@@ -62,7 +63,7 @@ TEST(AnnealingTest, RespectsDeadline) {
 TEST(AnnealingTest, InfeasibleInstanceReported) {
   const auto datacenter = small_dc(1, 1);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {7.0, 0.0, 0.0});
+  add_host_load(occupancy, 0, {7.0, 0.0, 0.0});
   const Placement placement =
       simulated_annealing(occupancy, tiny_app(), SearchConfig{}, quick());
   EXPECT_FALSE(placement.feasible);

@@ -10,6 +10,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
@@ -121,7 +122,7 @@ TEST(BaStarTest, NeverWorseThanEg) {
 TEST(BaStarTest, InfeasibleInstanceReported) {
   const auto datacenter = small_dc(1, 1);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {7.0, 0.0, 0.0});
+  add_host_load(occupancy, 0, {7.0, 0.0, 0.0});
   const auto app = tiny_app();
   SearchConfig config;
   const Objective objective(app, datacenter, config);

@@ -8,6 +8,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
@@ -50,7 +51,7 @@ TEST(BruteForceTest, RespectsConstraints) {
 TEST(BruteForceTest, InfeasibleWhenNothingFits) {
   const auto datacenter = small_dc(1, 1);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {7.0, 0.0, 0.0});
+  add_host_load(occupancy, 0, {7.0, 0.0, 0.0});
   const auto app = tiny_app();
   const Objective objective(app, datacenter, SearchConfig{});
   const BruteForceResult result =

@@ -23,7 +23,10 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
+using ostro::testing::release_link;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 using ostro::testing::two_site_dc;
@@ -61,12 +64,12 @@ void randomize_occupancy(dc::Occupancy& occupancy, util::Rng& rng) {
         static_cast<double>(rng.uniform_int(0, 16)),
         static_cast<double>(rng.uniform_int(0, 10)) * 50.0};
     if (load.fits_within(occupancy.available(h))) {
-      occupancy.add_host_load(h, load);
+      add_host_load(occupancy, h, load);
     }
     if (rng.chance(0.5)) {
       const double free = occupancy.link_available_mbps(dc.host_link(h));
       const double mbps = free * rng.uniform(0.0, 1.0);
-      if (mbps > 0.0) occupancy.reserve_link(dc.host_link(h), mbps);
+      if (mbps > 0.0) reserve_link(occupancy, dc.host_link(h), mbps);
     }
   }
 }
@@ -206,12 +209,12 @@ TEST(CandidatesIndexTest, CopyMutatedAfterSourceDiesMatchesFreshReplay) {
     std::vector<dc::HostId> loaded;
     for (dc::HostId h = 0; h < datacenter.host_count(); h += 2) {
       if (slice.fits_within(occupancy.available(h))) {
-        occupancy.add_host_load(h, slice);
+        add_host_load(occupancy, h, slice);
         loaded.push_back(h);
       }
     }
     const dc::LinkId released = datacenter.host_link(1);
-    occupancy.release_link(released, occupancy.link_used_mbps(released));
+    release_link(occupancy, released, occupancy.link_used_mbps(released));
     dc::OccupancyDelta delta(occupancy);
     for (dc::HostId h = 1; h < datacenter.host_count(); h += 2) {
       if (slice.fits_within(delta.available(h))) delta.add_host_load(h, slice);
@@ -320,7 +323,7 @@ TEST(CandidatesIndexTest, PruneCountersAdvanceOnPackedFleet) {
   // Exhaust every rack but the last: those subtrees must be pruned at the
   // rack level without any per-host can_place call.
   for (dc::HostId h = 0; h + 3 < datacenter.host_count(); ++h) {
-    occupancy.add_host_load(h, occupancy.available(h));
+    add_host_load(occupancy, h, occupancy.available(h));
   }
   const auto app = tiny_app();
   SearchConfig config;

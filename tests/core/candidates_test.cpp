@@ -7,6 +7,8 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -22,8 +24,8 @@ TEST(CandidatesTest, AllHostsWhenUnconstrained) {
 TEST(CandidatesTest, CapacityFiltersHosts) {
   const auto datacenter = small_dc(2, 2);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {5.0, 0.0, 0.0});  // 3 cores left
-  occupancy.add_host_load(1, {7.0, 0.0, 0.0});  // 1 core left
+  add_host_load(occupancy, 0, {5.0, 0.0, 0.0});  // 3 cores left
+  add_host_load(occupancy, 1, {7.0, 0.0, 0.0});  // 1 core left
   const auto app = tiny_app();
   const Objective objective(app, datacenter, SearchConfig{});
   const PartialPlacement p(app, occupancy, objective);
@@ -52,7 +54,7 @@ TEST(CandidatesTest, BandwidthFilters) {
   const auto datacenter = small_dc(2, 2);
   dc::Occupancy occupancy(datacenter);
   // Host 1's uplink nearly full: the 100 Mbps pipe to web cannot leave.
-  occupancy.reserve_link(datacenter.host_link(1), 950.0);
+  reserve_link(occupancy, datacenter.host_link(1), 950.0);
   const auto app = tiny_app();
   const Objective objective(app, datacenter, SearchConfig{});
   PartialPlacement p(app, occupancy, objective);
@@ -65,7 +67,7 @@ TEST(CandidatesTest, BandwidthFilters) {
 TEST(CandidatesTest, EmptyWhenImpossible) {
   const auto datacenter = small_dc(1, 1);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {8.0, 0.0, 0.0});
+  add_host_load(occupancy, 0, {8.0, 0.0, 0.0});
   const auto app = tiny_app();
   const Objective objective(app, datacenter, SearchConfig{});
   const PartialPlacement p(app, occupancy, objective);

@@ -21,7 +21,9 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 using ostro::testing::two_site_dc;
@@ -190,12 +192,12 @@ TEST(FastPathDifferentialTest, StagedTransactionMatchesDirectMode) {
 
     // The same reservations made op by op on the occupancy itself.
     for (const auto& node : app.nodes()) {
-      direct_occupancy.add_host_load(assignment[node.id], node.requirements);
+      add_host_load(direct_occupancy, assignment[node.id], node.requirements);
     }
     for (const auto& edge : app.edges()) {
       for (const dc::LinkId link :
            datacenter.path_between(assignment[edge.a], assignment[edge.b])) {
-        direct_occupancy.reserve_link(link, edge.bandwidth_mbps);
+        reserve_link(direct_occupancy, link, edge.bandwidth_mbps);
       }
     }
 

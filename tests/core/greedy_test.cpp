@@ -8,6 +8,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
@@ -98,7 +99,7 @@ TEST(GreedyTest, EgCoLocatesTinyApp) {
 TEST(GreedyTest, EgPrefersActiveHostsOnTies) {
   const auto datacenter = small_dc(2, 2);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(2, {1.0, 1.0, 0.0});  // host 2 already active
+  add_host_load(occupancy, 2, {1.0, 1.0, 0.0});  // host 2 already active
   const auto app = tiny_app();
   const Objective objective(app, datacenter, SearchConfig{});
   const GreedyOutcome outcome =
@@ -113,7 +114,7 @@ TEST(GreedyTest, EgcBinPacksIgnoringPipes) {
   // makes it the best fit even when that splits a pipe.
   const auto datacenter = small_dc(2, 2);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(1, {4.0, 4.0, 0.0});  // 4 cores left
+  add_host_load(occupancy, 1, {4.0, 4.0, 0.0});  // 4 cores left
   const auto app = tiny_app();                  // db needs exactly 4
   const Objective objective(app, datacenter, SearchConfig{});
   const GreedyOutcome outcome =
@@ -137,7 +138,7 @@ TEST(GreedyTest, EgbwMinimizesBandwidthOverHosts) {
 TEST(GreedyTest, InfeasibleReportsNodeName) {
   const auto datacenter = small_dc(1, 1);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {5.0, 0.0, 0.0});  // 3 cores left: db needs 4
+  add_host_load(occupancy, 0, {5.0, 0.0, 0.0});  // 3 cores left: db needs 4
   const auto app = tiny_app();
   const Objective objective(app, datacenter, SearchConfig{});
   const GreedyOutcome outcome =

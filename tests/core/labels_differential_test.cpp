@@ -21,6 +21,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
 using ostro::testing::small_dc;
 using ostro::testing::two_site_dc;
@@ -34,7 +35,7 @@ void drain_hosts(dc::Occupancy& occupancy, util::Rng& rng, int count) {
     const auto h = static_cast<dc::HostId>(rng.uniform_int(0, hosts - 1));
     const topo::Resources free = occupancy.available(h);
     if (free.vcpus > 7.5) {
-      occupancy.add_host_load(h, {7.5, 15.0, 490.0});
+      add_host_load(occupancy, h, {7.5, 15.0, 490.0});
     }
   }
 }
@@ -197,8 +198,8 @@ TEST(LabelsDifferentialTest, NearFullDcStillMatchesReference) {
     const auto hosts = static_cast<int>(datacenter.host_count());
     for (int h = 0; h + 2 < hosts; ++h) {
       if (rng.chance(0.8)) {
-        occupancy.add_host_load(static_cast<dc::HostId>(h),
-                                {7.5, 15.0, 490.0});
+        add_host_load(occupancy, static_cast<dc::HostId>(h),
+                      {7.5, 15.0, 490.0});
       }
     }
     const auto app = random_app(rng, 4, 0.5, /*with_zone=*/false);

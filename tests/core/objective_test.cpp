@@ -89,9 +89,6 @@ TEST(SearchConfigTest, ValidationRejectsBadValues) {
   config = SearchConfig{};
   config.initial_prune_range = -1.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
-  config = SearchConfig{};
-  config.alpha_factor = -0.5;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
   EXPECT_NO_THROW(SearchConfig{}.validate());
 }
 

@@ -7,6 +7,8 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -70,7 +72,7 @@ TEST(PartialPlacementTest, CrossHostEdgeCostAndLinkDelta) {
 
 TEST(PartialPlacementTest, CapacityCheck) {
   Fixture f;
-  f.occupancy.add_host_load(0, {6.0, 2.0, 0.0});  // 2 cores left
+  add_host_load(f.occupancy, 0, {6.0, 2.0, 0.0});  // 2 cores left
   PartialPlacement p = f.fresh();
   EXPECT_TRUE(p.capacity_ok(0, 0));   // web needs 2
   EXPECT_FALSE(p.capacity_ok(1, 0));  // db needs 4
@@ -110,7 +112,7 @@ TEST(PartialPlacementTest, BandwidthCheckAggregatesSharedLinks) {
   const auto app = builder.build();
   const auto datacenter = small_dc(2, 2);
   dc::Occupancy occupancy(datacenter);
-  occupancy.reserve_link(datacenter.host_link(0), 850.0);  // 150 left
+  reserve_link(occupancy, datacenter.host_link(0), 850.0);  // 150 left
   const Objective objective(app, datacenter, SearchConfig{});
   PartialPlacement p(app, occupancy, objective);
   p.place(1, 1);  // x

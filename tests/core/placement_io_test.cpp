@@ -10,6 +10,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -133,7 +134,7 @@ TEST(PlacementIoTest, StaleDocumentFailsRevalidation) {
       placement_to_json(original, f.app, f.datacenter);
   dc::Occupancy crowded = f.occupancy;
   for (dc::HostId h = 0; h < f.datacenter.host_count(); ++h) {
-    crowded.add_host_load(h, {7.0, 14.0, 0.0});
+    add_host_load(crowded, h, {7.0, 14.0, 0.0});
   }
   EXPECT_THROW(
       (void)placement_from_json(document, f.app, crowded, f.config),

@@ -16,6 +16,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
 using ostro::testing::small_dc;
 
@@ -40,9 +41,9 @@ TEST_P(PlacementValidity, OutputSatisfiesAllConstraints) {
     // Background tenants on a random half of the hosts.
     for (dc::HostId h = 0; h < datacenter.host_count(); ++h) {
       if (rng.chance(0.5)) {
-        occupancy.add_host_load(
-            h, {static_cast<double>(rng.uniform_int(1, 5)),
-                static_cast<double>(rng.uniform_int(1, 8)), 0.0});
+        add_host_load(occupancy, h,
+                      {static_cast<double>(rng.uniform_int(1, 5)),
+                       static_cast<double>(rng.uniform_int(1, 8)), 0.0});
       }
     }
   }

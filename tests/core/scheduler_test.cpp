@@ -8,6 +8,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -74,7 +75,7 @@ TEST(SchedulerTest, SuccessiveDeploysSeeReducedCapacity) {
 TEST(SchedulerTest, InfeasibleDeployCommitsNothing) {
   const auto datacenter = small_dc(1, 1);
   OstroScheduler scheduler(datacenter);
-  scheduler.occupancy().add_host_load(0, {7.0, 0.0, 0.0});
+  add_host_load(scheduler.occupancy(), 0, {7.0, 0.0, 0.0});
   const auto before = scheduler.occupancy();
   const Placement placement = scheduler.deploy(tiny_app(), Algorithm::kEg);
   EXPECT_FALSE(placement.feasible);
@@ -145,7 +146,7 @@ TEST(SchedulerTest, PinnedRequestKeepsHosts) {
 TEST(SchedulerTest, InvalidPinReportedNotThrown) {
   const auto datacenter = small_dc(1, 2);
   OstroScheduler scheduler(datacenter);
-  scheduler.occupancy().add_host_load(0, {7.0, 0.0, 0.0});
+  add_host_load(scheduler.occupancy(), 0, {7.0, 0.0, 0.0});
   const auto app = tiny_app();
   PlacementRequest request;
   request.topology = &app;

@@ -28,6 +28,7 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::random_app;
 using ostro::testing::small_dc;
 using ostro::testing::two_site_dc;
@@ -118,7 +119,7 @@ void drain_hosts(dc::Occupancy& occupancy, util::Rng& rng, int count) {
   for (int i = 0; i < count; ++i) {
     const auto h = static_cast<dc::HostId>(rng.uniform_int(0, hosts - 1));
     if (occupancy.available(h).vcpus > 7.5) {
-      occupancy.add_host_load(h, {7.5, 15.0, 490.0});
+      add_host_load(occupancy, h, {7.5, 15.0, 490.0});
     }
   }
 }

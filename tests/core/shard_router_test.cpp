@@ -47,8 +47,7 @@ TEST(ShardRouterTest, ConfigValidation) {
   config.shards = 0;
   EXPECT_THROW(ShardRouter(global, config), std::invalid_argument);
   config.shards = 1;
-  config.router_max_shard_attempts = 0;
-  EXPECT_THROW(ShardRouter(global, config), std::invalid_argument);
+  EXPECT_NO_THROW(ShardRouter(global, config));
 }
 
 // shards=1 must behave exactly like a plain PlacementService over the same
@@ -226,7 +225,6 @@ TEST(ShardRouterTest, TwoPhaseCommitAbortsAndReplansOnConflict) {
   const dc::DataCenter global = two_site_dc(1, 2);  // 4 hosts, 8 cores each
   ShardConfig config;
   config.shards = 2;
-  config.router_max_cross_retries = 1;
   ShardRouter router(global, config);
 
   topo::TopologyBuilder big;
@@ -259,19 +257,6 @@ TEST(ShardRouterTest, TwoPhaseCommitAbortsAndReplansOnConflict) {
   EXPECT_EQ(router.live_stacks(), 1u);
   EXPECT_TRUE(router.release_stack(blocker_id));
   EXPECT_EQ(router.stitched_snapshot(), dc::Occupancy(global));
-}
-
-TEST(ShardRouterTest, CrossShardDisabledFailsStraddlingStack) {
-  const dc::DataCenter wan = sim::make_wan(2, 2, 1, 2);
-  ShardConfig config;
-  config.shards = 4;
-  config.router_allow_cross_shard = false;
-  ShardRouter router(wan, config);
-  const ShardRouter::Result result =
-      router.place(shared(cross_site_pair(50.0)), Algorithm::kEg);
-  EXPECT_FALSE(result.service.placement.committed);
-  EXPECT_EQ(router.live_stacks(), 0u);
-  EXPECT_EQ(router.stitched_snapshot(), dc::Occupancy(wan));
 }
 
 }  // namespace

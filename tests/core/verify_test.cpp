@@ -7,6 +7,8 @@
 namespace ostro::core {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -38,7 +40,7 @@ TEST(VerifyTest, RejectsUnplacedNode) {
 TEST(VerifyTest, DetectsHostOverCapacity) {
   const auto datacenter = small_dc(1, 2);
   dc::Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {4.0, 0.0, 0.0});  // 4 cores left; web+db = 6
+  add_host_load(occupancy, 0, {4.0, 0.0, 0.0});  // 4 cores left; web+db = 6
   const auto violations =
       verify_placement(occupancy, tiny_app(), {0, 0, 0});
   ASSERT_FALSE(violations.empty());
@@ -94,7 +96,7 @@ TEST(VerifyTest, ReportsMultipleViolations) {
 TEST(VerifyTest, BackgroundLoadCounts) {
   const auto datacenter = small_dc(1, 2);
   dc::Occupancy occupancy(datacenter);
-  occupancy.reserve_link(datacenter.host_link(0), 950.0);
+  reserve_link(occupancy, datacenter.host_link(0), 950.0);
   const auto app = tiny_app();  // web--db pipe 100 won't fit host0 uplink
   const auto violations = verify_placement(occupancy, app, {0, 1, 1});
   ASSERT_FALSE(violations.empty());

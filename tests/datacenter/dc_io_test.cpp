@@ -9,6 +9,7 @@
 namespace ostro::dc {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -113,7 +114,7 @@ TEST(DcIoTest, PlacementSurvivesPersistenceCycle) {
   // computed against the originals.
   const DataCenter datacenter = small_dc(2, 2);
   Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {4.0, 4.0, 0.0});
+  add_host_load(occupancy, 0, {4.0, 4.0, 0.0});
 
   const DataCenter datacenter2 =
       datacenter_from_json(datacenter_to_json(datacenter));

@@ -18,6 +18,10 @@
 namespace ostro::dc {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::release_link;
+using ostro::testing::remove_host_load;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::two_site_dc;
 
@@ -100,17 +104,17 @@ TEST(FeasibilityIndexTest, MaxMovesToRunnerUpWhenArgmaxShrinks) {
   const auto dc = small_dc(1, 3);  // hosts 0..2 in one rack
   Occupancy occupancy(dc);
   // Make host 1 the clear capacity argmax by loading the others first.
-  occupancy.add_host_load(0, {4.0, 8.0, 100.0});
-  occupancy.add_host_load(2, {2.0, 4.0, 50.0});
+  add_host_load(occupancy, 0, {4.0, 8.0, 100.0});
+  add_host_load(occupancy, 2, {2.0, 4.0, 50.0});
   EXPECT_EQ(occupancy.feasibility().rack(0).max_free.vcpus, 8.0);
   // Now shrink the argmax below the runner-up: the rack must rescan and
   // find host 2's 6 free cores, not keep a stale 8.
-  occupancy.add_host_load(1, {5.0, 2.0, 10.0});
+  add_host_load(occupancy, 1, {5.0, 2.0, 10.0});
   EXPECT_EQ(occupancy.feasibility().rack(0).max_free.vcpus, 6.0);
   EXPECT_EQ(occupancy.feasibility().rack(0).max_free.mem_gb, 14.0);
   expect_aggregates_exact(occupancy);
   // Releasing restores the old maximum exactly.
-  occupancy.remove_host_load(1, {5.0, 2.0, 10.0});
+  remove_host_load(occupancy, 1, {5.0, 2.0, 10.0});
   EXPECT_EQ(occupancy.feasibility().rack(0).max_free.vcpus, 8.0);
   expect_aggregates_exact(occupancy);
 }
@@ -121,11 +125,11 @@ TEST(FeasibilityIndexTest, FeasibleHostCountTracksExhaustedDimensions) {
   EXPECT_EQ(occupancy.feasibility().rack(0).feasible_hosts, 2u);
   // Exhaust one dimension (all 8 cores) on host 0: no longer feasible even
   // though memory and disk remain.
-  occupancy.add_host_load(0, {8.0, 1.0, 1.0});
+  add_host_load(occupancy, 0, {8.0, 1.0, 1.0});
   EXPECT_EQ(occupancy.feasibility().rack(0).feasible_hosts, 1u);
-  occupancy.add_host_load(1, {0.0, 16.0, 0.0});
+  add_host_load(occupancy, 1, {0.0, 16.0, 0.0});
   EXPECT_EQ(occupancy.feasibility().rack(0).feasible_hosts, 0u);
-  occupancy.remove_host_load(0, {8.0, 1.0, 1.0});
+  remove_host_load(occupancy, 0, {8.0, 1.0, 1.0});
   EXPECT_EQ(occupancy.feasibility().rack(0).feasible_hosts, 1u);
   expect_aggregates_exact(occupancy);
 }
@@ -134,15 +138,15 @@ TEST(FeasibilityIndexTest, UplinkAggregateTracksLinkReservations) {
   const auto dc = small_dc(2, 2);
   Occupancy occupancy(dc);
   for (HostId h = 0; h < dc.host_count(); ++h) {
-    occupancy.reserve_link(dc.host_link(h), 100.0 * (h + 1));
+    reserve_link(occupancy, dc.host_link(h), 100.0 * (h + 1));
   }
   EXPECT_EQ(occupancy.feasibility().rack(0).max_free_uplink_mbps, 900.0);
   EXPECT_EQ(occupancy.feasibility().rack(1).max_free_uplink_mbps, 700.0);
   EXPECT_EQ(occupancy.feasibility().root().max_free_uplink_mbps, 900.0);
   // Rack-level (non-uplink) reservations must not disturb host aggregates.
-  occupancy.reserve_link(dc.rack_link(0), 2000.0);
+  reserve_link(occupancy, dc.rack_link(0), 2000.0);
   EXPECT_EQ(occupancy.feasibility().rack(0).max_free_uplink_mbps, 900.0);
-  occupancy.release_link(dc.host_link(0), 100.0);
+  release_link(occupancy, dc.host_link(0), 100.0);
   EXPECT_EQ(occupancy.feasibility().rack(0).max_free_uplink_mbps, 1000.0);
   expect_aggregates_exact(occupancy);
 }
@@ -165,7 +169,7 @@ TEST(FeasibilityIndexTest, RandomizedOpSoakStaysExact) {
               static_cast<double>(rng.uniform_int(0, 4)),
               static_cast<double>(rng.uniform_int(0, 50))};
           if (load.fits_within(occupancy.available(h))) {
-            occupancy.add_host_load(h, load);
+            add_host_load(occupancy, h, load);
             added[h] = added[h] + load;
           }
           break;
@@ -173,21 +177,21 @@ TEST(FeasibilityIndexTest, RandomizedOpSoakStaysExact) {
         case 1:
           if (added[h].vcpus > 0.0 || added[h].mem_gb > 0.0 ||
               added[h].disk_gb > 0.0) {
-            occupancy.remove_host_load(h, added[h]);
+            remove_host_load(occupancy, h, added[h]);
             added[h] = {0.0, 0.0, 0.0};
           }
           break;
         case 2: {
           const double mbps = static_cast<double>(rng.uniform_int(1, 4)) * 50.0;
           if (occupancy.link_available_mbps(dc.host_link(h)) >= mbps) {
-            occupancy.reserve_link(dc.host_link(h), mbps);
+            reserve_link(occupancy, dc.host_link(h), mbps);
             reserved[h] += mbps;
           }
           break;
         }
         default:
           if (reserved[h] > 0.0) {
-            occupancy.release_link(dc.host_link(h), reserved[h]);
+            release_link(occupancy, dc.host_link(h), reserved[h]);
             reserved[h] = 0.0;
           }
           break;
@@ -213,13 +217,13 @@ TEST(FeasibilityIndexTest, ApplyDeltaMatchesDirectMutation) {
         const topo::Resources load = {1.0, 2.0, 10.0};
         if (load.fits_within(delta.available(h))) {
           delta.add_host_load(h, load);
-          direct.add_host_load(h, load);
+          add_host_load(direct, h, load);
         }
       } else {
         const LinkId link = dc.host_link(h);
         if (delta.link_available_mbps(link) >= 75.0) {
           delta.reserve_link(link, 75.0);
-          direct.reserve_link(link, 75.0);
+          reserve_link(direct, link, 75.0);
         }
       }
     }

@@ -13,6 +13,7 @@
 namespace ostro::dc {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::small_dc;
 
 TEST(FragmentationTest, EmptyClusterHasNoCpuFragmentation) {
@@ -40,7 +41,7 @@ TEST(FragmentationTest, SliversCountAsUnusable) {
   const auto datacenter = small_dc(1, 2);
   Occupancy occupancy(datacenter);
   // Host 0: 7 of 8 cores used -> 1 free cpu, below one 2/2 unit.
-  occupancy.add_host_load(0, {7.0, 7.0, 0.0});
+  add_host_load(occupancy, 0, {7.0, 7.0, 0.0});
   const FragmentationStats stats =
       compute_fragmentation(occupancy, {2.0, 2.0, 0.0});
 
@@ -56,7 +57,7 @@ TEST(FragmentationTest, SliversCountAsUnusable) {
 TEST(FragmentationTest, FullClusterIsFullyFragmentedByConvention) {
   const auto datacenter = small_dc(1, 1);
   Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {8.0, 16.0, 0.0});
+  add_host_load(occupancy, 0, {8.0, 16.0, 0.0});
   const FragmentationStats stats =
       compute_fragmentation(occupancy, {2.0, 2.0, 0.0});
   // Nothing free at all: unusable fractions are 0 by the 0/0 convention,
@@ -71,7 +72,7 @@ TEST(FragmentationTest, FullClusterIsFullyFragmentedByConvention) {
 TEST(FragmentationTest, ZeroDimensionsOfReferenceAreIgnored) {
   const auto datacenter = small_dc(1, 1);
   Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {6.0, 0.0, 0.0});
+  add_host_load(occupancy, 0, {6.0, 0.0, 0.0});
   // Reference with mem = 0: units counted on cpu alone (2 free / 1 = 2).
   const FragmentationStats stats =
       compute_fragmentation(occupancy, {1.0, 0.0, 0.0});
@@ -86,8 +87,8 @@ TEST(FragmentationTest, DispersionRisesWhenFreeCpuConcentrates) {
   const FragmentationStats even = compute_fragmentation(occupancy);
   // Empty rack 0, full rack 1: same total free as half-full everywhere,
   // maximally uneven across racks.
-  occupancy.add_host_load(2, {8.0, 16.0, 0.0});
-  occupancy.add_host_load(3, {8.0, 16.0, 0.0});
+  add_host_load(occupancy, 2, {8.0, 16.0, 0.0});
+  add_host_load(occupancy, 3, {8.0, 16.0, 0.0});
   const FragmentationStats skewed = compute_fragmentation(occupancy);
   EXPECT_GT(skewed.rack_free_cpu_cv, even.rack_free_cpu_cv);
   EXPECT_DOUBLE_EQ(skewed.rack_free_cpu_cv, 1.0);  // one rack 16, one 0
@@ -107,7 +108,7 @@ TEST(FragmentationTest, HostlessRackWithNoFreeCpuReportsZeroNotNaN) {
   const DataCenter datacenter = builder.build();
 
   Occupancy occupancy(datacenter);
-  occupancy.add_host_load(0, {8.0, 16.0, 500.0});  // zero free CPU anywhere
+  add_host_load(occupancy, 0, {8.0, 16.0, 500.0});  // zero free CPU anywhere
 
   // Both entry points — the raw computation and the metrics-observing path
   // the lifecycle reports go through — must yield finite stats.

@@ -7,6 +7,10 @@
 namespace ostro::dc {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::release_link;
+using ostro::testing::remove_host_load;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 
 TEST(OccupancyTest, StartsIdleAndEmpty) {
@@ -22,7 +26,7 @@ TEST(OccupancyTest, StartsIdleAndEmpty) {
 TEST(OccupancyTest, AddLoadActivatesAndConsumes) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {2.0, 4.0, 50.0});
+  add_host_load(occupancy, 0, {2.0, 4.0, 50.0});
   EXPECT_TRUE(occupancy.is_active(0));
   EXPECT_EQ(occupancy.active_host_count(), 1u);
   EXPECT_EQ(occupancy.used(0), (topo::Resources{2.0, 4.0, 50.0}));
@@ -32,9 +36,9 @@ TEST(OccupancyTest, AddLoadActivatesAndConsumes) {
 TEST(OccupancyTest, OvercommitThrowsAndLeavesStateIntact) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {6.0, 10.0, 100.0});
+  add_host_load(occupancy, 0, {6.0, 10.0, 100.0});
   const Occupancy before = occupancy;
-  EXPECT_THROW(occupancy.add_host_load(0, {3.0, 1.0, 1.0}),
+  EXPECT_THROW(add_host_load(occupancy, 0, {3.0, 1.0, 1.0}),
                std::invalid_argument);
   EXPECT_TRUE(occupancy == before);
 }
@@ -42,8 +46,8 @@ TEST(OccupancyTest, OvercommitThrowsAndLeavesStateIntact) {
 TEST(OccupancyTest, RemoveLoadRestores) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {2.0, 4.0, 50.0});
-  occupancy.remove_host_load(0, {2.0, 4.0, 50.0});
+  add_host_load(occupancy, 0, {2.0, 4.0, 50.0});
+  remove_host_load(occupancy, 0, {2.0, 4.0, 50.0});
   EXPECT_TRUE(occupancy.used(0).is_zero());
   // Active flag is sticky by design.
   EXPECT_TRUE(occupancy.is_active(0));
@@ -52,8 +56,8 @@ TEST(OccupancyTest, RemoveLoadRestores) {
 TEST(OccupancyTest, RemoveMoreThanUsedThrows) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {1.0, 1.0, 1.0});
-  EXPECT_THROW(occupancy.remove_host_load(0, {2.0, 1.0, 1.0}),
+  add_host_load(occupancy, 0, {1.0, 1.0, 1.0});
+  EXPECT_THROW(remove_host_load(occupancy, 0, {2.0, 1.0, 1.0}),
                std::invalid_argument);
 }
 
@@ -61,22 +65,22 @@ TEST(OccupancyTest, LinkReserveAndRelease) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
   const LinkId link = dc.host_link(0);
-  occupancy.reserve_link(link, 400.0);
+  reserve_link(occupancy, link, 400.0);
   EXPECT_DOUBLE_EQ(occupancy.link_used_mbps(link), 400.0);
   EXPECT_DOUBLE_EQ(occupancy.link_available_mbps(link), 600.0);
-  occupancy.reserve_link(link, 600.0);  // exactly full
-  EXPECT_THROW(occupancy.reserve_link(link, 0.1), std::invalid_argument);
-  occupancy.release_link(link, 1000.0);
+  reserve_link(occupancy, link, 600.0);  // exactly full
+  EXPECT_THROW(reserve_link(occupancy, link, 0.1), std::invalid_argument);
+  release_link(occupancy, link, 1000.0);
   EXPECT_DOUBLE_EQ(occupancy.link_used_mbps(link), 0.0);
-  EXPECT_THROW(occupancy.release_link(link, 0.1), std::invalid_argument);
+  EXPECT_THROW(release_link(occupancy, link, 0.1), std::invalid_argument);
 }
 
 TEST(OccupancyTest, NegativeAmountsRejected) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
-  EXPECT_THROW(occupancy.reserve_link(dc.host_link(0), -1.0),
+  EXPECT_THROW(reserve_link(occupancy, dc.host_link(0), -1.0),
                std::invalid_argument);
-  EXPECT_THROW(occupancy.add_host_load(0, {-1.0, 0.0, 0.0}),
+  EXPECT_THROW(add_host_load(occupancy, 0, {-1.0, 0.0, 0.0}),
                std::invalid_argument);
 }
 
@@ -93,8 +97,8 @@ TEST(OccupancyTest, MarkActiveWithoutLoad) {
 TEST(OccupancyTest, TotalReservedSumsLinks) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
-  occupancy.reserve_link(dc.host_link(0), 100.0);
-  occupancy.reserve_link(dc.rack_link(0), 250.0);
+  reserve_link(occupancy, dc.host_link(0), 100.0);
+  reserve_link(occupancy, dc.rack_link(0), 250.0);
   EXPECT_DOUBLE_EQ(occupancy.total_reserved_mbps(), 350.0);
 }
 
@@ -112,8 +116,8 @@ TEST(OccupancyTest, CopySnapshotRestores) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
   const Occupancy snapshot = occupancy;
-  occupancy.add_host_load(1, {2.0, 2.0, 10.0});
-  occupancy.reserve_link(dc.host_link(1), 100.0);
+  add_host_load(occupancy, 1, {2.0, 2.0, 10.0});
+  reserve_link(occupancy, dc.host_link(1), 100.0);
   EXPECT_FALSE(occupancy == snapshot);
   occupancy = snapshot;
   EXPECT_TRUE(occupancy == snapshot);
@@ -124,18 +128,18 @@ TEST(OccupancyTest, VersionAdvancesOnEveryMutation) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
   EXPECT_EQ(occupancy.version(), 0u);
-  occupancy.add_host_load(0, {2.0, 2.0, 10.0});
+  add_host_load(occupancy, 0, {2.0, 2.0, 10.0});
   EXPECT_EQ(occupancy.version(), 1u);
-  occupancy.reserve_link(dc.host_link(0), 100.0);
+  reserve_link(occupancy, dc.host_link(0), 100.0);
   EXPECT_EQ(occupancy.version(), 2u);
-  occupancy.release_link(dc.host_link(0), 100.0);
-  occupancy.remove_host_load(0, {2.0, 2.0, 10.0});
+  release_link(occupancy, dc.host_link(0), 100.0);
+  remove_host_load(occupancy, 0, {2.0, 2.0, 10.0});
   EXPECT_EQ(occupancy.version(), 4u);
   occupancy.mark_active(1);
   EXPECT_EQ(occupancy.version(), 5u);
   occupancy.mark_active(1);  // already active: no state change, no bump
   EXPECT_EQ(occupancy.version(), 5u);
-  occupancy.set_active(1, false);
+  EXPECT_TRUE(occupancy.deactivate_if_idle(1));
   EXPECT_EQ(occupancy.version(), 6u);
 }
 
@@ -144,9 +148,9 @@ TEST(OccupancyTest, EqualityIgnoresVersionHistory) {
   Occupancy a(dc);
   Occupancy b(dc);
   // Same state via different mutation histories: equal, versions differ.
-  a.add_host_load(0, {2.0, 2.0, 10.0});
-  a.remove_host_load(0, {2.0, 2.0, 10.0});
-  a.set_active(0, false);
+  add_host_load(a, 0, {2.0, 2.0, 10.0});
+  remove_host_load(a, 0, {2.0, 2.0, 10.0});
+  EXPECT_TRUE(a.deactivate_if_idle(0));
   EXPECT_NE(a.version(), b.version());
   EXPECT_TRUE(a == b);
 }
@@ -154,10 +158,10 @@ TEST(OccupancyTest, EqualityIgnoresVersionHistory) {
 TEST(OccupancyTest, CopyCarriesVersion) {
   const DataCenter dc = small_dc();
   Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {1.0, 1.0, 0.0});
+  add_host_load(occupancy, 0, {1.0, 1.0, 0.0});
   const Occupancy snapshot = occupancy;
   EXPECT_EQ(snapshot.version(), occupancy.version());
-  occupancy.add_host_load(1, {1.0, 1.0, 0.0});
+  add_host_load(occupancy, 1, {1.0, 1.0, 0.0});
   EXPECT_GT(occupancy.version(), snapshot.version());
 }
 

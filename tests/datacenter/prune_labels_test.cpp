@@ -19,6 +19,9 @@
 namespace ostro::dc {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::remove_host_load;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::two_site_dc;
 
@@ -70,8 +73,8 @@ TEST(PruneLabelsTest, DynamicLadderChainsAsCapacityDrains) {
   // Exhaust one host per rack: no rack keeps two feasible hosts, so a
   // positive-positive same-rack pair must price at same-pod hops — but a
   // zero-requirement pair (both_positive=false) must not escalate.
-  occupancy.add_host_load(0, full_host());
-  occupancy.add_host_load(2, full_host());
+  add_host_load(occupancy, 0, full_host());
+  add_host_load(occupancy, 2, full_host());
   EXPECT_EQ(labels.racks_with_multi_feasible(), 0u);
   EXPECT_EQ(labels.tighten_separation(Scope::kSameRack, true), Scope::kSamePod);
   EXPECT_EQ(labels.tighten_separation(Scope::kSameRack, false),
@@ -80,16 +83,16 @@ TEST(PruneLabelsTest, DynamicLadderChainsAsCapacityDrains) {
   // Exhaust rack 1 entirely: the pod no longer holds two feasible racks,
   // so the ladder chains same-rack all the way to same-site, and same-site
   // (single-pod site) to cross-site.
-  occupancy.add_host_load(3, full_host());
+  add_host_load(occupancy, 3, full_host());
   EXPECT_EQ(labels.pods_with_multi_feasible_racks(), 0u);
   EXPECT_EQ(labels.tighten_separation(Scope::kSameRack, true),
             Scope::kCrossSite);
   EXPECT_TRUE(labels.selfcheck(occupancy));
 
   // Releasing restores the fresh answers exactly.
-  occupancy.remove_host_load(0, full_host());
-  occupancy.remove_host_load(2, full_host());
-  occupancy.remove_host_load(3, full_host());
+  remove_host_load(occupancy, 0, full_host());
+  remove_host_load(occupancy, 2, full_host());
+  remove_host_load(occupancy, 3, full_host());
   EXPECT_EQ(labels.tighten_separation(Scope::kSameRack, true),
             Scope::kSameRack);
   EXPECT_TRUE(labels.selfcheck(occupancy));
@@ -108,7 +111,7 @@ TEST(PruneLabelsTest, TightenToHostClimbsOnFeasibilityAndUplink) {
 
   // Exhaust host 1: rack 0's only feasible host is host 0 itself, so a
   // positive free node separated from it at host level must leave the rack.
-  occupancy.add_host_load(1, full_host());
+  add_host_load(occupancy, 1, full_host());
   EXPECT_EQ(labels.tighten_to_host(Scope::kSameRack, 0, req, true, 10.0,
                                    occupancy),
             Scope::kSamePod);
@@ -121,7 +124,7 @@ TEST(PruneLabelsTest, TightenToHostClimbsOnFeasibilityAndUplink) {
   EXPECT_EQ(labels.tighten_to_host(Scope::kSameRack, 0, req, false, 10.0,
                                    occupancy),
             Scope::kSameRack);
-  occupancy.remove_host_load(1, full_host());
+  remove_host_load(occupancy, 1, full_host());
 
   // A pipe wider than every free host uplink (1000 Mbps in helpers.h) can
   // never terminate below the root: the climb runs to cross-site.
@@ -182,14 +185,14 @@ TEST(PruneLabelsTest, RandomizedOpSoakMatchesFreshRebuild) {
               static_cast<double>(rng.uniform_int(0, 8)) * 2.0,
               static_cast<double>(rng.uniform_int(0, 10)) * 50.0};
           if (load.fits_within(occupancy.available(h))) {
-            occupancy.add_host_load(h, load);
+            add_host_load(occupancy, h, load);
             added[h] = added[h] + load;
           }
           break;
         }
         case 1:
           if (!added[h].is_zero()) {
-            occupancy.remove_host_load(h, added[h]);
+            remove_host_load(occupancy, h, added[h]);
             added[h] = {0.0, 0.0, 0.0};
           }
           break;
@@ -221,7 +224,7 @@ TEST(PruneLabelsTest, RandomizedOpSoakMatchesFreshRebuild) {
           const double mbps = static_cast<double>(rng.uniform_int(1, 4)) * 50.0;
           const LinkId link = dc.host_link(h);
           if (occupancy.link_available_mbps(link) >= mbps) {
-            occupancy.reserve_link(link, mbps);
+            reserve_link(occupancy, link, mbps);
           }
           break;
         }
@@ -249,7 +252,7 @@ TEST(PruneLabelsTest, ApplyDeltaMatchesDirectMutation) {
     const topo::Resources load = {4.0, 8.0, 250.0};  // two of these fill a host
     if (load.fits_within(delta.available(h))) {
       delta.add_host_load(h, load);
-      direct.add_host_load(h, load);
+      add_host_load(direct, h, load);
     }
   }
   staged.apply_delta(delta);

@@ -8,6 +8,7 @@
 namespace ostro::dc {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -49,9 +50,9 @@ TEST(UtilizationReportTest, RackTotalsSumToGlobal) {
   util::Rng rng(4);
   for (HostId h = 0; h < dc.host_count(); ++h) {
     if (rng.chance(0.6)) {
-      occupancy.add_host_load(
-          h, {static_cast<double>(rng.uniform_int(1, 4)),
-              static_cast<double>(rng.uniform_int(1, 8)), 10.0});
+      add_host_load(occupancy, h,
+                    {static_cast<double>(rng.uniform_int(1, 4)),
+                     static_cast<double>(rng.uniform_int(1, 8)), 10.0});
     }
   }
   const UtilizationReport report = utilization_report(occupancy);

@@ -17,6 +17,8 @@
 namespace ostro::dc {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::two_site_dc;
 
@@ -160,9 +162,9 @@ TEST(ShardLayoutTest, OverlayStitchesLoadsLinksAndActiveFlags) {
   const ShardLayout layout(global, 2);
   Occupancy shard0(layout.shard_datacenter(0));
   Occupancy shard1(layout.shard_datacenter(1));
-  shard0.add_host_load(0, {2.0, 4.0, 0.0});
-  shard0.reserve_link(layout.shard_datacenter(0).host_link(0), 150.0);
-  shard1.add_host_load(1, {1.0, 1.0, 10.0});
+  add_host_load(shard0, 0, {2.0, 4.0, 0.0});
+  reserve_link(shard0, layout.shard_datacenter(0).host_link(0), 150.0);
+  add_host_load(shard1, 1, {1.0, 1.0, 10.0});
 
   Occupancy stitched(global);
   layout.overlay(stitched, 0, shard0);

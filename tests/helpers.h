@@ -1,6 +1,6 @@
 // Shared fixtures for the test suite: small data centers and application
-// topologies with hand-checkable optima, plus random instance generators
-// for the property-based sweeps.
+// topologies with hand-checkable optima, random instance generators for the
+// property-based sweeps, and one-op occupancy batches.
 #pragma once
 
 #include <string>
@@ -10,6 +10,7 @@
 #include "core/partial.h"
 #include "datacenter/datacenter.h"
 #include "datacenter/occupancy.h"
+#include "datacenter/state_delta.h"
 #include "topology/app_topology.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -50,6 +51,39 @@ inline dc::DataCenter two_site_dc(int racks_per_site = 1,
     }
   }
   return builder.build();
+}
+
+// One-op batches: an Occupancy's loads and bandwidth change only through
+// apply_delta, so tests that set up or poke an occupancy one op at a time
+// stage each op as its own OccupancyDelta batch.  Each throws what the
+// staged op throws, leaving the occupancy untouched.
+
+inline void add_host_load(dc::Occupancy& occupancy, dc::HostId h,
+                          const topo::Resources& load) {
+  dc::OccupancyDelta delta(occupancy);
+  delta.add_host_load(h, load);
+  occupancy.apply_delta(delta);
+}
+
+inline void remove_host_load(dc::Occupancy& occupancy, dc::HostId h,
+                             const topo::Resources& load) {
+  dc::OccupancyDelta delta(occupancy);
+  delta.remove_host_load(h, load);
+  occupancy.apply_delta(delta);
+}
+
+inline void reserve_link(dc::Occupancy& occupancy, dc::LinkId link,
+                         double mbps) {
+  dc::OccupancyDelta delta(occupancy);
+  delta.reserve_link(link, mbps);
+  occupancy.apply_delta(delta);
+}
+
+inline void release_link(dc::Occupancy& occupancy, dc::LinkId link,
+                         double mbps) {
+  dc::OccupancyDelta delta(occupancy);
+  delta.release_link(link, mbps);
+  occupancy.apply_delta(delta);
 }
 
 /// Classic pair: two VMs + a volume, one pipe each, no zones.

@@ -10,12 +10,13 @@
 namespace ostro::net {
 namespace {
 
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 
 TEST(MaxMinEdgeTest, SaturatedLinkStarvesOnlyItsFlows) {
   const dc::DataCenter dc = small_dc(2, 2);  // hosts 0,1 rack0; 2,3 rack1
   dc::Occupancy occupancy(dc);
-  occupancy.reserve_link(dc.host_link(0), 1000.0);  // h0 uplink: 0 available
+  reserve_link(occupancy, dc.host_link(0), 1000.0);  // h0 uplink: 0 available
 
   const std::vector<Flow> flows = {{0, 1, 500.0}, {2, 3, 400.0}};
   const FairShareResult result = max_min_fair_rates(occupancy, flows);
@@ -28,8 +29,8 @@ TEST(MaxMinEdgeTest, SaturatedLinkStarvesOnlyItsFlows) {
 TEST(MaxMinEdgeTest, AllFlowsThroughSaturatedLinksGetZero) {
   const dc::DataCenter dc = small_dc(2, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.reserve_link(dc.host_link(0), 1000.0);
-  occupancy.reserve_link(dc.host_link(2), 1000.0);
+  reserve_link(occupancy, dc.host_link(0), 1000.0);
+  reserve_link(occupancy, dc.host_link(2), 1000.0);
 
   const std::vector<Flow> flows = {{0, 1, 500.0}, {2, 3, 400.0}};
   const FairShareResult result = max_min_fair_rates(occupancy, flows);
@@ -43,7 +44,7 @@ TEST(MaxMinEdgeTest, AllFlowsThroughSaturatedLinksGetZero) {
 TEST(MaxMinEdgeTest, CoLocatedFlowUnaffectedBySaturation) {
   const dc::DataCenter dc = small_dc(2, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.reserve_link(dc.host_link(0), 1000.0);
+  reserve_link(occupancy, dc.host_link(0), 1000.0);
 
   // The co-located flow traverses no physical link; the cross-host flow
   // shares a fully reserved uplink.
@@ -85,7 +86,7 @@ TEST(MaxMinEdgeTest, SaturationBelowEqualDemandsSplitsEvenly) {
 TEST(MaxMinEdgeTest, EveryRoundMakesProgress) {
   const dc::DataCenter dc = small_dc(2, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.reserve_link(dc.host_link(3), 1000.0);
+  reserve_link(occupancy, dc.host_link(3), 1000.0);
 
   const std::vector<Flow> flows = {
       {0, 1, 800.0},   // bottlenecked on shared h0/h1 uplinks

@@ -9,6 +9,7 @@
 namespace ostro::net {
 namespace {
 
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 
 TEST(MaxMinTest, EmptyFlows) {
@@ -131,7 +132,7 @@ TEST(MaxMinTest, NonPositiveDemandThrows) {
 TEST(MaxMinTest, OccupancyReducesCapacity) {
   const dc::DataCenter dc = small_dc();
   dc::Occupancy occupancy(dc);
-  occupancy.reserve_link(dc.host_link(0), 800.0);  // 200 left
+  reserve_link(occupancy, dc.host_link(0), 800.0);  // 200 left
   const FairShareResult result =
       max_min_fair_rates(occupancy, {{0, 1, 10000.0}});
   EXPECT_NEAR(result.rate_mbps[0], 200.0, 1e-6);
@@ -140,7 +141,7 @@ TEST(MaxMinTest, OccupancyReducesCapacity) {
 TEST(MaxMinTest, FullyReservedLinkGivesZero) {
   const dc::DataCenter dc = small_dc();
   dc::Occupancy occupancy(dc);
-  occupancy.reserve_link(dc.host_link(0), 1000.0);
+  reserve_link(occupancy, dc.host_link(0), 1000.0);
   const FairShareResult result =
       max_min_fair_rates(occupancy, {{0, 1, 500.0}});
   EXPECT_NEAR(result.rate_mbps[0], 0.0, 1e-6);

@@ -7,6 +7,9 @@
 namespace ostro::net {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::release_link;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -40,7 +43,7 @@ TEST(ReservationTest, FailureRollsBackEverything) {
   const dc::DataCenter dc = small_dc(1, 2);
   dc::Occupancy occupancy(dc);
   // Consume so much bandwidth that the web--db pipe cannot fit.
-  occupancy.reserve_link(dc.host_link(1), 950.0);
+  reserve_link(occupancy, dc.host_link(1), 950.0);
   const dc::Occupancy before = occupancy;
 
   const topo::AppTopology app = tiny_app();
@@ -53,7 +56,7 @@ TEST(ReservationTest, FailureRollsBackEverything) {
 TEST(ReservationTest, HostOverCapacityRollsBack) {
   const dc::DataCenter dc = small_dc(1, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.add_host_load(1, {6.0, 14.0, 0.0});  // db (4,4) will not fit
+  add_host_load(occupancy, 1, {6.0, 14.0, 0.0});  // db (4,4) will not fit
   const dc::Occupancy before = occupancy;
   const topo::AppTopology app = tiny_app();
   EXPECT_THROW(commit_placement(occupancy, app, {0, 1, 0}),
@@ -68,7 +71,7 @@ TEST(ReservationTest, MidEdgeFailureLeavesOccupancyBitIdentical) {
   // traverses both hosts' uplinks and both ToR uplinks.  Leave only 50 Mbps
   // on rack1's uplink: the reservation fails partway through the edge's
   // link list, after the host loads and some links were already reserved.
-  occupancy.reserve_link(dc.rack_link(1), 3950.0);
+  reserve_link(occupancy, dc.rack_link(1), 3950.0);
   const dc::Occupancy before = occupancy;
 
   EXPECT_THROW(commit_placement(occupancy, tiny_app(), {0, 2, 2}),
@@ -90,7 +93,7 @@ TEST(ReservationTest, MidEdgeFailureLeavesOccupancyBitIdentical) {
   }
 
   // Free the uplink and the same assignment goes through.
-  occupancy.release_link(dc.rack_link(1), 3950.0);
+  release_link(occupancy, dc.rack_link(1), 3950.0);
   commit_placement(occupancy, tiny_app(), {0, 2, 2});
   EXPECT_DOUBLE_EQ(occupancy.link_used_mbps(dc.rack_link(0)), 100.0);
   EXPECT_DOUBLE_EQ(occupancy.link_used_mbps(dc.rack_link(1)), 100.0);

@@ -7,6 +7,8 @@
 namespace ostro::os {
 namespace {
 
+using ostro::testing::add_host_load;
+using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 
 constexpr const char* kPlainTemplate = R"({
@@ -62,7 +64,7 @@ TEST(HeatEngineTest, HonorsForceHostHints) {
 TEST(HeatEngineTest, FailsWhenForcedHostFull) {
   const auto dc = small_dc(1, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {7.0, 0.0, 0.0});
+  add_host_load(occupancy, 0, {7.0, 0.0, 0.0});
   HeatEngine engine(occupancy);
   util::Json doc = util::Json::parse(kPlainTemplate);
   util::JsonObject hints;
@@ -105,8 +107,8 @@ TEST(HeatEngineTest, ZoneViolationCaughtAtValidation) {
 TEST(HeatEngineTest, BandwidthShortageFailsCleanly) {
   const auto dc = small_dc(1, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.reserve_link(dc.host_link(0), 950.0);
-  occupancy.reserve_link(dc.host_link(1), 950.0);
+  reserve_link(occupancy, dc.host_link(0), 950.0);
+  reserve_link(occupancy, dc.host_link(1), 950.0);
   HeatEngine engine(occupancy);
   // Naive scheduling spreads a and b; the 100 pipe cannot fit anywhere.
   const dc::Occupancy before = occupancy;

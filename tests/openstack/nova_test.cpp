@@ -7,13 +7,14 @@
 namespace ostro::os {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::small_dc;
 
 TEST(NovaTest, SpreadsOntoEmptiestHost) {
   const auto dc = small_dc(2, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {4.0, 8.0, 0.0});
-  occupancy.add_host_load(1, {2.0, 4.0, 0.0});
+  add_host_load(occupancy, 0, {4.0, 8.0, 0.0});
+  add_host_load(occupancy, 1, {2.0, 4.0, 0.0});
   // Hosts 2 and 3 are empty; weigher prefers them over 0/1.
   const auto host = NovaScheduler::select_host(occupancy, {1.0, 1.0, 0.0});
   ASSERT_TRUE(host.has_value());
@@ -23,8 +24,8 @@ TEST(NovaTest, SpreadsOntoEmptiestHost) {
 TEST(NovaTest, FiltersFullHosts) {
   const auto dc = small_dc(1, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {7.0, 0.0, 0.0});
-  occupancy.add_host_load(1, {7.0, 0.0, 0.0});
+  add_host_load(occupancy, 0, {7.0, 0.0, 0.0});
+  add_host_load(occupancy, 1, {7.0, 0.0, 0.0});
   EXPECT_FALSE(
       NovaScheduler::select_host(occupancy, {2.0, 1.0, 0.0}).has_value());
   EXPECT_TRUE(
@@ -34,7 +35,7 @@ TEST(NovaTest, FiltersFullHosts) {
 TEST(NovaTest, ForcedHostValidated) {
   const auto dc = small_dc(1, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {7.0, 0.0, 0.0});
+  add_host_load(occupancy, 0, {7.0, 0.0, 0.0});
   EXPECT_FALSE(NovaScheduler::select_forced(occupancy, {2.0, 1.0, 0.0},
                                             "h0-0")
                    .has_value());
@@ -50,7 +51,7 @@ TEST(NovaTest, ForcedHostValidated) {
 TEST(CinderTest, PicksMostFreeDisk) {
   const auto dc = small_dc(1, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {0.0, 0.0, 300.0});  // 200 GB free
+  add_host_load(occupancy, 0, {0.0, 0.0, 300.0});  // 200 GB free
   const auto host = CinderScheduler::select_host(occupancy, 100.0);
   ASSERT_TRUE(host.has_value());
   EXPECT_EQ(*host, 1u);  // 500 GB free
@@ -59,7 +60,7 @@ TEST(CinderTest, PicksMostFreeDisk) {
 TEST(CinderTest, FiltersByCapacity) {
   const auto dc = small_dc(1, 1);
   dc::Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {0.0, 0.0, 450.0});
+  add_host_load(occupancy, 0, {0.0, 0.0, 450.0});
   EXPECT_FALSE(CinderScheduler::select_host(occupancy, 100.0).has_value());
   EXPECT_TRUE(CinderScheduler::select_host(occupancy, 50.0).has_value());
 }
@@ -67,7 +68,7 @@ TEST(CinderTest, FiltersByCapacity) {
 TEST(CinderTest, ForcedHost) {
   const auto dc = small_dc(1, 2);
   dc::Occupancy occupancy(dc);
-  occupancy.add_host_load(0, {0.0, 0.0, 480.0});
+  add_host_load(occupancy, 0, {0.0, 0.0, 480.0});
   EXPECT_FALSE(
       CinderScheduler::select_forced(occupancy, 100.0, "h0-0").has_value());
   EXPECT_TRUE(

@@ -11,6 +11,7 @@
 namespace ostro::os {
 namespace {
 
+using ostro::testing::add_host_load;
 using ostro::testing::small_dc;
 
 constexpr const char* kTemplate = R"({
@@ -63,7 +64,7 @@ TEST(WrapperTest, DeploymentMatchesOstroDecision) {
 TEST(WrapperTest, InfeasiblePlacementReported) {
   const auto datacenter = small_dc(1, 1);
   core::OstroScheduler scheduler(datacenter);
-  scheduler.occupancy().add_host_load(0, {7.0, 15.0, 0.0});
+  add_host_load(scheduler.occupancy(), 0, {7.0, 15.0, 0.0});
   HeatEngine engine(scheduler.occupancy());
   OstroHeatWrapper wrapper(scheduler, engine);
   const WrapperResult result =
