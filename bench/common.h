@@ -89,4 +89,11 @@ inline void emit(const util::TablePrinter& table, const util::ArgParser& args,
                       samples.stddev());
 }
 
+/// Cell for a Truncated column: "no", or how many runs stopped at a search
+/// budget (the max_open_paths valve or max_expansions) and so returned their
+/// incumbent rather than a completed search.
+[[nodiscard]] inline std::string truncated_runs(int truncated) {
+  return truncated > 0 ? util::format("%d runs", truncated) : "no";
+}
+
 }  // namespace ostro::bench

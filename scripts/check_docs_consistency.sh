@@ -17,10 +17,13 @@
 #   5. The reverse of 2: every "| `name` | counter" or "| `name` | summary"
 #      row of the README glossary names a metric registered in src/ or
 #      tools/, so a deleted metric cannot leave a stale row behind.
+#   6. The reverse of 1: every row of the README "Configuration" table
+#      names a core::SearchConfig field, so a deleted knob cannot leave a
+#      stale row behind.
 #
 # Exits non-zero listing every undocumented token or stale row, so a PR
 # adding a config knob or a counter without documenting it, or deleting a
-# metric without its row, fails CI.
+# knob or a metric without its row, fails CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -102,12 +105,29 @@ for name in $glossary_names; do
   fi
 done
 
+config_rows=$(awk '/^## Configuration$/ { in_section = 1; next }
+                  in_section && /^#/ { exit }
+                  in_section' README.md |
+  grep -oE '^\| `[a-z_]+` \|' | sed -E 's/^\| `([a-z_]+)`.*/\1/' | sort -u)
+if [[ -z "$config_rows" ]]; then
+  echo "extraction failure: no Configuration table rows found in README.md" >&2
+  exit 1
+fi
+for name in $config_rows; do
+  if ! grep -qxF -- "$name" <<<"$config_fields"; then
+    echo "STALE Configuration row: '$name' (no core::SearchConfig field)" >&2
+    status=1
+  fi
+done
+
 if [[ "$status" -eq 0 ]]; then
   count_fields=$(wc -w <<<"$config_fields")
   count_metrics=$(wc -w <<<"$metric_names")
   count_rows=$(wc -w <<<"$glossary_names")
+  count_config_rows=$(wc -w <<<"$config_rows")
   echo "docs consistent: $count_fields SearchConfig fields and" \
        "$count_metrics metrics names all documented; $count_rows glossary" \
-       "rows all registered"
+       "rows all registered; $count_config_rows Configuration rows all" \
+       "SearchConfig fields"
 fi
 exit "$status"

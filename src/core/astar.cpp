@@ -1,13 +1,11 @@
 #include "core/astar.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/candidates.h"
 #include "core/estimator.h"
@@ -33,17 +31,6 @@ constexpr double kMaxPruneRange = 0.5;
 /// (Section III-C).
 constexpr double kAlphaFactor = 0.2;
 
-// Open-list backing reservation: sized to max_open_paths but capped so the
-// default 2M-path valve does not blindly reserve ~100 MB per plan.
-constexpr std::size_t kOpenReserveCap = 64 * 1024;
-constexpr std::size_t kDefaultOpenReserve = 4 * 1024;
-
-[[nodiscard]] std::size_t open_reserve_hint(
-    const SearchConfig& config) noexcept {
-  if (config.max_open_paths == 0) return kDefaultOpenReserve;
-  return std::min<std::size_t>(config.max_open_paths + 1, kOpenReserveCap);
-}
-
 using StateRef = std::shared_ptr<const PartialPlacement>;
 
 /// A search path.  Children are *lazy*: they hold their parent's
@@ -56,7 +43,7 @@ struct PathEntry {
   StateRef parent;                         // materialized ancestor; null = root
   topo::NodeId node = topo::kInvalidNode;  // decision on top of parent
   dc::HostId host = dc::kInvalidHost;
-  double priority = 0.0;  // ordering key (see sharp_ordering)
+  double priority = 0.0;  // ordering key (see "Ordering regime")
   bool exact = false;     // priority was computed on the materialized state
   std::uint32_t depth = 0;
   std::uint64_t sequence = 0;  // insertion order; deterministic tie-break
@@ -145,87 +132,53 @@ struct ChildScore {
   return score;
 }
 
-/// Canonical signature of a partial assignment: hosts of interchangeable
-/// nodes are sorted within their symmetry group, so permuted duplicates
-/// collide (the closed-queue check of Algorithm 2, line 10).  `keys` is
-/// caller-owned scratch reused across expansions.
-[[nodiscard]] std::uint64_t canonical_signature(
-    const PartialPlacement& state, const SymmetryGroups& groups,
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>& keys) {
-  const auto& assignment = state.assignment();
-  keys.clear();
-  if (keys.capacity() < state.placed_count()) keys.reserve(state.placed_count());
-  for (topo::NodeId v = 0; v < assignment.size(); ++v) {
-    if (assignment[v] == dc::kInvalidHost) continue;
-    keys.emplace_back(groups.group_of[v], assignment[v]);
-  }
-  std::sort(keys.begin(), keys.end());
-  std::uint64_t h = 0x243f6a8885a308d3ULL ^ keys.size();
-  for (const auto& [group, host] : keys) {
-    std::uint64_t word = (group << 32) ^ host;
-    h ^= util::splitmix64(word) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
+/// What two candidate hosts of one rack must share to be interchangeable:
+/// free vcpus, memory and disk, host-uplink headroom, active flag and tags
+/// (read through `host`).
+struct HostClass {
+  dc::HostId host = dc::kInvalidHost;
+  topo::Resources free;
+  double uplink_headroom = 0.0;
+  bool active = false;
+};
 
-/// Equivalence hash of one candidate host: identical available resources,
-/// identical available bandwidth on every uplink of its hierarchy path,
-/// identical active flag and tags, and an identical hierarchy relation
-/// (scope) to every host the partial placement already uses.
-[[nodiscard]] std::uint64_t host_equivalence_hash(
-    const PartialPlacement& state, dc::HostId host) {
+/// Host-side symmetry rule (Section III-B-3): drops every candidate that
+/// an earlier kept candidate of the same rack is interchangeable with.
+/// Two hosts are interchangeable when neither holds a node of the plan and
+/// their HostClass values are equal: swapping them then maps the fleet,
+/// its occupancy and the plan onto themselves, so both generate isomorphic
+/// search subtrees.  Hosts of different racks are never merged, because
+/// their rack siblings may differ.  Candidates ascend, so each class keeps
+/// its lowest id; with the node floor rule (also lowest-id-first), the
+/// lexicographically least placement of every symmetry orbit survives both
+/// rules, which preserves optimality.  `kept` is caller-owned scratch
+/// bucketed by rack id; the bucket only groups, the values decide.
+void drop_interchangeable_hosts(
+    const PartialPlacement& state, std::vector<dc::HostId>& candidates,
+    std::unordered_map<std::uint32_t, std::vector<HostClass>>& kept) {
   const dc::DataCenter& datacenter = state.datacenter();
-  const auto mix = [](std::uint64_t& h, std::uint64_t v) {
-    h ^= util::splitmix64(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  const auto mix_double = [&mix](std::uint64_t& h, double d) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    std::memcpy(&bits, &d, sizeof bits);
-    mix(h, bits);
-  };
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  const topo::Resources avail = state.available(host);
-  mix_double(h, avail.vcpus);
-  mix_double(h, avail.mem_gb);
-  mix_double(h, avail.disk_gb);
-  mix_double(h, state.link_available(datacenter.host_link(host)));
-  const dc::Host& meta = datacenter.host(host);
-  mix_double(h, state.link_available(datacenter.rack_link(meta.rack)));
-  mix_double(h, state.link_available(datacenter.pod_link(meta.pod)));
-  mix_double(h, state.link_available(datacenter.site_link(meta.datacenter)));
-  mix(h, state.is_active(host) ? 1 : 0);
-  for (const auto& tag : meta.tags) {
-    std::uint64_t th = 1469598103934665603ULL;
-    for (const char c : tag) {
-      th ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      th *= 1099511628211ULL;
-    }
-    mix(h, th);
-  }
-  for (const dc::HostId u : state.used_hosts()) {
-    mix(h, static_cast<std::uint64_t>(datacenter.scope_between(host, u)));
-  }
-  return h;
-}
-
-/// Drops candidate hosts that are *placement-equivalent* to an earlier one.
-/// Two equivalent hosts generate isomorphic search subtrees — every
-/// constraint check and cost term depends only on the hashed quantities —
-/// so expanding one per equivalence class preserves optimality while
-/// cutting the branching factor from |H| to the number of distinct host
-/// configurations (dozens instead of thousands in a 2400-host fleet).
-void dedupe_equivalent_hosts(const PartialPlacement& state,
-                             std::vector<dc::HostId>& candidates) {
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<dc::HostId> kept;
-  kept.reserve(candidates.size());
+  for (auto& bucket : kept) bucket.second.clear();
+  std::size_t survivors = 0;
   for (const dc::HostId host : candidates) {
-    if (seen.insert(host_equivalence_hash(state, host)).second) {
-      kept.push_back(host);
+    if (!state.holds_node(host)) {
+      const HostClass mine{host, state.available(host),
+                           state.link_available(datacenter.host_link(host)),
+                           state.is_active(host)};
+      const std::vector<std::string>& tags = datacenter.host(host).tags;
+      std::vector<HostClass>& rack_kept = kept[datacenter.host(host).rack];
+      const bool merged = std::any_of(
+          rack_kept.begin(), rack_kept.end(), [&](const HostClass& other) {
+            return other.free == mine.free &&
+                   other.uplink_headroom == mine.uplink_headroom &&
+                   other.active == mine.active &&
+                   datacenter.host(other.host).tags == tags;
+          });
+      if (merged) continue;
+      rack_kept.push_back(mine);
     }
+    candidates[survivors++] = host;
   }
-  candidates = std::move(kept);
+  candidates.resize(survivors);
 }
 
 /// Probability that a popped path at progress s is pruned: P(x > s) for
@@ -264,8 +217,6 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
       util::metrics::counter("astar.paths_pruned_bound");
   static util::metrics::Counter& m_pruned_random =
       util::metrics::counter("astar.paths_pruned_random");
-  static util::metrics::Counter& m_deduped =
-      util::metrics::counter("astar.paths_deduped");
   static util::metrics::Counter& m_symmetry =
       util::metrics::counter("astar.symmetry_candidates_pruned");
   static util::metrics::Counter& m_eg_reruns =
@@ -297,12 +248,13 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
     if (!initial.is_placed(v)) order.push_back(v);
   }
 
-  // Symmetry reduction (Section III-B-3): ordering constraint between
-  // interchangeable free nodes.  prev_in_group[i] = index into `order` of
-  // the previous free node in the same group, or -1.
-  SymmetryGroups groups = detect_symmetry_groups(topology);
+  // Node-side symmetry reduction (Section III-B-3), the floor rule:
+  // interchangeable free nodes take non-decreasing host ids in expansion
+  // order.  prev_in_group[i] = index into `order` of the previous free node
+  // in the same group, or -1.
   std::vector<std::int64_t> prev_in_group(order.size(), -1);
   if (config.symmetry_reduction) {
+    const SymmetryGroups groups = detect_symmetry_groups(topology);
     std::unordered_map<std::uint32_t, std::size_t> last_of_group;
     for (std::size_t i = 0; i < order.size(); ++i) {
       const auto g = groups.group_of[order[i]];
@@ -352,24 +304,24 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
   // near the root, while the sharp estimate makes shallow and deep paths
   // comparable and biases the search into productive dives.  Pruning and
   // incumbent comparisons always use the admissible bound, so no path that
-  // could beat the incumbent is ever discarded by the estimate.
-  const bool sharp_ordering =
-      deadline_bounded || config.greedy_estimate_in_astar;
+  // could beat the incumbent is ever discarded by the estimate.  DBA* with
+  // no deadline is the deterministic form of this estimate-ordered search.
+
   // Budgets in force for this attempt, echoed so callers (and the
   // BudgetController's feedback loop) can see what the run actually got.
   stats.effective_max_open_paths = config.max_open_paths;
-  stats.effective_beam_width = sharp_ordering ? config.dba_beam_width : 0;
+  stats.effective_beam_width = deadline_bounded ? config.dba_beam_width : 0;
 
-  // Open queue (OQ of Algorithm 2) and closed set of canonical signatures.
-  std::vector<PathEntry> open_backing;
-  open_backing.reserve(open_reserve_hint(config));
+  // Open queue (OQ of Algorithm 2).  No closed queue: with a fixed
+  // expansion order each state has exactly one path from the root, and the
+  // floor rule keeps one state of those that differ only by a permutation
+  // of interchangeable nodes.
   std::priority_queue<PathEntry, std::vector<PathEntry>, PathOrder> open(
-      PathOrder{sharp_ordering}, std::move(open_backing));
-  std::unordered_set<std::uint64_t> closed;
+      PathOrder{deadline_bounded});
 
   std::uint64_t sequence = 0;
   open.push(PathEntry{nullptr, topo::kInvalidNode, dc::kInvalidHost,
-                      initial.utility_bound(), !sharp_ordering, 0,
+                      initial.utility_bound(), !deadline_bounded, 0,
                       sequence++});
   ++stats.paths_generated;
   m_generated.inc();
@@ -399,7 +351,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
   // Scratch reused across expansions.
   EstimateScratch estimate_scratch;
   CandidateBuffer candidate_buf;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> signature_keys;
+  std::unordered_map<std::uint32_t, std::vector<HostClass>> kept_classes;
   // Children are (order_utility, host) pairs; the pair's lexicographic
   // order matches the old (order, host) comparator exactly.
   std::vector<std::pair<double, dc::HostId>> children;
@@ -418,7 +370,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
 
     // Algorithm 2 line 6: the least-u path cannot beat the incumbent.
     // Sound only when the queue is ordered by the admissible bound.
-    if (!sharp_ordering && entry.priority >= incumbent.utility - kEps) {
+    if (!deadline_bounded && entry.priority >= incumbent.utility - kEps) {
       return finish(incumbent.state.has_value(),
                     incumbent.state ? "" : "search exhausted; infeasible");
     }
@@ -448,12 +400,12 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
 
     // Lazy priorities may under-estimate.  Under admissible ordering the
     // best-first order must stay truthful, so the entry is re-queued with
-    // the exact value when it moved; under sharp ordering the priorities
-    // are heuristic anyway and a re-queue would put every child on a
-    // materialize-punish-bury treadmill (the pop-time estimate does not
+    // the exact value when it moved; under DBA*'s estimate ordering the
+    // priorities are heuristic anyway and a re-queue would put every child
+    // on a materialize-punish-bury treadmill (the pop-time estimate does not
     // shrink the way the generation-time proxy assumed), so the path is
     // simply expanded with the priority it was popped at.
-    if (!sharp_ordering && !entry.exact) {
+    if (!deadline_bounded && !entry.exact) {
       if (exact_bound > entry.priority + kEps) {
         // Keep the materialized state: a later pop reuses it directly.
         open.push(PathEntry{state, topo::kInvalidNode, dc::kInvalidHost,
@@ -464,19 +416,12 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
     open_by_depth[entry.depth] -= 1.0;
 
     // Algorithm 2 line 7: a complete path with least u is the answer under
-    // admissible ordering; under sharp ordering it is a new incumbent and
-    // the search continues until the deadline or the queue drains.
+    // admissible ordering; under DBA*'s estimate ordering it is a new
+    // incumbent and the search continues until the deadline or the queue
+    // drains.
     if (state->complete()) {
       incumbent.offer(*state);
-      if (!sharp_ordering) return finish(true, "");
-      continue;
-    }
-
-    // Closed-queue dedup (line 10, via canonical signatures).
-    if (!closed.insert(canonical_signature(*state, groups, signature_keys))
-             .second) {
-      ++stats.paths_deduped;
-      m_deduped.inc();
+      if (!deadline_bounded) return finish(true, "");
       continue;
     }
 
@@ -518,7 +463,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
       std::erase_if(candidates,
                     [floor_host](dc::HostId h) { return h < floor_host; });
     }
-    dedupe_equivalent_hosts(*state, candidates);
+    drop_interchangeable_hosts(*state, candidates, kept_classes);
     const std::uint64_t symmetry_dropped = fan_before - candidates.size();
     stats.symmetry_pruned += symmetry_dropped;
     m_symmetry.add(symmetry_dropped);
@@ -535,12 +480,12 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
     // the host EG would pick, and backtracking alternatives are the
     // next-best estimates.  BA* orders by the admissible bound.
     const double rest_bound =
-        sharp_ordering ? Estimator::rest_bound(*parent, node) : 0.0;
+        deadline_bounded ? Estimator::rest_bound(*parent, node) : 0.0;
     // The per-node invariants of the estimate are shared by the whole
     // sibling fan; hoist them once per expansion (results bit-identical to
     // per-candidate calls; see NodeEstimateContext).
     std::optional<NodeEstimateContext> estimate_context;
-    if (sharp_ordering && config.use_estimate_context) {
+    if (deadline_bounded && config.use_estimate_context) {
       estimate_context.emplace(*parent, node, rest_bound);
     }
     for (const dc::HostId host : candidates) {
@@ -553,7 +498,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
         continue;
       }
       double order_utility = bound_utility;
-      if (sharp_ordering) {
+      if (deadline_bounded) {
         ++stats.heuristic_calls;
         const Estimate est =
             estimate_context
@@ -582,7 +527,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
     }
     // DBA* children beam (see SearchConfig::dba_beam_width): keep only the
     // most promising children; BA* keeps all of them for optimality.
-    if (sharp_ordering && config.dba_beam_width > 0 &&
+    if (deadline_bounded && config.dba_beam_width > 0 &&
         children.size() > config.dba_beam_width) {
       std::nth_element(
           children.begin(),

@@ -57,9 +57,11 @@ struct BudgetPolicy {
   std::size_t cap_open_paths = 16'000'000;
   /// Safety factor between a predicted queue peak and the granted budget.
   double peak_headroom = 4.0;
-  /// Modeled candidate fan cap for the cold estimate: post host-equivalence
-  /// dedup, expansions insert at most dozens of children per node, so the
-  /// fan contribution is capped rather than multiplied by the fleet size.
+  /// Modeled candidate fan cap for the cold estimate.  The symmetry rules
+  /// merge interchangeable hosts only within a rack, so an expansion inserts
+  /// one child per used host plus one per distinct host class of each rack:
+  /// far fewer than the fleet's hosts, but no fleet-wide merge.  The fan
+  /// contribution is capped rather than multiplied by the fleet size.
   std::size_t fan_cap = 256;
   /// EWMA smoothing for the observed open-queue peak (0 < alpha <= 1).
   double ewma_alpha = 0.5;

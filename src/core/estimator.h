@@ -17,8 +17,8 @@
 //    connectivity rules demand one (Figure 4).  Imaginary hosts carry the
 //    maximum per-resource host capacity of the data center and do not count
 //    toward u_c.  Sharper than the admissible bound but not guaranteed to
-//    be a lower bound; BA* uses it only when
-//    SearchConfig::greedy_estimate_in_astar is set (ablation).
+//    be a lower bound.  No search calls it: DBA* ranks children with
+//    candidate_estimate, and BA* orders by the admissible bound.
 #pragma once
 
 #include <span>

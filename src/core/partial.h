@@ -145,6 +145,10 @@ class PartialPlacement {
   [[nodiscard]] const std::vector<dc::HostId>& used_hosts() const noexcept {
     return used_hosts_;
   }
+  /// True when `host` is one of used_hosts().
+  [[nodiscard]] bool holds_node(dc::HostId host) const {
+    return host_delta_.contains(host);
+  }
 
   /// Lowest scope `node` could have relative to `host` given zone members
   /// already placed and `host`'s residual capacity (kSameHost when nothing

@@ -52,19 +52,16 @@ struct SearchConfig {
   double theta_bw = 0.6;
   double theta_c = 0.4;
 
-  /// DBA* wall-clock budget T in seconds.  <= 0 means "no deadline", which
-  /// makes DBA* behave like BA* (no pruning pressure ever builds up).
+  /// DBA* wall-clock budget T in seconds.  <= 0 means "no deadline": no
+  /// pruning pressure ever builds up, and DBA* becomes a deterministic
+  /// depth-first, estimate-ordered search that runs until its open queue
+  /// drains.
   double deadline_seconds = 0.0;
 
-  /// Diversity-zone symmetry reduction (Section III-B-3).  Only applied to
-  /// nodes proven interchangeable by color refinement; see core/symmetry.h.
+  /// Node-side symmetry reduction (Section III-B-3): nodes proven
+  /// interchangeable (core/symmetry.h) take non-decreasing host ids in
+  /// expansion order.  The same-rack host rule is always on.
   bool symmetry_reduction = true;
-
-  /// Use the paper's greedy imaginary-host estimate as the A* heuristic
-  /// instead of the strictly admissible bound.  The greedy estimate is
-  /// sharper but not guaranteed admissible; kept as an ablation knob
-  /// (bench_ablation_heuristic).
-  bool greedy_estimate_in_astar = false;
 
   /// Seed for DBA*'s pruning decisions (and nothing else).
   std::uint64_t seed = 42;
@@ -147,8 +144,8 @@ struct SearchConfig {
   /// admission queue (each forms its own batches).  Must be >= 1.
   std::size_t stream_dispatch_threads = 1;
 
-  /// DBA* children beam: after candidate generation (and host-equivalence
-  /// dedup) only the best this-many children by estimated utility are
+  /// DBA* children beam: after candidate generation (and the symmetry
+  /// rules) only the best this-many children by estimated utility are
   /// queued.  Bounds the branching factor — a 2400-host fleet otherwise
   /// produces thousands of near-identical children per expansion, and the
   /// open queue drowns before any path completes.  Applies to DBA* only;
@@ -185,7 +182,6 @@ struct SearchStats {
   std::uint64_t paths_generated = 0;
   std::uint64_t paths_pruned_bound = 0;   ///< pruned by u >= u_upper
   std::uint64_t paths_pruned_random = 0;  ///< DBA* probabilistic pruning
-  std::uint64_t paths_deduped = 0;        ///< closed-set / symmetry hits
   std::uint64_t eg_reruns = 0;            ///< RunEG re-bounding invocations
   /// Candidate hosts scored during greedy host selection, over the initial
   /// EG run and every RunEG re-bounding ("greedy.candidates_evaluated").
@@ -194,9 +190,9 @@ struct SearchStats {
   /// parallel utility fan plus DBA*'s sibling ranking;
   /// "estimator.candidate_estimates" is the process-wide total).
   std::uint64_t heuristic_calls = 0;
-  /// Candidate hosts dropped before expansion by the symmetry machinery:
-  /// the interchangeable-node ordering constraint plus host-equivalence
-  /// dedup ("astar.symmetry_candidates_pruned").
+  /// Candidate hosts dropped before expansion by the symmetry rules: the
+  /// interchangeable-node floor plus the same-rack interchangeable-host
+  /// rule ("astar.symmetry_candidates_pruned").
   std::uint64_t symmetry_pruned = 0;
   /// Largest open-queue size observed ("astar.open_queue_size" summary).
   std::uint64_t open_queue_peak = 0;
@@ -219,9 +215,9 @@ struct SearchStats {
   std::size_t effective_max_open_paths = 0;
   std::size_t effective_beam_width = 0;
   double runtime_seconds = 0.0;
-  /// Bytes the search keeps after it returns.  Every search state, the
-  /// open queue and the closed set are freed when the run ends, so this is
-  /// always 0; it stays so memory reports can keep reading it.
+  /// Bytes the search keeps after it returns.  Every search state and the
+  /// open queue are freed when the run ends, so this is always 0; it stays
+  /// so memory reports can keep reading it.
   std::size_t arena_bytes = 0;
 };
 

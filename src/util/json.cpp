@@ -8,6 +8,11 @@
 namespace ostro::util {
 namespace {
 
+/// Deepest array/object nesting the parser accepts.  The descent recurses
+/// once per level, so without a limit one hostile line of brackets
+/// overflows the stack; past it parsing fails like any malformed input.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -58,8 +63,16 @@ class Parser {
   Json parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -203,6 +216,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects currently open
 };
 
 void append_escaped(std::string& out, const std::string& s) {

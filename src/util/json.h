@@ -50,7 +50,8 @@ class Json {
   Json(JsonObject o)  // NOLINT(google-explicit-constructor)
       : type_(JsonType::kObject), object_(std::move(o)) {}
 
-  /// Parses a complete document; trailing non-whitespace is an error.
+  /// Parses a complete document; trailing non-whitespace is an error, and
+  /// so is nesting more than 256 arrays and objects deep.
   [[nodiscard]] static Json parse(std::string_view text);
 
   [[nodiscard]] JsonType type() const noexcept { return type_; }

@@ -1,5 +1,5 @@
-// Search-machinery observability: truncation reporting, host-equivalence
-// dedup effectiveness, and stats consistency.
+// Search-machinery observability: truncation reporting, host-symmetry
+// rule effectiveness, and stats consistency.
 #include <gtest/gtest.h>
 
 #include "core/astar.h"

@@ -189,19 +189,45 @@ TEST(BaStarTest, ExpansionBudgetTruncatesDeterministically) {
   EXPECT_EQ(rerun.stats.paths_expanded, outcome.stats.paths_expanded);
 }
 
-TEST(BaStarTest, GreedyEstimateModeStillValid) {
-  util::Rng rng(999);
-  const auto datacenter = small_dc(2, 2);
+TEST(BaStarTest, HostsOfDifferentRacksAreNeverMerged) {
+  // Rack 0 holds a 4-vCPU and a 1-vCPU host, rack 1 two 4-vCPU hosts.  Two
+  // 3-vCPU VMs joined by a pipe cannot share a host, so the optimum puts
+  // them side by side in rack 1 (a 2-link pipe).  Rack 0's big host matches
+  // rack 1's in its own residual and uplinks, but it has no big sibling:
+  // merging it with them leaves only 4-link, cross-rack completions.
+  dc::DataCenterBuilder builder;
+  const auto site = builder.add_site("site", 16000.0);
+  const auto pod = builder.add_pod(site, "pod", 16000.0);
+  const auto rack0 = builder.add_rack(pod, "rack0", 4000.0);
+  builder.add_host(rack0, "big0", {4.0, 8.0, 100.0}, 1000.0);
+  builder.add_host(rack0, "small0", {1.0, 8.0, 100.0}, 1000.0);
+  const auto rack1 = builder.add_rack(pod, "rack1", 4000.0);
+  builder.add_host(rack1, "big1", {4.0, 8.0, 100.0}, 1000.0);
+  builder.add_host(rack1, "big2", {4.0, 8.0, 100.0}, 1000.0);
+  const auto datacenter = builder.build();
   const dc::Occupancy occupancy(datacenter);
-  const auto app = random_app(rng, 4);
-  SearchConfig config;
-  config.greedy_estimate_in_astar = true;
-  const Objective objective(app, datacenter, config);
-  const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
-  if (outcome.feasible) {
-    EXPECT_TRUE(
-        verify_placement(occupancy, app, outcome.state.assignment()).empty());
+
+  topo::TopologyBuilder app_builder;
+  app_builder.add_vm("a", {3.0, 3.0, 0.0});
+  app_builder.add_vm("b", {3.0, 3.0, 0.0});
+  app_builder.connect("a", "b", 100.0);
+  const auto app = app_builder.build();
+
+  for (const bool symmetry_reduction : {true, false}) {
+    SearchConfig config;
+    config.symmetry_reduction = symmetry_reduction;
+    const Objective objective(app, datacenter, config);
+    const BruteForceResult best =
+        brute_force_optimal(initial_state(app, occupancy, objective), false);
+    ASSERT_TRUE(best.feasible);
+    EXPECT_NEAR(best.utility, 0.7, 1e-9);
+    const AStarOutcome outcome = run_astar(
+        initial_state(app, occupancy, objective), config, false, nullptr);
+    ASSERT_TRUE(outcome.feasible) << outcome.failure;
+    EXPECT_NEAR(outcome.state.utility_committed(), best.utility, 1e-9)
+        << "symmetry_reduction=" << symmetry_reduction;
+    EXPECT_EQ(datacenter.host(outcome.state.host_of(0)).rack, rack1);
+    EXPECT_EQ(datacenter.host(outcome.state.host_of(1)).rack, rack1);
   }
 }
 

@@ -152,11 +152,9 @@ TEST(FastPathDifferentialTest, DeadlineBoundedAStarMatchesReferencePath) {
     const auto app = random_app(rng, 5);
     SearchConfig fast_config;
     // deadline_seconds == 0 disables the deadline: no prune pressure, so
-    // DBA* is deterministic and the two runs are comparable.  The sharp
-    // sibling ordering (greedy_estimate_in_astar) exercises the context in
-    // the expansion fan.
+    // DBA* is deterministic and the two runs are comparable.  DBA*'s
+    // estimate-ranked siblings exercise the context in the expansion fan.
     fast_config.deadline_seconds = 0.0;
-    fast_config.greedy_estimate_in_astar = true;
     fast_config.use_estimate_context = true;
     SearchConfig ref_config = fast_config;
     ref_config.use_estimate_context = false;

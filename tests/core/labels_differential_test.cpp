@@ -127,10 +127,9 @@ TEST(LabelsDifferentialTest, DbaStarMatchesReference) {
     const auto app = random_app(rng, 5);
     SearchConfig config;
     // deadline_seconds == 0 disables the probabilistic pruning, so DBA*
-    // (sharp sibling ordering, depth-first pops) is deterministic and the
+    // (estimate-ranked siblings, depth-first pops) is deterministic and the
     // two runs are comparable.
     config.deadline_seconds = 0.0;
-    config.greedy_estimate_in_astar = true;
     const Objective objective(app, datacenter, config);
 
     const AStarOutcome labeled = run_astar(
@@ -161,7 +160,6 @@ TEST(LabelsDifferentialTest, SchedulerFlagMatrixMatches) {
       on_config.use_prune_labels = true;
       if (algorithm == Algorithm::kDbaStar) {
         on_config.deadline_seconds = 0.0;
-        on_config.greedy_estimate_in_astar = true;
       }
       SearchConfig off_config = on_config;
       off_config.use_prune_labels = false;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ostro::util {
 namespace {
 
@@ -57,6 +59,34 @@ TEST(JsonParseTest, MalformedDocumentsThrow) {
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)Json::parse(text), JsonError) << text;
+  }
+}
+
+TEST(JsonParseTest, DeeplyNestedArraysThrowInsteadOfOverflowing) {
+  const std::string text =
+      std::string(100000, '[') + std::string(100000, ']');
+  EXPECT_THROW((void)Json::parse(text), JsonError);
+}
+
+TEST(JsonParseTest, DeeplyNestedObjectsThrowInsteadOfOverflowing) {
+  std::string text;
+  for (int i = 0; i < 100000; ++i) text += "{\"a\":";
+  text += "1" + std::string(100000, '}');
+  EXPECT_THROW((void)Json::parse(text), JsonError);
+}
+
+TEST(JsonParseTest, NestingLimitIsExact) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(Json::parse(nested(256)).size(), 1u);
+  try {
+    (void)Json::parse(nested(257));
+    FAIL() << "257 levels parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("at offset 256"), std::string::npos)
+        << e.what();
   }
 }
 
