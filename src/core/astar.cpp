@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
 #include <unordered_map>
 
 #include "core/candidates.h"
@@ -81,22 +82,27 @@ struct PathOrder {
 ///   - all other open pipes keep their parent bound.
 /// Ignoring the zone-mate bound refreshes place() would do only loosens the
 /// bound, so the estimate never exceeds the materialized value.
+/// `parent_bounds[i]` is `parent.edge_bound` of the i-th pipe of `node`,
+/// which every candidate host of one expansion shares.
 struct ChildScore {
   double ubw = 0.0;        ///< committed link-weighted bandwidth after the move
   double bound_rem = 0.0;  ///< admissible bound on the remaining pipes
   double uc = 0.0;         ///< newly-active hosts after the move
 };
 
-[[nodiscard]] ChildScore child_priority(const PartialPlacement& parent,
-                                        topo::NodeId node, dc::HostId host) {
+[[nodiscard]] ChildScore child_priority(
+    const PartialPlacement& parent, topo::NodeId node, dc::HostId host,
+    std::span<const double> parent_bounds) {
   const topo::AppTopology& topology = parent.topology();
   const dc::DataCenter& datacenter = parent.datacenter();
   double ubw = parent.ubw();
   double bound = parent.remaining_bw_bound();
   const topo::Resources residual =
       parent.available(host) - topology.node(node).requirements;
-  for (const auto& nb : topology.neighbors(node)) {
-    bound -= parent.edge_bound(nb.edge_index);
+  const std::span<const topo::Neighbor> neighbors = topology.neighbors(node);
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    const topo::Neighbor& nb = neighbors[i];
+    bound -= parent_bounds[i];
     const dc::HostId other = parent.host_of(nb.node);
     if (other != dc::kInvalidHost) {
       ubw += Objective::edge_cost(nb.bandwidth_mbps,
@@ -188,6 +194,34 @@ void drop_interchangeable_hosts(
   return (r - s) / r;
 }
 
+/// A feasible EG completion computed during one search: the depth in the
+/// expansion order of the state EG started from, and the placement it
+/// returned.
+struct KnownCompletion {
+  std::uint32_t depth = 0;
+  net::Assignment assignment;
+};
+
+/// True when `state`, at `depth` in `order`, lies on the path EG took to
+/// one of `known`: that run started at a depth <= `depth` and placed
+/// order[0..depth) as `state` does.  `state` is then the very state EG
+/// reached at that step, built by the same place() calls from the same
+/// initial state, and EG is deterministic in its start state, so EG from
+/// `state` would return that completion again.
+[[nodiscard]] bool on_known_completion(const PartialPlacement& state,
+                                       std::span<const topo::NodeId> order,
+                                       std::uint32_t depth,
+                                       std::span<const KnownCompletion> known) {
+  const std::span<const topo::NodeId> prefix = order.first(depth);
+  return std::any_of(
+      known.begin(), known.end(), [&](const KnownCompletion& completion) {
+        return completion.depth <= depth &&
+               std::all_of(prefix.begin(), prefix.end(), [&](topo::NodeId v) {
+                 return state.host_of(v) == completion.assignment[v];
+               });
+      });
+}
+
 /// Incumbent: the best complete placement known so far.
 struct Incumbent {
   std::optional<PartialPlacement> state;
@@ -221,6 +255,8 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
       util::metrics::counter("astar.symmetry_candidates_pruned");
   static util::metrics::Counter& m_eg_reruns =
       util::metrics::counter("astar.eg_reruns");
+  static util::metrics::Counter& m_eg_reused =
+      util::metrics::counter("astar.eg_reruns_reused");
   static util::metrics::Summary& m_open_size =
       util::metrics::summary("astar.open_queue_size");
   static util::metrics::Summary& m_run_seconds =
@@ -272,9 +308,12 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
                                                  : 0.0);
 
   // RunEG (Algorithm 2, lines 3 and 17): greedy completion as upper bound.
+  // Every feasible completion is kept so that a re-bound from a state on
+  // its path can be skipped (on_known_completion).
   Incumbent incumbent;
+  std::vector<KnownCompletion> known_completions;
   double last_eg_seconds = 0.0;
-  const auto run_eg = [&](const PartialPlacement& from) {
+  const auto run_eg = [&](const PartialPlacement& from, std::uint32_t depth) {
     const util::WallTimer eg_timer;
     ++stats.eg_reruns;
     m_eg_reruns.inc();
@@ -283,11 +322,14 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
                                   config.use_candidate_index);
     stats.candidates_evaluated += eg.stats.candidates_evaluated;
     stats.heuristic_calls += eg.stats.heuristic_calls;
-    if (eg.feasible) incumbent.offer(std::move(eg.state));
+    if (eg.feasible) {
+      known_completions.push_back({depth, eg.state.assignment()});
+      incumbent.offer(std::move(eg.state));
+    }
     last_eg_seconds = eg_timer.elapsed_seconds();
     m_eg_seconds.observe(last_eg_seconds);
   };
-  run_eg(initial);
+  run_eg(initial, 0);
   // Re-bounding cadence: a full EG completion costs seconds at paper scale,
   // so it is re-run only when the search has advanced a meaningful stride
   // deeper ("u_upper decreases over time since the remaining V_p gets
@@ -352,6 +394,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
   EstimateScratch estimate_scratch;
   CandidateBuffer candidate_buf;
   std::unordered_map<std::uint32_t, std::vector<HostClass>> kept_classes;
+  std::vector<double> parent_bounds;
   // Children are (order_utility, host) pairs; the pair's lexicographic
   // order matches the old (order, host) comparator exactly.
   std::vector<std::pair<double, dc::HostId>> children;
@@ -433,7 +476,9 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
     // safely finished with u_upper".  DBA* therefore spends up to half of
     // its elapsed time running EG completions from popped states; BA* (and
     // deadline-less DBA*, which must stay deterministic) re-bounds only
-    // when the search reaches a new depth.
+    // when the search reaches a new depth.  A state on the path of a known
+    // completion would only re-offer it, so its re-bound is answered
+    // without running EG; the cadence (last_eg_depth) advances either way.
     bool want_eg = false;
     if (entry.depth > max_depth_seen) {
       max_depth_seen = entry.depth;
@@ -446,8 +491,13 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
           deadline.remaining_seconds() > 1.5 * last_eg_seconds;
       if (affordable) {
         last_eg_depth = std::max(last_eg_depth, entry.depth);
-        run_eg(*state);
-        eg_total_seconds += last_eg_seconds;
+        if (on_known_completion(*state, order, entry.depth,
+                                known_completions)) {
+          m_eg_reused.inc();
+        } else {
+          run_eg(*state, entry.depth);
+          eg_total_seconds += last_eg_seconds;
+        }
       }
     }
 
@@ -488,8 +538,13 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
     if (deadline_bounded && config.use_estimate_context) {
       estimate_context.emplace(*parent, node, rest_bound);
     }
+    parent_bounds.clear();
+    for (const auto& nb : topology.neighbors(node)) {
+      parent_bounds.push_back(parent->edge_bound(nb.edge_index));
+    }
     for (const dc::HostId host : candidates) {
-      const ChildScore score = child_priority(*parent, node, host);
+      const ChildScore score =
+          child_priority(*parent, node, host, parent_bounds);
       const double bound_utility =
           parent->objective().utility(score.ubw + score.bound_rem, score.uc);
       if (bound_utility >= incumbent.utility - kEps) {  // line 11 bounding

@@ -37,8 +37,8 @@ namespace {
 /// section 8.  Runs the search under the controller's budget; a valve-fire
 /// failure (hit_open_limit, no feasible placement) is retried with a
 /// geometrically widened budget, and when the ladder is exhausted the plan
-/// falls back to greedy EG completions (EG order, then bandwidth order) —
-/// today's silent quality cliff becomes a bounded, observable retry path.
+/// falls back to a greedy EG completion in bandwidth order — today's silent
+/// quality cliff becomes a bounded, observable retry path.
 [[nodiscard]] AStarOutcome run_astar_adaptive(const PartialPlacement& state,
                                               const SearchConfig& config,
                                               bool deadline_bounded,
@@ -64,29 +64,25 @@ namespace {
       ++retries;
       continue;
     }
-    // Ladder exhausted: complete greedily.  EG's own sort order first; the
+    // Ladder exhausted: complete greedily.  The attempt is infeasible, so
+    // its root EG run (EG order, same state) already dead-ended; EG in
     // bandwidth-first order is a genuinely different decision sequence and
     // occasionally completes where EG's dead-ends.
     controller.note_greedy_fallback();
     AStarOutcome fallback(state);
     fallback.stats = outcome.stats;
-    for (const auto& order :
-         {eg_sort_order(topology), bandwidth_sort_order(topology)}) {
-      GreedyOutcome eg =
-          run_greedy(Algorithm::kEg, PartialPlacement(state), order, pool,
-                     config.use_estimate_context, config.use_candidate_index);
-      fallback.stats.candidates_evaluated += eg.stats.candidates_evaluated;
-      fallback.stats.heuristic_calls += eg.stats.heuristic_calls;
-      ++fallback.stats.eg_reruns;
-      if (eg.feasible) {
-        fallback.feasible = true;
-        fallback.state = std::move(eg.state);
-        break;
-      }
+    GreedyOutcome eg = run_greedy(Algorithm::kEg, PartialPlacement(state),
+                                  bandwidth_sort_order(topology), pool,
+                                  config.use_estimate_context,
+                                  config.use_candidate_index);
+    fallback.stats.candidates_evaluated += eg.stats.candidates_evaluated;
+    fallback.stats.heuristic_calls += eg.stats.heuristic_calls;
+    ++fallback.stats.eg_reruns;
+    fallback.feasible = eg.feasible;
+    if (eg.feasible) {
+      fallback.state = std::move(eg.state);
+    } else {
       fallback.failure = std::move(eg.failure);
-    }
-    if (!fallback.feasible && fallback.failure.empty()) {
-      fallback.failure = "open-queue limit hit; no solution";
     }
     fallback.stats.budget_retries = retries;
     fallback.stats.hit_open_limit = true;

@@ -182,13 +182,20 @@ struct SearchStats {
   std::uint64_t paths_generated = 0;
   std::uint64_t paths_pruned_bound = 0;   ///< pruned by u >= u_upper
   std::uint64_t paths_pruned_random = 0;  ///< DBA* probabilistic pruning
-  std::uint64_t eg_reruns = 0;            ///< RunEG re-bounding invocations
+  /// EG completions actually run: the root RunEG, every re-bound that ran
+  /// EG ("astar.eg_reruns"), and the kAuto greedy fallback.  A re-bound
+  /// from a state on the path of a feasible completion this search already
+  /// computed would return that completion again; it runs nothing and
+  /// counts only under "astar.eg_reruns_reused".
+  std::uint64_t eg_reruns = 0;
   /// Candidate hosts scored during greedy host selection, over the initial
   /// EG run and every RunEG re-bounding ("greedy.candidates_evaluated").
   std::uint64_t candidates_evaluated = 0;
-  /// Estimator::candidate_estimate invocations this run charged (EG's
-  /// parallel utility fan plus DBA*'s sibling ranking;
-  /// "estimator.candidate_estimates" is the process-wide total).
+  /// Estimator::candidate_estimate invocations this run charged: EG's
+  /// parallel utility fan in every completion counted by eg_reruns, plus
+  /// DBA*'s sibling ranking ("estimator.candidate_estimates" is the
+  /// process-wide total).  Re-bounds answered by a known completion
+  /// charge nothing.
   std::uint64_t heuristic_calls = 0;
   /// Candidate hosts dropped before expansion by the symmetry rules: the
   /// interchangeable-node floor plus the same-rack interchangeable-host

@@ -1,10 +1,12 @@
 // Search-machinery observability: truncation reporting, host-symmetry
-// rule effectiveness, and stats consistency.
+// rule effectiveness, EG re-bound reuse, and stats consistency.
 #include <gtest/gtest.h>
 
 #include "core/astar.h"
+#include "core/greedy.h"
 #include "core/scheduler.h"
 #include "helpers.h"
+#include "util/metrics.h"
 
 namespace ostro::core {
 namespace {
@@ -82,6 +84,63 @@ TEST(AStarStatsTest, StatsAccumulateSensibly) {
   EXPECT_GE(placement.stats.eg_reruns, 1u);
   EXPECT_GT(placement.stats.runtime_seconds, 0.0);
   EXPECT_LE(placement.stats.max_depth, app.node_count());
+}
+
+TEST(AStarStatsTest, DiveAlongEgAnswersItsReboundsWithoutRunningEg) {
+  // Three 3-vCPU VMs in a chain a - b - c on 8-vCPU hosts: any two fit one
+  // host, all three do not.  EG places b (the heaviest) first, a beside it
+  // and c in b's rack: 200 Mbps·links on two new hosts, the optimum.  DBA*
+  // ranks siblings by EG's own estimate, so its dive takes EG's decisions,
+  // and every re-bound along it (one per depth here) starts from a state
+  // on the root completion's path: EG would only return it again.
+  const auto datacenter = small_dc(2, 2);
+  const dc::Occupancy occupancy(datacenter);
+  topo::TopologyBuilder builder;
+  for (const char* name : {"a", "b", "c"}) {
+    builder.add_vm(name, {3.0, 3.0, 0.0});
+  }
+  builder.connect("a", "b", 100.0);
+  builder.connect("b", "c", 100.0);
+  const auto app = builder.build();
+  SearchConfig config;
+  config.deadline_seconds = 0.0;  // deterministic, drains the open queue
+  const Objective objective(app, datacenter, config);
+  const GreedyOutcome eg =
+      run_greedy(Algorithm::kEg, PartialPlacement(app, occupancy, objective),
+                 eg_sort_order(app), nullptr);
+  ASSERT_TRUE(eg.feasible);
+
+  const auto& reused = util::metrics::counter("astar.eg_reruns_reused");
+  const std::uint64_t reused_before = reused.value();
+  const AStarOutcome dba = run_astar(
+      PartialPlacement(app, occupancy, objective), config, true, nullptr);
+  ASSERT_TRUE(dba.feasible);
+  EXPECT_EQ(dba.state.assignment(), eg.state.assignment());
+  EXPECT_EQ(dba.stats.eg_reruns, 1u);  // the root run only
+  EXPECT_GT(reused.value(), reused_before);
+}
+
+TEST(AStarStatsTest, DiveOffEveryKnownCompletionStillRerunsEg) {
+  // On this instance DBA* returns a strictly better placement than EG, so
+  // its search leaves EG's decisions; a re-bound from a state off every
+  // known completion must run EG again.
+  util::Rng rng(33);
+  const auto datacenter = small_dc(2, 3);
+  const dc::Occupancy occupancy(datacenter);
+  const auto app = random_app(rng, 5);
+  SearchConfig config;
+  config.deadline_seconds = 0.0;
+  const Objective objective(app, datacenter, config);
+  const GreedyOutcome eg =
+      run_greedy(Algorithm::kEg, PartialPlacement(app, occupancy, objective),
+                 eg_sort_order(app), nullptr);
+  ASSERT_TRUE(eg.feasible);
+  const AStarOutcome dba = run_astar(
+      PartialPlacement(app, occupancy, objective), config, true, nullptr);
+  ASSERT_TRUE(dba.feasible);
+  EXPECT_LT(dba.state.utility_committed(),
+            eg.state.utility_committed() - 1e-9);
+  EXPECT_GE(dba.stats.eg_reruns, 2u);
 }
 
 TEST(AStarStatsTest, DbaRandomPruningCountsUnderPressure) {
