@@ -16,13 +16,8 @@ int main(int argc, char** argv) {
   args.add_string("sizes", "25,50,100,150,200",
                   "topology sizes (--full: 25,50,75,100,125,150,175,200)");
   args.add_int("racks", 150, "data-center racks (16 hosts each)");
-  args.add_string("budget", "fixed",
-                  "BA*/DBA* search-budget mode: fixed (paper constants, "
-                  "bit-identical) | auto (adaptive controller)");
   if (!args.parse(argc, argv)) return 0;
   bench::apply_metrics_flags(args);
-  const core::BudgetMode budget_mode =
-      core::parse_budget_mode(args.get_string("budget"));
 
   const std::vector<int> sizes =
       args.flag("full")
@@ -39,7 +34,7 @@ int main(int argc, char** argv) {
         bench::Workload::kMultitier, mix, sizes, algorithms,
         static_cast<int>(args.get_int("runs")),
         static_cast<std::uint64_t>(args.get_int("seed")),
-        static_cast<int>(args.get_int("racks")), uniform, budget_mode);
+        static_cast<int>(args.get_int("racks")), uniform);
     const std::string suffix =
         std::string(sim::to_string(mix)) +
         (uniform ? ", uniform availability" : ", non-uniform availability");
@@ -65,26 +60,6 @@ int main(int argc, char** argv) {
           return bench::mean_pm(cell.runtime_seconds, 2);
         },
         "run time (sec)", args, "Figure 9 (multi-tier, " + suffix + ")");
-    // Budget telemetry (extension, not a paper figure): the budgets the
-    // controller chose and the widened retries it took.  Only meaningful
-    // under --budget=auto; the same numbers land in the --metrics JSON
-    // block as the budget.* counters/summaries.
-    if (budget_mode == core::BudgetMode::kAuto) {
-      bench::emit_sweep_metric(
-          sweep, sizes, algorithms,
-          [](const bench::SweepCell& cell) {
-            return bench::mean_pm(cell.final_open_budget, 0);
-          },
-          "final open-path budget", args,
-          "Budget controller (multi-tier, " + suffix + ")");
-      bench::emit_sweep_metric(
-          sweep, sizes, algorithms,
-          [](const bench::SweepCell& cell) {
-            return bench::mean_pm(cell.budget_retries, 2);
-          },
-          "widened retries", args,
-          "Budget controller (multi-tier, " + suffix + ")");
-    }
   }
   bench::emit_metrics(args);
   return 0;

@@ -8,8 +8,7 @@
 // shows the fragmentation index rising as departures shred the packing;
 // the run with defrag shows it measurably lower and the placement success
 // rate at least as high.  Both claims are asserted at the end (exit 1 on
-// violation), so CI's --smoke invocation gates them, and the flat JSON
-// keys in BENCH_lifecycle.json feed scripts/compare_bench.py.
+// violation), so CI's --smoke invocation gates them.
 #include "common.h"
 
 #include <cstdint>

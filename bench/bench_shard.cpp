@@ -7,10 +7,11 @@
 // concurrently.  A monolithic service pays O(hosts) per request (snapshot
 // copy + candidate scan) behind one writer lock; with N shards each
 // request touches one shard's O(hosts/N) state behind its own lock, so
-// throughput should scale with the shard count.  The full run asserts the
-// headline claim — at least 3x throughput at 4 shards over 1 — and exits
-// nonzero when it fails; --smoke (CI) runs tiny sizes and only writes the
-// BENCH_shard.json keys for the compare_bench.py gate.
+// throughput should scale with the shard count.  Every run, --smoke (CI)
+// included, exits nonzero when a multi-shard router commits fewer stacks
+// than the 1-shard router did from the same stream: sharding must not lose
+// placements.  The full run also asserts the headline claim — at least 3x
+// throughput at 4 shards over 1.
 #include "common.h"
 
 #include <atomic>
@@ -169,13 +170,24 @@ int main(int argc, char** argv) {
 
   bench::emit_metrics(args);
 
+  bool ok = true;
+  // Sharding must not lose placements, at any scale: the 1-shard run is
+  // the first point of the sweep.
+  for (const SweepPoint& point : points) {
+    if (point.committed < points.front().committed) {
+      std::cout << "FAIL: " << point.shards << "-shard router committed "
+                << point.committed << " stacks, fewer than the 1-shard "
+                << points.front().committed << "\n";
+      ok = false;
+    }
+  }
   // The headline claim, asserted only at full scale: small smoke clusters
   // finish requests too fast for the sharding win to dominate thread and
   // snapshot overheads, so asserting there would gate on noise.
   if (!smoke && tp1 > 0.0 && tp4 > 0.0 && tp4 < 3.0 * tp1) {
     std::cout << "FAIL: 4-shard throughput " << tp4
               << " stacks/s is below 3x the 1-shard " << tp1 << " stacks/s\n";
-    return 1;
+    ok = false;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

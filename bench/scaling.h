@@ -17,10 +17,6 @@ struct SweepCell {
   util::Samples total_hosts;
   util::Samples new_hosts;
   util::Samples runtime_seconds;
-  /// Search-budget telemetry (BA*/DBA* only; zero for the greedy rows):
-  /// widened retries taken and the open-path budget of the final attempt.
-  util::Samples budget_retries;
-  util::Samples final_open_budget;
   int infeasible = 0;
 };
 
@@ -31,8 +27,7 @@ using SweepResult = std::map<std::pair<int, core::Algorithm>, SweepCell>;
 [[nodiscard]] inline SweepResult run_scaling_sweep(
     Workload workload, sim::RequirementMix mix, const std::vector<int>& sizes,
     const std::vector<core::Algorithm>& algorithms, int runs,
-    std::uint64_t seed, int racks, bool uniform_availability,
-    core::BudgetMode budget_mode = core::BudgetMode::kFixed) {
+    std::uint64_t seed, int racks, bool uniform_availability) {
   const auto datacenter = sim::make_sim_datacenter(racks);
   SweepResult result;
   for (const int vms : sizes) {
@@ -49,7 +44,6 @@ using SweepResult = std::map<std::pair<int, core::Algorithm>, SweepCell>;
         core::SearchConfig config;  // theta = 0.6 / 0.4 (Section IV-C)
         config.deadline_seconds = dba_deadline_for(vms);
         config.seed = seed + static_cast<std::uint64_t>(run);
-        config.budget_mode = budget_mode;
         const core::Placement placement = core::place_topology(
             occupancy, app, algorithm, config, nullptr, nullptr);
         if (!placement.feasible) {
@@ -65,10 +59,6 @@ using SweepResult = std::map<std::pair<int, core::Algorithm>, SweepCell>;
             static_cast<std::size_t>(placement.new_active_hosts)));
         cell.new_hosts.add(placement.new_active_hosts);
         cell.runtime_seconds.add(placement.stats.runtime_seconds);
-        cell.budget_retries.add(
-            static_cast<double>(placement.stats.budget_retries));
-        cell.final_open_budget.add(
-            static_cast<double>(placement.stats.effective_max_open_paths));
       }
     }
   }

@@ -20,6 +20,10 @@
 #   6. The reverse of 1: every row of the README "Configuration" table
 #      names a core::SearchConfig field, so a deleted knob cannot leave a
 #      stale row behind.
+#   7. Every --flag named in the README "Command-line tool" section or in
+#      the "Configuration" intro paragraph is declared by an args.add_*
+#      call in tools/ostro_cli.cpp, so a deleted CLI flag cannot stay
+#      documented.
 #
 # Exits non-zero listing every undocumented token or stale row, so a PR
 # adding a config knob or a counter without documenting it, or deleting a
@@ -120,14 +124,41 @@ for name in $config_rows; do
   fi
 done
 
+cli_flags=$(grep -oE 'args\.add_(string|int|double|flag)\("[a-z-]+"' \
+    tools/ostro_cli.cpp | sed -E 's/.*\("([a-z-]+)".*/\1/' | sort -u)
+if [[ -z "$cli_flags" ]]; then
+  echo "extraction failure: no flags found in tools/ostro_cli.cpp" >&2
+  exit 1
+fi
+readme_flags=$( {
+    awk '/^## Command-line tool$/ { in_section = 1; next }
+         in_section && /^#/ { exit }
+         in_section' README.md
+    awk '/^## Configuration$/ { in_section = 1; next }
+         in_section && /^\|/ { exit }
+         in_section' README.md
+  } | { grep -oE -- '--[a-z][a-z-]*' || true; } | sed 's/^--//' | sort -u)
+if [[ -z "$readme_flags" ]]; then
+  echo "extraction failure: no --flags found in README.md's Command-line" \
+       "tool section or Configuration intro" >&2
+  exit 1
+fi
+for flag in $readme_flags; do
+  if ! grep -qxF -- "$flag" <<<"$cli_flags"; then
+    echo "STALE README flag: '--$flag' (not declared in tools/ostro_cli.cpp)" >&2
+    status=1
+  fi
+done
+
 if [[ "$status" -eq 0 ]]; then
   count_fields=$(wc -w <<<"$config_fields")
   count_metrics=$(wc -w <<<"$metric_names")
   count_rows=$(wc -w <<<"$glossary_names")
   count_config_rows=$(wc -w <<<"$config_rows")
+  count_flags=$(wc -w <<<"$readme_flags")
   echo "docs consistent: $count_fields SearchConfig fields and" \
        "$count_metrics metrics names all documented; $count_rows glossary" \
        "rows all registered; $count_config_rows Configuration rows all" \
-       "SearchConfig fields"
+       "SearchConfig fields; $count_flags README CLI flags all declared"
 fi
 exit "$status"

@@ -349,11 +349,6 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
   // could beat the incumbent is ever discarded by the estimate.  DBA* with
   // no deadline is the deterministic form of this estimate-ordered search.
 
-  // Budgets in force for this attempt, echoed so callers (and the
-  // BudgetController's feedback loop) can see what the run actually got.
-  stats.effective_max_open_paths = config.max_open_paths;
-  stats.effective_beam_width = deadline_bounded ? config.dba_beam_width : 0;
-
   // Open queue (OQ of Algorithm 2).  No closed queue: with a fixed
   // expansion order each state has exactly one path from the root, and the
   // floor rule keeps one state of those that differ only by a permutation
@@ -619,8 +614,8 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
 
     // Deterministic expansion budget (SearchConfig::max_expansions): caps
     // the work directly, independent of how pruning shapes the frontier.
-    // Deliberately does NOT set hit_open_limit — the kAuto controller must
-    // not respond to a fixed work cap by widening the open-queue budget.
+    // It leaves hit_open_limit clear, so callers can tell which bound
+    // stopped the search.
     if (config.max_expansions != 0 &&
         stats.paths_expanded >= config.max_expansions) {
       stats.truncated = true;

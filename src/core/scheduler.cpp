@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/astar.h"
-#include "core/budget.h"
 #include "core/greedy.h"
 #include "core/objective.h"
 #include "net/reservation.h"
@@ -33,71 +32,13 @@ namespace {
   return out;
 }
 
-/// BA*/DBA* under BudgetMode::kAuto: the bounded-retry ladder of DESIGN.md
-/// section 8.  Runs the search under the controller's budget; a valve-fire
-/// failure (hit_open_limit, no feasible placement) is retried with a
-/// geometrically widened budget, and when the ladder is exhausted the plan
-/// falls back to a greedy EG completion in bandwidth order — today's silent
-/// quality cliff becomes a bounded, observable retry path.
-[[nodiscard]] AStarOutcome run_astar_adaptive(const PartialPlacement& state,
-                                              const SearchConfig& config,
-                                              bool deadline_bounded,
-                                              util::ThreadPool* pool,
-                                              BudgetController& controller) {
-  const topo::AppTopology& topology = state.topology();
-  const std::size_t free_nodes =
-      topology.node_count() - state.placed_count();
-  BudgetDecision decision = controller.decide(
-      free_nodes, state.datacenter().host_count(), config);
-  SearchConfig attempt_config = config;
-  std::uint32_t retries = 0;
-  for (;;) {
-    attempt_config.max_open_paths = decision.max_open_paths;
-    attempt_config.dba_beam_width = decision.beam_width;
-    AStarOutcome outcome = run_astar(PartialPlacement(state), attempt_config,
-                                     deadline_bounded, pool);
-    controller.observe(decision, outcome.stats);
-    outcome.stats.budget_retries = retries;
-    if (outcome.feasible || !outcome.stats.hit_open_limit) return outcome;
-    if (const auto widened = controller.widen(decision, config)) {
-      decision = *widened;
-      ++retries;
-      continue;
-    }
-    // Ladder exhausted: complete greedily.  The attempt is infeasible, so
-    // its root EG run (EG order, same state) already dead-ended; EG in
-    // bandwidth-first order is a genuinely different decision sequence and
-    // occasionally completes where EG's dead-ends.
-    controller.note_greedy_fallback();
-    AStarOutcome fallback(state);
-    fallback.stats = outcome.stats;
-    GreedyOutcome eg = run_greedy(Algorithm::kEg, PartialPlacement(state),
-                                  bandwidth_sort_order(topology), pool,
-                                  config.use_estimate_context,
-                                  config.use_candidate_index);
-    fallback.stats.candidates_evaluated += eg.stats.candidates_evaluated;
-    fallback.stats.heuristic_calls += eg.stats.heuristic_calls;
-    ++fallback.stats.eg_reruns;
-    fallback.feasible = eg.feasible;
-    if (eg.feasible) {
-      fallback.state = std::move(eg.state);
-    } else {
-      fallback.failure = std::move(eg.failure);
-    }
-    fallback.stats.budget_retries = retries;
-    fallback.stats.hit_open_limit = true;
-    fallback.stats.truncated = true;
-    return fallback;
-  }
-}
-
 }  // namespace
 
 Placement place_topology(const dc::Occupancy& base,
                          const topo::AppTopology& topology,
                          Algorithm algorithm, const SearchConfig& config,
                          const net::Assignment* pinned,
-                         util::ThreadPool* pool, BudgetController* budget) {
+                         util::ThreadPool* pool) {
   config.validate();
   static util::metrics::Counter& m_plans =
       util::metrics::counter("scheduler.plans");
@@ -151,17 +92,10 @@ Placement place_topology(const dc::Occupancy& base,
     }
     case Algorithm::kBaStar:
     case Algorithm::kDbaStar: {
-      const bool deadline_bounded = algorithm == Algorithm::kDbaStar;
-      AStarOutcome outcome = [&] {
-        if (config.budget_mode == BudgetMode::kFixed) {
-          // Bit-identical to the pre-controller behavior (and to the paper
-          // benches): the configured constants, one attempt, no controller.
-          return run_astar(std::move(state), config, deadline_bounded, pool);
-        }
-        BudgetController ephemeral;
-        return run_astar_adaptive(state, config, deadline_bounded, pool,
-                                  budget != nullptr ? *budget : ephemeral);
-      }();
+      AStarOutcome outcome =
+          run_astar(std::move(state), config,
+                    /*deadline_bounded=*/algorithm == Algorithm::kDbaStar,
+                    pool);
       if (!outcome.feasible) m_infeasible.inc();
       return to_placement(outcome.feasible, std::move(outcome.failure),
                           std::move(outcome.state), outcome.stats,
@@ -189,7 +123,7 @@ Placement OstroScheduler::plan(const topo::AppTopology& topology,
                                Algorithm algorithm,
                                const SearchConfig& config) const {
   return place_topology(occupancy_, topology, algorithm, config, nullptr,
-                        pool_.get(), &budget_controller_);
+                        pool_.get());
 }
 
 Placement OstroScheduler::plan(const PlacementRequest& request,
@@ -200,7 +134,7 @@ Placement OstroScheduler::plan(const PlacementRequest& request,
   return place_topology(occupancy_, *request.topology, algorithm,
                         request.config,
                         request.pinned.empty() ? nullptr : &request.pinned,
-                        pool_.get(), &budget_controller_);
+                        pool_.get());
 }
 
 Placement OstroScheduler::plan_against(const dc::Occupancy& snapshot,
@@ -212,7 +146,7 @@ Placement OstroScheduler::plan_against(const dc::Occupancy& snapshot,
         "OstroScheduler::plan_against: snapshot of another data center");
   }
   return place_topology(snapshot, topology, algorithm, config, nullptr,
-                        pool_.get(), &budget_controller_);
+                        pool_.get());
 }
 
 Placement OstroScheduler::deploy(const topo::AppTopology& topology,
@@ -224,8 +158,7 @@ Placement OstroScheduler::deploy(const topo::AppTopology& topology,
                                  Algorithm algorithm,
                                  const SearchConfig& config) {
   Placement placement = place_topology(occupancy_, topology, algorithm,
-                                       config, nullptr, pool_.get(),
-                                       &budget_controller_);
+                                       config, nullptr, pool_.get());
   if (placement.feasible && !placement.bandwidth_overcommitted) {
     commit(topology, placement);
     placement.committed = true;

@@ -12,9 +12,7 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
-#include "core/budget.h"
 #include "core/types.h"
 #include "core/partial.h"
 #include "datacenter/occupancy.h"
@@ -47,9 +45,8 @@ class OstroScheduler {
                                Algorithm algorithm) const;
 
   /// Plans against an explicit occupancy (a PlacementService snapshot)
-  /// instead of the live one, with this session's thread pool and
-  /// budget-controller warm-start state.  `snapshot` must belong to the
-  /// same data center.
+  /// instead of the live one, with this session's thread pool.  `snapshot`
+  /// must belong to the same data center.
   [[nodiscard]] Placement plan_against(const dc::Occupancy& snapshot,
                                        const topo::AppTopology& topology,
                                        Algorithm algorithm,
@@ -69,13 +66,6 @@ class OstroScheduler {
   /// std::invalid_argument for infeasible or bandwidth-overcommitted ones.
   void commit(const topo::AppTopology& topology, const Placement& placement);
 
-  /// The session's search-budget controller (used by plans whose config
-  /// selects BudgetMode::kAuto).  Warm-start state accumulates across every
-  /// plan of this scheduler; exposed for inspection and tests.
-  [[nodiscard]] const BudgetController& budget_controller() const noexcept {
-    return budget_controller_;
-  }
-
   /// The SearchConfig the single-argument plan()/deploy() overloads use.
   [[nodiscard]] const SearchConfig& defaults() const noexcept {
     return defaults_;
@@ -86,25 +76,14 @@ class OstroScheduler {
   dc::Occupancy occupancy_;
   SearchConfig defaults_;
   std::unique_ptr<util::ThreadPool> pool_;
-  // plan() is const (it never touches occupancy); the controller's
-  // warm-start state is planning telemetry, hence mutable.  The controller
-  // is internally synchronized (every access to its EWMA state takes its
-  // mutex), so concurrent const plan() calls are safe — the
-  // PlacementService relies on this, and the concurrent-plan regression
-  // test in tests/core/service_test.cpp runs it under TSan.
-  mutable BudgetController budget_controller_;
 };
 
-/// Stateless one-shot planning against an explicit occupancy.  Under
-/// BudgetMode::kAuto, `budget` carries warm-start state across calls (the
-/// scheduler passes its session controller); a null `budget` uses a fresh
-/// cold controller for this call only.
+/// Stateless one-shot planning against an explicit occupancy.
 [[nodiscard]] Placement place_topology(const dc::Occupancy& base,
                                        const topo::AppTopology& topology,
                                        Algorithm algorithm,
                                        const SearchConfig& config,
                                        const net::Assignment* pinned = nullptr,
-                                       util::ThreadPool* pool = nullptr,
-                                       BudgetController* budget = nullptr);
+                                       util::ThreadPool* pool = nullptr);
 
 }  // namespace ostro::core

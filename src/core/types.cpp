@@ -1,5 +1,6 @@
 #include "core/types.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/string_util.h"
@@ -31,25 +32,14 @@ Algorithm parse_algorithm(const std::string& name) {
   throw std::invalid_argument("unknown algorithm: " + name);
 }
 
-const char* to_string(BudgetMode mode) noexcept {
-  switch (mode) {
-    case BudgetMode::kFixed: return "fixed";
-    case BudgetMode::kAuto: return "auto";
-  }
-  return "?";
-}
-
-BudgetMode parse_budget_mode(const std::string& name) {
-  const std::string lower = util::to_lower(name);
-  if (lower == "fixed") return BudgetMode::kFixed;
-  if (lower == "auto") return BudgetMode::kAuto;
-  throw std::invalid_argument("unknown budget mode: " + name);
-}
-
 void SearchConfig::validate() const {
-  if (theta_bw < 0.0 || theta_c < 0.0 || theta_bw + theta_c <= 0.0) {
+  // NaN fails every comparison, so it is caught by the sum's finiteness
+  // check, as is a pair of huge weights whose sum overflows.
+  if (theta_bw < 0.0 || theta_c < 0.0 || theta_bw + theta_c <= 0.0 ||
+      !std::isfinite(theta_bw + theta_c)) {
     throw std::invalid_argument(
-        "SearchConfig: theta weights must be non-negative with positive sum");
+        "SearchConfig: theta weights must be non-negative with positive, "
+        "finite sum");
   }
   if (initial_prune_range < 0.0) {
     throw std::invalid_argument("SearchConfig: negative initial_prune_range");

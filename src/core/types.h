@@ -27,28 +27,11 @@ enum class Algorithm : std::uint8_t {
 /// std::invalid_argument otherwise.
 [[nodiscard]] Algorithm parse_algorithm(const std::string& name);
 
-/// How BA*/DBA* search budgets (max_open_paths, dba_beam_width) are sized.
-///
-///  * kFixed — the configured constants are used verbatim, reproducing the
-///    paper's fixed-budget behavior bit for bit (the default, and what the
-///    paper-reproduction benches run).
-///  * kAuto — core::BudgetController sizes the budgets per plan from the
-///    measured open-queue peaks of prior runs (a static node-count x
-///    candidate-fan estimate on the first plan), and a valve-fire failure
-///    is retried with a geometrically widened budget before falling back
-///    to the greedy EG completion.  See DESIGN.md section 8.
-enum class BudgetMode : std::uint8_t { kFixed, kAuto };
-
-[[nodiscard]] const char* to_string(BudgetMode mode) noexcept;
-/// Parses "fixed" / "auto" (case-insensitive); throws std::invalid_argument
-/// otherwise.
-[[nodiscard]] BudgetMode parse_budget_mode(const std::string& name);
-
 /// Tuning knobs shared by all algorithms.  Defaults mirror the paper's
 /// simulation setup (theta = 0.6/0.4, Section IV-C).
 struct SearchConfig {
-  /// Objective weights; must be non-negative and sum to a positive value
-  /// (they are re-normalized to sum to 1).
+  /// Objective weights; must be non-negative and sum to a positive, finite
+  /// value (they are re-normalized to sum to 1).
   double theta_bw = 0.6;
   double theta_c = 0.4;
 
@@ -92,11 +75,10 @@ struct SearchConfig {
   /// it replaces; see DESIGN.md section 12).
   bool use_prune_labels = true;
 
-  /// Safety valve for BA*/DBA*: abort with the incumbent EG solution when
-  /// the open queue would exceed this many paths (0 = unlimited).  Under
-  /// budget_mode == kAuto this is the *seed ceiling* of the first attempt,
-  /// not a hard bound: the BudgetController may size the first attempt
-  /// below it and widens past it on valve-fire retries.
+  /// Safety valve for BA*/DBA*: a hard bound on the open queue.  When it
+  /// would hold more than this many paths the search stops and returns its
+  /// incumbent (an EG completion), or fails if it has none yet
+  /// (0 = unlimited).  See DESIGN.md section 8.
   std::size_t max_open_paths = 2'000'000;
 
   /// Deterministic expansion budget for BA*/DBA*: stop (keeping the best
@@ -104,18 +86,8 @@ struct SearchConfig {
   /// Unlike the open-queue valve — whose firing point depends on how
   /// pruning shapes the frontier — this caps the *work* directly, which
   /// makes bounded runs reproducible (benchmarks use it to hold the
-  /// expansion count fixed), and it never triggers kAuto budget retries.
+  /// expansion count fixed).
   std::size_t max_expansions = 0;
-
-  /// Search-budget sizing regime for max_open_paths / dba_beam_width; see
-  /// BudgetMode.  kFixed (the default) is bit-identical to the constants
-  /// above and is differential-tested against kAuto.
-  BudgetMode budget_mode = BudgetMode::kFixed;
-
-  /// kAuto only: at most this many geometrically widened retries after a
-  /// valve-fire failure (hit_open_limit with no feasible placement) before
-  /// the scheduler falls back to a greedy EG completion.
-  std::uint32_t budget_max_retries = 3;
 
   /// Worker threads for EG's parallel candidate evaluation; 0 = hardware
   /// concurrency.
@@ -182,8 +154,8 @@ struct SearchStats {
   std::uint64_t paths_generated = 0;
   std::uint64_t paths_pruned_bound = 0;   ///< pruned by u >= u_upper
   std::uint64_t paths_pruned_random = 0;  ///< DBA* probabilistic pruning
-  /// EG completions actually run: the root RunEG, every re-bound that ran
-  /// EG ("astar.eg_reruns"), and the kAuto greedy fallback.  A re-bound
+  /// EG completions actually run: the root RunEG and every re-bound that
+  /// ran EG ("astar.eg_reruns").  A re-bound
   /// from a state on the path of a feasible completion this search already
   /// computed would return that completion again; it runs nothing and
   /// counts only under "astar.eg_reruns_reused".
@@ -204,23 +176,15 @@ struct SearchStats {
   /// Largest open-queue size observed ("astar.open_queue_size" summary).
   std::uint64_t open_queue_peak = 0;
   std::uint32_t max_depth = 0;  ///< deepest expanded search path
-  /// BA*/DBA*: the open-queue safety valve (max_open_paths) fired and the
-  /// incumbent was returned without an optimality certificate.
+  /// BA*/DBA*: a work bound stopped the search, either the open-queue
+  /// valve (max_open_paths) or the expansion cap (max_expansions).  The
+  /// result is the incumbent, without an optimality certificate, or
+  /// infeasible when there was none yet.  DBA*'s deadline and beam never
+  /// set it.
   bool truncated = false;
-  /// The open-queue safety valve fired on this attempt ("budget.valve_fires"
-  /// process-wide).  Unlike `truncated` it is also set on the greedy
-  /// fallback result when the auto-budget retry ladder was exhausted.
+  /// The bound that set `truncated` was the open-queue valve.  False when
+  /// the expansion cap stopped the search.
   bool hit_open_limit = false;
-  /// kAuto only: geometrically widened retries that preceded this result
-  /// after valve-fire failures ("budget.retries" process-wide); the other
-  /// stats fields describe the final attempt only.
-  std::uint32_t budget_retries = 0;
-  /// Budgets actually in force for the returned result (0 = unlimited;
-  /// effective_beam_width is 0 for BA*, which keeps every child).  Under
-  /// kFixed these echo the SearchConfig constants; under kAuto they are the
-  /// BudgetController's decision ("budget.max_open_paths" summary).
-  std::size_t effective_max_open_paths = 0;
-  std::size_t effective_beam_width = 0;
   double runtime_seconds = 0.0;
   /// Bytes the search keeps after it returns.  Every search state and the
   /// open queue are freed when the run ends, so this is always 0; it stays

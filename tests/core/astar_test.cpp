@@ -160,6 +160,52 @@ TEST(BaStarTest, OpenQueueLimitFallsBackToIncumbent) {
   ASSERT_TRUE(outcome.feasible);
   EXPECT_TRUE(
       verify_placement(occupancy, app, outcome.state.assignment()).empty());
+  EXPECT_TRUE(outcome.stats.truncated);
+  EXPECT_TRUE(outcome.stats.hit_open_limit);
+}
+
+TEST(BaStarTest, OpenQueueLimitWithoutIncumbentFails) {
+  // EG dead-ends here: its sort order places the pipe pair x--y first and
+  // co-locates both on the big host (zero bandwidth, lowest host id), which
+  // strands the 12-core z.  BA* would keep the big host free for z by
+  // pairing x,y on h1, but with max_open_paths = 1 the valve fires on the
+  // first expansion, before any path completes.  The valve is a hard bound:
+  // with no incumbent the search fails.
+  dc::DataCenterBuilder builder;
+  const auto site = builder.add_site("site", 64000.0);
+  const auto pod = builder.add_pod(site, "pod", 64000.0);
+  const auto rack = builder.add_rack(pod, "rack", 32000.0);
+  builder.add_host(rack, "big", {16.0, 32.0, 500.0}, 4000.0);
+  builder.add_host(rack, "h1", {8.0, 16.0, 500.0}, 4000.0);
+  builder.add_host(rack, "h2", {8.0, 16.0, 500.0}, 4000.0);
+  const auto datacenter = builder.build();
+  const dc::Occupancy occupancy(datacenter);
+
+  topo::TopologyBuilder app_builder;
+  app_builder.add_vm("x", {4.0, 4.0, 0.0});
+  app_builder.add_vm("y", {4.0, 4.0, 0.0});
+  app_builder.add_vm("z", {12.0, 2.0, 0.0});
+  app_builder.connect("x", "y", 500.0);
+  const auto app = app_builder.build();
+
+  SearchConfig config;
+  config.max_open_paths = 1;
+  const Objective objective(app, datacenter, config);
+  const AStarOutcome outcome = run_astar(
+      initial_state(app, occupancy, objective), config, false, nullptr);
+  EXPECT_FALSE(outcome.feasible);
+  EXPECT_FALSE(outcome.failure.empty());
+  EXPECT_TRUE(outcome.stats.truncated);
+  EXPECT_TRUE(outcome.stats.hit_open_limit);
+
+  // Without the valve the same search finds the placement EG missed.
+  config.max_open_paths = 0;
+  const AStarOutcome unbounded = run_astar(
+      initial_state(app, occupancy, objective), config, false, nullptr);
+  ASSERT_TRUE(unbounded.feasible) << unbounded.failure;
+  EXPECT_FALSE(unbounded.stats.truncated);
+  EXPECT_TRUE(
+      verify_placement(occupancy, app, unbounded.state.assignment()).empty());
 }
 
 TEST(BaStarTest, ExpansionBudgetTruncatesDeterministically) {
@@ -178,8 +224,7 @@ TEST(BaStarTest, ExpansionBudgetTruncatesDeterministically) {
       verify_placement(occupancy, app, outcome.state.assignment()).empty());
   EXPECT_EQ(outcome.stats.paths_expanded, 2u);
   EXPECT_TRUE(outcome.stats.truncated);
-  // The budget is not a valve fire: the kAuto controller must not treat it
-  // as a widen-retry signal.
+  // The expansion cap, not the open-queue valve, stopped the search.
   EXPECT_FALSE(outcome.stats.hit_open_limit);
 
   // A rerun stops at the same point of the same search.

@@ -165,9 +165,9 @@ TEST(LabelsDifferentialTest, SchedulerFlagMatrixMatches) {
       off_config.use_prune_labels = false;
 
       const Placement labeled = place_topology(
-          occupancy, app, algorithm, on_config, nullptr, nullptr, nullptr);
+          occupancy, app, algorithm, on_config);
       const Placement reference = place_topology(
-          occupancy, app, algorithm, off_config, nullptr, nullptr, nullptr);
+          occupancy, app, algorithm, off_config);
       ASSERT_EQ(labeled.feasible, reference.feasible)
           << "trial " << trial << " algorithm " << static_cast<int>(algorithm);
       if (!reference.feasible) continue;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "helpers.h"
 
 namespace ostro::core {
@@ -86,6 +90,21 @@ TEST(SearchConfigTest, ValidationRejectsBadValues) {
   config.theta_bw = 0.0;
   config.theta_c = 0.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  // Non-finite weights: NaN passes every sign comparison, and +inf or two
+  // weights whose sum overflows would normalize to NaN utilities.
+  for (const auto& [bw, c] : std::vector<std::pair<double, double>>{
+           {std::numeric_limits<double>::quiet_NaN(), 0.4},
+           {0.6, std::numeric_limits<double>::quiet_NaN()},
+           {std::numeric_limits<double>::infinity(), 0.4},
+           {0.6, std::numeric_limits<double>::infinity()},
+           {std::numeric_limits<double>::max(),
+            std::numeric_limits<double>::max()}}) {
+    config = SearchConfig{};
+    config.theta_bw = bw;
+    config.theta_c = c;
+    EXPECT_THROW(config.validate(), std::invalid_argument)
+        << "theta_bw=" << bw << " theta_c=" << c;
+  }
   config = SearchConfig{};
   config.initial_prune_range = -1.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);

@@ -356,49 +356,6 @@ TEST(ServiceStressTest, ConcurrentPlacementsMatchSerialReplay) {
   }
 }
 
-// Satellite regression: OstroScheduler::plan is safe from many threads
-// even in kAuto budget mode, where every plan funnels through the shared
-// BudgetController (decide/observe/widen are internally synchronized).
-// kFixed results must be unaffected by a concurrent kAuto session.
-TEST(ServiceStressTest, ConcurrentAutoBudgetPlansAreRaceFreeAndStable) {
-  const auto datacenter = small_dc(2, 2);
-  const SearchConfig defaults = serial_config();
-  OstroScheduler scheduler(datacenter, defaults);
-
-  const auto app = tiny_app();
-  const Placement fixed_before = scheduler.plan(app, Algorithm::kBaStar);
-  ASSERT_TRUE(fixed_before.feasible);
-
-  SearchConfig auto_config = defaults;
-  auto_config.budget_mode = BudgetMode::kAuto;
-
-  constexpr int kThreads = 8;
-  constexpr int kPlansPerThread = 8;
-  std::vector<Placement> plans(kThreads * kPlansPerThread);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int j = 0; j < kPlansPerThread; ++j) {
-        plans[static_cast<std::size_t>(t) * kPlansPerThread +
-              static_cast<std::size_t>(j)] =
-            scheduler.plan(app, Algorithm::kBaStar, auto_config);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  for (const Placement& p : plans) {
-    ASSERT_TRUE(p.feasible);
-    EXPECT_DOUBLE_EQ(p.utility, fixed_before.utility);
-  }
-
-  // The concurrent kAuto session left kFixed behaviour bit-identical.
-  const Placement fixed_after = scheduler.plan(app, Algorithm::kBaStar);
-  EXPECT_EQ(fixed_after.assignment, fixed_before.assignment);
-  EXPECT_DOUBLE_EQ(fixed_after.utility, fixed_before.utility);
-}
-
 // BA* under concurrency: plans running in parallel on one scheduler must
 // share no search state — TSan proves the isolation, and the bitwise
 // comparison against serial plans of the same stacks proves every

@@ -78,6 +78,19 @@ dc::Occupancy load_occupancy(const dc::DataCenter& datacenter,
                               " must be on|off, got " + value);
 }
 
+/// The search flags `place` and `serve` share: --theta-bw, --theta-c,
+/// --deadline and --use-prune-labels.  Every other field keeps its default.
+[[nodiscard]] core::SearchConfig search_config_from_flags(
+    const util::ArgParser& args) {
+  core::SearchConfig config;
+  config.theta_bw = args.get_double("theta-bw");
+  config.theta_c = args.get_double("theta-c");
+  config.deadline_seconds = args.get_double("deadline");
+  config.use_prune_labels =
+      parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
+  return config;
+}
+
 /// --service-threads N: places N copies of the stack concurrently through
 /// core::PlacementService — a smoke/demo mode for the optimistic
 /// snapshot/plan/validate-commit protocol.  Reports per-request outcomes
@@ -91,13 +104,7 @@ int cmd_place_service(util::ArgParser& args, int threads) {
   const auto parsed =
       os::HeatTemplate::parse_text(read_file(args.get_string("template")));
 
-  core::SearchConfig config;
-  config.theta_bw = args.get_double("theta-bw");
-  config.theta_c = args.get_double("theta-c");
-  config.deadline_seconds = args.get_double("deadline");
-  config.budget_mode = core::parse_budget_mode(args.get_string("budget"));
-  config.use_prune_labels =
-      parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
+  const core::SearchConfig config = search_config_from_flags(args);
   const auto algorithm = core::parse_algorithm(args.get_string("algorithm"));
 
   core::OstroScheduler scheduler(datacenter, config);
@@ -158,13 +165,7 @@ int cmd_place_shards(util::ArgParser& args, int threads,
   const auto topology =
       std::make_shared<const topo::AppTopology>(parsed.topology);
 
-  core::SearchConfig config;
-  config.theta_bw = args.get_double("theta-bw");
-  config.theta_c = args.get_double("theta-c");
-  config.deadline_seconds = args.get_double("deadline");
-  config.budget_mode = core::parse_budget_mode(args.get_string("budget"));
-  config.use_prune_labels =
-      parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
+  const core::SearchConfig config = search_config_from_flags(args);
   const auto algorithm = core::parse_algorithm(args.get_string("algorithm"));
 
   core::ShardConfig shard_config;
@@ -236,13 +237,7 @@ int cmd_place(util::ArgParser& args) {
   const auto parsed =
       os::HeatTemplate::parse_text(read_file(args.get_string("template")));
 
-  core::SearchConfig config;
-  config.theta_bw = args.get_double("theta-bw");
-  config.theta_c = args.get_double("theta-c");
-  config.deadline_seconds = args.get_double("deadline");
-  config.budget_mode = core::parse_budget_mode(args.get_string("budget"));
-  config.use_prune_labels =
-      parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
+  const core::SearchConfig config = search_config_from_flags(args);
   const auto algorithm = core::parse_algorithm(args.get_string("algorithm"));
 
   const core::Placement placement = core::place_topology(
@@ -261,14 +256,6 @@ int cmd_place(util::ArgParser& args) {
                     ? " (WARNING: overcommits link bandwidth)"
                     : "")
             << "\n";
-  if (config.budget_mode == core::BudgetMode::kAuto &&
-      (algorithm == core::Algorithm::kBaStar ||
-       algorithm == core::Algorithm::kDbaStar)) {
-    std::cout << "search budget: " << placement.stats.effective_max_open_paths
-              << " open paths (beam " << placement.stats.effective_beam_width
-              << ") after " << placement.stats.budget_retries
-              << " widened retries\n";
-  }
   const std::string placement_text =
       core::placement_to_text(placement, parsed.topology, datacenter);
   if (args.get_string("out").empty()) {
@@ -322,13 +309,7 @@ int cmd_serve(util::ArgParser& args) {
   const auto occupancy =
       load_occupancy(datacenter, args.get_string("occupancy"));
 
-  core::SearchConfig config;
-  config.theta_bw = args.get_double("theta-bw");
-  config.theta_c = args.get_double("theta-c");
-  config.deadline_seconds = args.get_double("deadline");
-  config.budget_mode = core::parse_budget_mode(args.get_string("budget"));
-  config.use_prune_labels =
-      parse_on_off(args.get_string("use-prune-labels"), "use-prune-labels");
+  core::SearchConfig config = search_config_from_flags(args);
   const auto default_algorithm =
       core::parse_algorithm(args.get_string("algorithm"));
 
@@ -564,9 +545,6 @@ int main(int argc, char** argv) {
   }
   if (command == "place" || command == "serve") {
     args.add_string("algorithm", "eg", "eg | egc | egbw | ba | dba");
-    args.add_string("budget", "fixed",
-                    "BA*/DBA* search-budget mode: fixed (paper constants) | "
-                    "auto (adaptive sizing + widened retries)");
     args.add_string("use-prune-labels", "on",
                     "precomputed subtree pruning labels for the admissible "
                     "bounds: on (bit-identical, fewer expansions) | off "
