@@ -12,40 +12,22 @@
 #include "common.h"
 
 #include <cstdint>
-#include <fstream>
 
 #include "core/service.h"
 #include "sim/lifecycle.h"
 
 namespace {
 
-ostro::util::JsonArray trajectory_json(
+// Mean of the free-CPU sliver fraction over the steady-state second half
+// of the run.  Single samples are noisy (fragmentation swings with every
+// departure); the assertions below compare windows, not endpoints.
+double steady_cpu_sliver_mean(
     const std::vector<ostro::sim::TrajectoryPoint>& trajectory) {
-  ostro::util::JsonArray out;
-  for (const ostro::sim::TrajectoryPoint& point : trajectory) {
-    ostro::util::JsonObject entry;
-    entry["time_s"] = point.time_s;
-    entry["frag_index"] = point.frag_index;
-    entry["unusable_free_cpu_fraction"] = point.unusable_free_cpu_fraction;
-    entry["used_cpu_fraction"] = point.used_cpu_fraction;
-    entry["feasible_host_fraction"] = point.feasible_host_fraction;
-    entry["live_stacks"] = static_cast<std::int64_t>(point.live_stacks);
-    entry["active_hosts"] = static_cast<std::int64_t>(point.active_hosts);
-    out.emplace_back(std::move(entry));
-  }
-  return out;
-}
-
-// Mean of a trajectory field over the steady-state second half of the run.
-// Single samples are noisy (fragmentation swings with every departure);
-// the assertions below compare windows, not endpoints.
-double steady_mean(const std::vector<ostro::sim::TrajectoryPoint>& trajectory,
-                   double ostro::sim::TrajectoryPoint::* field) {
   if (trajectory.empty()) return 0.0;
   const std::size_t from = trajectory.size() / 2;
   double sum = 0.0;
   for (std::size_t i = from; i < trajectory.size(); ++i) {
-    sum += trajectory[i].*field;
+    sum += trajectory[i].unusable_free_cpu_fraction;
   }
   return sum / static_cast<double>(trajectory.size() - from);
 }
@@ -131,56 +113,13 @@ int main(int argc, char** argv) {
                       static_cast<unsigned long long>(s.defrag_moves))});
   }
   bench::emit(table, args, "lifecycle churn, defrag ablation");
+  bench::emit_metrics(args);
 
-  util::JsonObject out;
-  out["benchmark"] = "lifecycle_churn_defrag_ablation";
-  out["hosts"] = static_cast<int>(datacenter.host_count());
-  out["stack_vms"] = stack_vms;
-  out["arrival_rate_per_s"] = config.arrival_rate_per_s;
-  out["mean_lifetime_s"] = config.mean_lifetime_s;
-  out["duration_s"] = duration;
-  out["seed"] = static_cast<std::int64_t>(config.seed);
-  out["success_rate_defrag_off"] = off.success_rate();
-  out["success_rate_defrag_on"] = on.success_rate();
   const double frag_first_off =
       off.trajectory.empty() ? 0.0
                              : off.trajectory.front().unusable_free_cpu_fraction;
-  const double frag_steady_off =
-      steady_mean(off.trajectory,
-                  &sim::TrajectoryPoint::unusable_free_cpu_fraction);
-  const double frag_steady_on =
-      steady_mean(on.trajectory,
-                  &sim::TrajectoryPoint::unusable_free_cpu_fraction);
-  out["frag_final_defrag_off"] = off.final_frag.frag_index;
-  out["frag_final_defrag_on"] = on.final_frag.frag_index;
-  out["cpu_frag_first_defrag_off"] = frag_first_off;
-  out["cpu_frag_steady_defrag_off"] = frag_steady_off;
-  out["cpu_frag_steady_defrag_on"] = frag_steady_on;
-  out["frag_steady_defrag_off"] =
-      steady_mean(off.trajectory, &sim::TrajectoryPoint::frag_index);
-  out["frag_steady_defrag_on"] =
-      steady_mean(on.trajectory, &sim::TrajectoryPoint::frag_index);
-  out["stranded_uplink_fraction_defrag_off"] =
-      off.final_frag.stranded_uplink_fraction;
-  out["stranded_uplink_fraction_defrag_on"] =
-      on.final_frag.stranded_uplink_fraction;
-  out["active_hosts_final_defrag_off"] = static_cast<std::int64_t>(
-      off.trajectory.empty() ? 0 : off.trajectory.back().active_hosts);
-  out["active_hosts_final_defrag_on"] = static_cast<std::int64_t>(
-      on.trajectory.empty() ? 0 : on.trajectory.back().active_hosts);
-  out["p50_plan_seconds_defrag_off"] = off.plan_seconds.percentile(50.0);
-  out["p99_plan_seconds_defrag_off"] = off.plan_seconds.percentile(99.0);
-  out["p50_plan_seconds_defrag_on"] = on.plan_seconds.percentile(50.0);
-  out["p99_plan_seconds_defrag_on"] = on.plan_seconds.percentile(99.0);
-  out["defrag_moves_committed"] =
-      static_cast<std::int64_t>(on.defrag_moves);
-  out["defrag_runs"] = static_cast<std::int64_t>(on.defrag_runs);
-  out["trajectory_defrag_off"] = trajectory_json(off.trajectory);
-  out["trajectory_defrag_on"] = trajectory_json(on.trajectory);
-  std::ofstream file("BENCH_lifecycle.json");
-  file << util::Json(std::move(out)).pretty() << '\n';
-
-  bench::emit_metrics(args);
+  const double frag_steady_off = steady_cpu_sliver_mean(off.trajectory);
+  const double frag_steady_on = steady_cpu_sliver_mean(on.trajectory);
 
   // The claims this bench exists to check; CI runs --smoke and fails on a
   // nonzero exit.  Comparisons use the steady-state mean of the cpu sliver

@@ -7,10 +7,7 @@
 // of the commit gate (plus the mean writer-lock wait from the metrics
 // registry).  With one thread the protocol is pure overhead on top of
 // OstroScheduler::deploy, so the T=1 row doubles as the serial baseline.
-// Writes BENCH_service.json for the perf trajectory tracking.
 #include "common.h"
-
-#include <fstream>
 
 #include "core/service.h"
 #include "util/thread_pool.h"
@@ -49,7 +46,6 @@ int main(int argc, char** argv) {
 
   util::TablePrinter table({"Threads", "Requests/sec", "Committed",
                             "Conflicts", "Retries", "Wall (sec)"});
-  util::JsonArray sweep;
   for (const int threads : {1, 2, 4, 8}) {
     core::OstroScheduler scheduler(datacenter, config);
     core::PlacementService service(scheduler);
@@ -83,27 +79,8 @@ int main(int argc, char** argv) {
                    util::format("%llu",
                                 static_cast<unsigned long long>(retries)),
                    util::format("%.3f", wall)});
-
-    util::JsonObject point;
-    point["threads"] = threads;
-    point["requests_per_sec"] = rps;
-    point["committed"] = committed;
-    point["conflicts"] = static_cast<std::int64_t>(conflicts);
-    point["retries"] = static_cast<std::int64_t>(retries);
-    point["wall_seconds"] = wall;
-    sweep.emplace_back(std::move(point));
   }
   bench::emit(table, args, "placement service thread sweep");
-
-  util::JsonObject out;
-  out["benchmark"] = "placement_service_thread_sweep";
-  out["total_stacks"] = total_stacks;
-  out["stack_vms"] = stack_vms;
-  out["hosts"] = static_cast<int>(datacenter.host_count());
-  out["sweep"] = std::move(sweep);
-  std::ofstream file("BENCH_service.json");
-  file << util::Json(std::move(out)).pretty() << '\n';
-
   bench::emit_metrics(args);
   return 0;
 }

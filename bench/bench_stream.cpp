@@ -9,13 +9,12 @@
 // to dispatcher pickup), commit/expiry/rejection counts, and achieved
 // throughput; the sweep ends with a max-sustainable-QPS estimate — the
 // highest offered rate whose miss fraction (expired + rejected + failed)
-// stayed under 1%.  Writes BENCH_stream.json.
+// stayed under 1%.
 #include "common.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <future>
 #include <thread>
 
@@ -95,7 +94,6 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"Offered QPS", "Achieved QPS", "p50 wait (ms)",
                             "p99 wait (ms)", "Committed", "Expired",
                             "Failed", "Spills"});
-  util::JsonArray sweep;
   double max_sustainable_qps = 0.0;
   for (const double factor : rate_factors) {
     const double offered_qps = serial_rate * factor;
@@ -162,40 +160,10 @@ int main(int argc, char** argv) {
                    util::format("%d", expired), util::format("%d", failed),
                    util::format("%llu",
                                 static_cast<unsigned long long>(spills))});
-
-    util::JsonObject point;
-    point["offered_qps"] = offered_qps;
-    point["achieved_qps"] = achieved_qps;
-    point["p50_admission_wait_seconds"] = p50;
-    point["p99_admission_wait_seconds"] = p99;
-    point["committed"] = committed;
-    point["expired"] = expired;
-    point["failed"] = failed;
-    point["rejected"] = rejected;
-    point["spills"] = static_cast<std::int64_t>(spills);
-    point["miss_fraction"] = misses;
-    point["wall_seconds"] = wall;
-    sweep.emplace_back(std::move(point));
   }
   bench::emit(table, args, "streaming admission Poisson sweep");
   std::cout << "max sustainable QPS (miss fraction <= 1%): "
             << util::format("%.1f", max_sustainable_qps) << "\n";
-
-  util::JsonObject out;
-  out["benchmark"] = "streaming_admission_poisson_sweep";
-  out["requests_per_rate"] = total_requests;
-  out["stack_vms"] = stack_vms;
-  out["hosts"] = static_cast<int>(datacenter.host_count());
-  out["batch"] = static_cast<std::int64_t>(config.stream_max_batch);
-  out["dispatchers"] =
-      static_cast<std::int64_t>(config.stream_dispatch_threads);
-  out["admission_deadline_seconds"] = admission_deadline;
-  out["serial_rate_qps"] = serial_rate;
-  out["max_sustainable_qps"] = max_sustainable_qps;
-  out["sweep"] = std::move(sweep);
-  std::ofstream file("BENCH_stream.json");
-  file << util::Json(std::move(out)).pretty() << '\n';
-
   bench::emit_metrics(args);
   return 0;
 }

@@ -59,8 +59,7 @@ inline void apply_metrics_flags(const util::ArgParser& args) {
 }
 
 /// Prints the metrics registry as a labelled JSON block when --metrics was
-/// given.  Call at the end of main, after the tables: the block is what the
-/// BENCH_*.json collectors pick up next to the timings.
+/// given.  Call at the end of main, after the tables.
 inline void emit_metrics(const util::ArgParser& args) {
   if (!args.flag("metrics")) return;
   std::cout << "\n== metrics ==\n"

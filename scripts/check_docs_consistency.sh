@@ -27,7 +27,10 @@
 #
 # Exits non-zero listing every undocumented token or stale row, so a PR
 # adding a config knob or a counter without documenting it, or deleting a
-# knob or a metric without its row, fails CI.
+# knob or a metric without its row, fails CI.  An extraction that finds
+# nothing fails with its own "extraction failure" message: each grep below
+# is guarded with `|| true`, because under pipefail a grep that matches
+# nothing would otherwise abort the script silently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,7 +46,7 @@ check() {
 }
 
 config_fields=$(sed -n '/^struct SearchConfig {/,/^};/p' src/core/types.h |
-  grep -E '^\s+[A-Za-z_][A-Za-z0-9_:]*\s+[a-z_][a-z0-9_]*\s*=' |
+  { grep -E '^\s+[A-Za-z_][A-Za-z0-9_:]*\s+[a-z_][a-z0-9_]*\s*=' || true; } |
   sed -E 's/^\s*\S+\s+([a-z_][a-z0-9_]*)\s*=.*/\1/' | sort -u)
 if [[ -z "$config_fields" ]]; then
   echo "extraction failure: no SearchConfig fields found in src/core/types.h" >&2
@@ -56,7 +59,7 @@ done
 struct_fields() {
   local file="$1" name="$2"
   sed -n "/^struct $name {/,/^};/p" "$file" |
-    grep -E '^\s+[A-Za-z_][A-Za-z0-9_:]*\s+[a-z_][a-z0-9_]*\s*(=|;)' |
+    { grep -E '^\s+[A-Za-z_][A-Za-z0-9_:]*\s+[a-z_][a-z0-9_]*\s*(=|;)' || true; } |
     sed -E 's/^\s*\S+\s+([a-z_][a-z0-9_]*)\s*(=|;).*/\1/' | sort -u
 }
 
@@ -74,8 +77,8 @@ for spec in "src/core/defrag.h DefragConfig" "src/sim/lifecycle.h LifecycleConfi
 done
 
 for bench in bench_lifecycle bench_shard; do
-  bench_flags=$(grep -hoE 'args\.add_(int|double|flag)\("[a-z-]+"' \
-      "bench/$bench.cpp" | sed -E 's/.*\("([a-z-]+)".*/\1/' | sort -u)
+  bench_flags=$( { grep -hoE 'args\.add_(int|double|flag)\("[a-z-]+"' \
+      "bench/$bench.cpp" || true; } | sed -E 's/.*\("([a-z-]+)".*/\1/' | sort -u)
   if [[ -z "$bench_flags" ]]; then
     echo "extraction failure: no flags found in bench/$bench.cpp" >&2
     exit 1
@@ -85,7 +88,7 @@ for bench in bench_lifecycle bench_shard; do
   done
 done
 
-metric_names=$(grep -rhoE '(counter|summary)\("[a-z_.]+"\)' src tools |
+metric_names=$( { grep -rhoE '(counter|summary)\("[a-z_.]+"\)' src tools || true; } |
   sed -E 's/.*\("([a-z_.]+)"\).*/\1/' | sort -u)
 if [[ -z "$metric_names" ]]; then
   echo "extraction failure: no metrics registrations found in src/ tools/" >&2
@@ -95,7 +98,7 @@ for name in $metric_names; do
   check "metrics name" "$name"
 done
 
-glossary_names=$(grep -oE '^\| `[a-z_.]+` \| (counter|summary) ' README.md |
+glossary_names=$( { grep -oE '^\| `[a-z_.]+` \| (counter|summary) ' README.md || true; } |
   sed -E 's/^\| `([a-z_.]+)`.*/\1/' | sort -u)
 if [[ -z "$glossary_names" ]]; then
   echo "extraction failure: no metrics glossary rows found in README.md" >&2
@@ -112,7 +115,7 @@ done
 config_rows=$(awk '/^## Configuration$/ { in_section = 1; next }
                   in_section && /^#/ { exit }
                   in_section' README.md |
-  grep -oE '^\| `[a-z_]+` \|' | sed -E 's/^\| `([a-z_]+)`.*/\1/' | sort -u)
+  { grep -oE '^\| `[a-z_]+` \|' || true; } | sed -E 's/^\| `([a-z_]+)`.*/\1/' | sort -u)
 if [[ -z "$config_rows" ]]; then
   echo "extraction failure: no Configuration table rows found in README.md" >&2
   exit 1
@@ -124,8 +127,8 @@ for name in $config_rows; do
   fi
 done
 
-cli_flags=$(grep -oE 'args\.add_(string|int|double|flag)\("[a-z-]+"' \
-    tools/ostro_cli.cpp | sed -E 's/.*\("([a-z-]+)".*/\1/' | sort -u)
+cli_flags=$( { grep -oE 'args\.add_(string|int|double|flag)\("[a-z-]+"' \
+    tools/ostro_cli.cpp || true; } | sed -E 's/.*\("([a-z-]+)".*/\1/' | sort -u)
 if [[ -z "$cli_flags" ]]; then
   echo "extraction failure: no flags found in tools/ostro_cli.cpp" >&2
   exit 1

@@ -340,14 +340,16 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
 
   // Ordering regime.  BA* orders strictly by the admissible bound, which
   // makes the first completed pop provably optimal (Algorithm 2 lines 6-7).
-  // DBA* gives up optimality anyway, so it orders by the *sharper* (not
-  // necessarily admissible) imaginary-host estimate of Section III-A-2:
-  // with the weak bound a best-first search degenerates into breadth-first
-  // near the root, while the sharp estimate makes shallow and deep paths
-  // comparable and biases the search into productive dives.  Pruning and
-  // incumbent comparisons always use the admissible bound, so no path that
-  // could beat the incumbent is ever discarded by the estimate.  DBA* with
-  // no deadline is the deterministic form of this estimate-ordered search.
+  // DBA* gives up optimality anyway: it pops the deepest path first and
+  // ranks siblings by EG's per-candidate estimate (NodeEstimateContext, or
+  // Estimator::candidate_estimate without the context; see the expansion
+  // loop), which is sharper than the bound but not necessarily admissible.
+  // With the weak bound a best-first search degenerates into breadth-first
+  // near the root; the estimate-ranked dive reaches a completion early and
+  // backtracks to the next-best estimates.  Pruning and incumbent
+  // comparisons always use the admissible bound, so no path that could
+  // beat the incumbent is ever discarded by the estimate.  DBA* with no
+  // deadline is the deterministic form of this estimate-ordered search.
 
   // Open queue (OQ of Algorithm 2).  No closed queue: with a fixed
   // expansion order each state has exactly one path from the root, and the

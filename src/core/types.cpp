@@ -41,8 +41,17 @@ void SearchConfig::validate() const {
         "SearchConfig: theta weights must be non-negative with positive, "
         "finite sum");
   }
-  if (initial_prune_range < 0.0) {
-    throw std::invalid_argument("SearchConfig: negative initial_prune_range");
+  // NaN fails every comparison: a NaN deadline would never expire, yet
+  // leave DBA* no time for its EG re-bounds, and a NaN r would pass the
+  // sign check.  "No deadline" is spelled <= 0, so infinities are
+  // rejected too.
+  if (!std::isfinite(deadline_seconds)) {
+    throw std::invalid_argument(
+        "SearchConfig: deadline_seconds must be finite");
+  }
+  if (!std::isfinite(initial_prune_range) || initial_prune_range < 0.0) {
+    throw std::invalid_argument(
+        "SearchConfig: initial_prune_range must be finite and non-negative");
   }
   if (stream_queue_capacity == 0) {
     throw std::invalid_argument(

@@ -35,10 +35,10 @@ struct SearchConfig {
   double theta_bw = 0.6;
   double theta_c = 0.4;
 
-  /// DBA* wall-clock budget T in seconds.  <= 0 means "no deadline": no
-  /// pruning pressure ever builds up, and DBA* becomes a deterministic
-  /// depth-first, estimate-ordered search that runs until its open queue
-  /// drains.
+  /// DBA* wall-clock budget T in seconds; must be finite.  <= 0 means "no
+  /// deadline": no pruning pressure ever builds up, and DBA* becomes a
+  /// deterministic depth-first, estimate-ordered search that runs until its
+  /// open queue drains.
   double deadline_seconds = 0.0;
 
   /// Node-side symmetry reduction (Section III-B-3): nodes proven
@@ -128,7 +128,8 @@ struct SearchConfig {
   /// pruning) and grows by the paper's alpha = 0.2 * (T / T_left) only
   /// under deadline pressure: a positive initial r makes P(x > s) = 1 at
   /// the shallow frontier, which would discard the root before the search
-  /// learns anything.  r never grows past 0.5 (see astar.cpp).
+  /// learns anything.  r never grows past 0.5 (see astar.cpp).  Must be
+  /// finite and non-negative.
   double initial_prune_range = 0.0;
 
   void validate() const;  ///< throws std::invalid_argument on bad values

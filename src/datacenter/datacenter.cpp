@@ -67,12 +67,6 @@ bool DataCenter::separated_at(HostId a, HostId b,
   return false;
 }
 
-void DataCenter::path_links(HostId a, HostId b,
-                            std::vector<LinkId>& out) const {
-  const PathLinks path = path_between(a, b);
-  out.insert(out.end(), path.begin(), path.end());
-}
-
 PathLinks DataCenter::path_between(HostId a, HostId b) const {
   // scope_between validates both ids; int(scope) is the number of levels
   // whose uplink pair the pipe traverses (0 on the same host, up to 4

@@ -117,8 +117,8 @@ struct HostAncestors {
 };
 
 /// Allocation-free result of DataCenter::path_between: the (at most 8)
-/// uplinks a pipe between two hosts traverses, in the same order
-/// path_links appends them (host a, host b, ToR a, ToR b, ...).
+/// uplinks a pipe between two hosts traverses, pairwise bottom up (host a,
+/// host b, ToR a, ToR b, ...).
 struct PathLinks {
   std::array<LinkId, 8> links{};
   std::uint32_t count = 0;
@@ -155,14 +155,9 @@ class DataCenter {
   [[nodiscard]] bool separated_at(HostId a, HostId b,
                                   topo::DiversityLevel level) const;
 
-  /// Appends the LinkIds a pipe between the two hosts traverses; nothing is
-  /// appended when a == b.  Emits from the two precomputed uplink chains —
-  /// no tree walk.
-  void path_links(HostId a, HostId b, std::vector<LinkId>& out) const;
-
-  /// Allocation-free form of path_links: the links of the a--b pipe in a
-  /// fixed-size array.  The hot callers (constraint checks, reservation,
-  /// verification) use this to avoid per-call vector churn.
+  /// The links a pipe between the two hosts traverses, in a fixed-size
+  /// array; empty when a == b.  Read from the two precomputed uplink
+  /// chains — no tree walk, no allocation.
   [[nodiscard]] PathLinks path_between(HostId a, HostId b) const;
 
   /// Precomputed ancestors of `h` (rack, pod, site).  Unchecked: `h` must

@@ -15,13 +15,13 @@ FairShareResult solve(const dc::DataCenter& datacenter,
   if (flows.empty()) return result;
 
   // Precompute the link path of each flow.
-  std::vector<std::vector<dc::LinkId>> paths(flows.size());
+  std::vector<dc::PathLinks> paths(flows.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const Flow& flow = flows[f];
     if (flow.demand_mbps <= 0.0) {
       throw std::invalid_argument("max_min_fair_rates: non-positive demand");
     }
-    datacenter.path_links(flow.src, flow.dst, paths[f]);
+    paths[f] = datacenter.path_between(flow.src, flow.dst);
   }
 
   std::vector<double> residual = capacity;

@@ -6,13 +6,12 @@
 // the same numbers, so the layer is designed to be cheap enough to leave on:
 //
 //  * Counter::add and Summary::observe are relaxed atomics behind a single
-//    relaxed-load enabled() check — low single-digit nanoseconds per event.
+//    relaxed-load enabled() check.
 //  * Registry lookups take a mutex, so instrumentation sites cache the
 //    returned reference in a function-local static (instrument pointers are
 //    stable for the lifetime of the process; the registry never erases).
-//  * Compile with -DOSTRO_METRICS=0 to compile every instrument down to a
-//    no-op, or call metrics::set_enabled(false) to turn collection off at
-//    runtime (the default is on).
+//  * metrics::set_enabled(false) turns collection off at runtime (the
+//    default is on).
 //
 // Naming convention: "<subsystem>.<event>" with snake_case events, e.g.
 // "astar.nodes_expanded", "greedy.candidates_evaluated".  Timers are
@@ -32,10 +31,6 @@
 #include "util/json.h"
 #include "util/timer.h"
 
-#ifndef OSTRO_METRICS
-#define OSTRO_METRICS 1  ///< compile-time kill switch (0 = compiled out)
-#endif
-
 namespace ostro::util::metrics {
 
 namespace detail {
@@ -43,13 +38,9 @@ namespace detail {
 [[nodiscard]] std::atomic<bool>& enabled_flag() noexcept;
 }  // namespace detail
 
-/// True when instruments record events (compile-time and runtime switches).
+/// True when instruments record events.
 [[nodiscard]] inline bool enabled() noexcept {
-#if OSTRO_METRICS
   return detail::enabled_flag().load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// Turns collection on/off process-wide.  Reads of existing values and

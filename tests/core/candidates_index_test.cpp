@@ -17,6 +17,8 @@
 #include "datacenter/state_delta.h"
 #include "net/reservation.h"
 #include "helpers.h"
+#include "sim/clusters.h"
+#include "sim/workloads.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -316,30 +318,68 @@ TEST(CandidatesIndexTest, AStarIdenticalWithAndWithoutIndex) {
   }
 }
 
+/// One indexed candidate query for `node`: the list must equal the linear
+/// scan's, and the prune counters must advance by exactly this call's
+/// skipped subtrees and hosts.
+void expect_indexed_prunes(const PartialPlacement& state, topo::NodeId node,
+                           std::size_t candidates, std::uint64_t subtrees,
+                           std::uint64_t hosts) {
+  auto& subtrees_pruned = util::metrics::counter("candidates.subtrees_pruned");
+  auto& hosts_skipped = util::metrics::counter("candidates.hosts_skipped");
+  const std::uint64_t subtrees_before = subtrees_pruned.value();
+  const std::uint64_t skipped_before = hosts_skipped.value();
+  CandidateBuffer buf;
+  get_candidates_indexed(state, node, buf);
+  EXPECT_EQ(buf.hosts, get_candidates(state, node));
+  EXPECT_EQ(buf.hosts.size(), candidates);
+  EXPECT_EQ(subtrees_pruned.value() - subtrees_before, subtrees);
+  EXPECT_EQ(hosts_skipped.value() - skipped_before, hosts);
+}
+
 TEST(CandidatesIndexTest, PruneCountersAdvanceOnPackedFleet) {
   util::metrics::set_enabled(true);
-  const auto datacenter = small_dc(4, 3);
-  dc::Occupancy occupancy(datacenter);
-  // Exhaust every rack but the last: those subtrees must be pruned at the
-  // rack level without any per-host can_place call.
-  for (dc::HostId h = 0; h + 3 < datacenter.host_count(); ++h) {
-    add_host_load(occupancy, h, occupancy.available(h));
+  {
+    const auto datacenter = small_dc(4, 3);
+    dc::Occupancy occupancy(datacenter);
+    // Exhaust every rack but the last: those subtrees must be pruned at the
+    // rack level without any per-host can_place call.
+    for (dc::HostId h = 0; h + 3 < datacenter.host_count(); ++h) {
+      add_host_load(occupancy, h, occupancy.available(h));
+    }
+    const auto app = tiny_app();
+    SearchConfig config;
+    const Objective objective(app, datacenter, config);
+    const PartialPlacement state(app, occupancy, objective);
+    // Only the untouched rack survives: three full racks, their 9 hosts.
+    expect_indexed_prunes(state, 0, 3, 3, 9);
   }
-  const auto app = tiny_app();
-  SearchConfig config;
-  const Objective objective(app, datacenter, config);
-  PartialPlacement state(app, occupancy, objective);
-
-  auto& subtrees = util::metrics::counter("candidates.subtrees_pruned");
-  auto& skipped = util::metrics::counter("candidates.hosts_skipped");
-  const std::uint64_t subtrees_before = subtrees.value();
-  const std::uint64_t skipped_before = skipped.value();
-  CandidateBuffer buf;
-  get_candidates_indexed(state, 0, buf);
-  EXPECT_EQ(buf.hosts, get_candidates(state, 0));
-  EXPECT_EQ(buf.hosts.size(), 3u);  // only the untouched rack survives
-  EXPECT_EQ(subtrees.value() - subtrees_before, 3u);  // three full racks
-  EXPECT_EQ(skipped.value() - skipped_before, 9u);    // their 9 hosts
+  {
+    // Figure-7 scale (150 racks x 16 hosts) with 19 of every 20 racks
+    // exhausted, the steady state of a long-running fleet.  Node 0 of a
+    // 50-VM stack is placed, and node 1 shares its host-level diversity
+    // zone: 142 full racks and their 2,272 hosts are pruned, the zone mask
+    // skips node 0's host, and the other 127 hosts of the 8 open racks
+    // remain.
+    SCOPED_TRACE("2400-host fleet");
+    const auto datacenter = sim::make_sim_datacenter(150, 16);
+    dc::Occupancy occupancy(datacenter);
+    dc::OccupancyDelta fill(occupancy);
+    for (const dc::Rack& rack : datacenter.racks()) {
+      if (rack.id % 20 == 0) continue;
+      for (const dc::HostId h : rack.hosts) {
+        fill.add_host_load(h, occupancy.available(h));
+      }
+    }
+    occupancy.apply_delta(fill);
+    util::Rng rng(7);
+    const auto app = sim::make_multitier(
+        50, sim::RequirementMix::kHeterogeneous, rng);
+    SearchConfig config;
+    const Objective objective(app, datacenter, config);
+    PartialPlacement state(app, occupancy, objective);
+    state.place(0, get_candidates(state, 0).front());
+    expect_indexed_prunes(state, 1, 127, 142, 2273);
+  }
 }
 
 }  // namespace

@@ -15,7 +15,10 @@
 #include "core/astar.h"
 #include "core/greedy.h"
 #include "core/scheduler.h"
+#include "datacenter/state_delta.h"
 #include "helpers.h"
+#include "sim/clusters.h"
+#include "sim/workloads.h"
 #include "util/rng.h"
 
 namespace ostro::core {
@@ -60,6 +63,25 @@ void expect_identical(const AStarOutcome& labeled, const AStarOutcome& ref,
   EXPECT_EQ(labeled.state.utility_committed(), ref.state.utility_committed())
       << "trial " << trial;
   EXPECT_EQ(labeled.state.ubw(), ref.state.ubw()) << "trial " << trial;
+}
+
+/// BA* from the same state with labels on and off: identical outcome, and
+/// the labelled search expands no more paths.  Returns the labelled run.
+AStarOutcome expect_ba_matches_reference(const topo::AppTopology& app,
+                                         const dc::Occupancy& occupancy,
+                                         const Objective& objective,
+                                         const SearchConfig& config,
+                                         int trial) {
+  AStarOutcome labeled = run_astar(
+      PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
+      config, false, nullptr);
+  const AStarOutcome reference = run_astar(
+      PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/false),
+      config, false, nullptr);
+  expect_identical(labeled, reference, trial);
+  EXPECT_LE(labeled.stats.paths_expanded, reference.stats.paths_expanded)
+      << "trial " << trial;
+  return labeled;
 }
 
 TEST(LabelsDifferentialTest, EgMatchesReferenceBounds) {
@@ -203,19 +225,46 @@ TEST(LabelsDifferentialTest, NearFullDcStillMatchesReference) {
     const auto app = random_app(rng, 4, 0.5, /*with_zone=*/false);
     SearchConfig config;
     const Objective objective(app, datacenter, config);
-
-    const AStarOutcome labeled = run_astar(
-        PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
-        config, false, nullptr);
-    const AStarOutcome reference = run_astar(
-        PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/false),
-        config, false, nullptr);
-    expect_identical(labeled, reference, trial);
-    EXPECT_LE(labeled.stats.paths_expanded, reference.stats.paths_expanded)
-        << "trial " << trial;
-    if (reference.feasible) ++feasible_trials;
+    if (expect_ba_matches_reference(app, occupancy, objective, config, trial)
+            .feasible) {
+      ++feasible_trials;
+    }
   }
   EXPECT_GT(feasible_trials, 3);
+
+  // Figure-7 scale (150 racks x 16 hosts): every host is full except the
+  // first host of every 15th rack, which keeps (5 vCPU, 10 GB, 300 GB) free.
+  // That fits any single sim VM (at most 4 vCPUs) but not most pairs, so
+  // the reference bound's co-location optimism is wrong on most edges and
+  // the labels correct it to the cross-rack distance.  The labelled search
+  // must finish inside the expansion budget that stops the reference one.
+  SCOPED_TRACE("2400-host near-full fleet");
+  const auto datacenter = sim::make_sim_datacenter(150, 16);
+  dc::Occupancy occupancy(datacenter);
+  dc::OccupancyDelta fill(occupancy);
+  for (const dc::Rack& rack : datacenter.racks()) {
+    for (std::size_t i = 0; i < rack.hosts.size(); ++i) {
+      const dc::HostId h = rack.hosts[i];
+      const topo::Resources free = occupancy.available(h);
+      if (i == 0 && rack.id % 15 == 0) {
+        fill.add_host_load(
+            h, {free.vcpus - 5.0, free.mem_gb - 10.0, free.disk_gb - 300.0});
+      } else {
+        fill.add_host_load(h, free);
+      }
+    }
+  }
+  occupancy.apply_delta(fill);
+  util::Rng app_rng(13);
+  const auto app =
+      sim::make_multitier(10, sim::RequirementMix::kHeterogeneous, app_rng);
+  SearchConfig config;
+  config.max_expansions = 3000;
+  const Objective objective(app, datacenter, config);
+  const AStarOutcome labeled =
+      expect_ba_matches_reference(app, occupancy, objective, config, 15);
+  EXPECT_TRUE(labeled.feasible);
+  EXPECT_FALSE(labeled.stats.truncated);
 }
 
 }  // namespace

@@ -108,6 +108,20 @@ TEST(SearchConfigTest, ValidationRejectsBadValues) {
   config = SearchConfig{};
   config.initial_prune_range = -1.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  // Non-finite DBA* budgets: a NaN deadline never expires, and NaN passes
+  // the prune range's sign check.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    config = SearchConfig{};
+    config.deadline_seconds = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument)
+        << "deadline_seconds=" << bad;
+    config = SearchConfig{};
+    config.initial_prune_range = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument)
+        << "initial_prune_range=" << bad;
+  }
   EXPECT_NO_THROW(SearchConfig{}.validate());
 }
 

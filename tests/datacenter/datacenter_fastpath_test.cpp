@@ -86,10 +86,6 @@ std::array<int, 5> expect_tables_match(const DataCenter& dc) {
       EXPECT_EQ(fast, walk) << "hosts " << a << ", " << b;
       ++scope_pairs[static_cast<std::size_t>(fast)];
 
-      std::vector<LinkId> via_table;
-      dc.path_links(a, b, via_table);
-      EXPECT_EQ(via_table, via_walk) << "hosts " << a << ", " << b;
-
       const PathLinks path = dc.path_between(a, b);
       EXPECT_EQ(path.size(), via_walk.size());
       EXPECT_EQ(std::vector<LinkId>(path.begin(), path.end()), via_walk)

@@ -74,15 +74,12 @@ TEST(DataCenterTest, SeparatedAt) {
 
 TEST(DataCenterTest, PathLinksSameHostIsEmpty) {
   const DataCenter dc = small_dc();
-  std::vector<LinkId> links;
-  dc.path_links(0, 0, links);
-  EXPECT_TRUE(links.empty());
+  EXPECT_EQ(dc.path_between(0, 0).size(), 0u);
 }
 
 TEST(DataCenterTest, PathLinksSameRack) {
   const DataCenter dc = small_dc(2, 2);
-  std::vector<LinkId> links;
-  dc.path_links(0, 1, links);
+  const PathLinks links = dc.path_between(0, 1);
   ASSERT_EQ(links.size(), 2u);
   EXPECT_EQ(links[0], dc.host_link(0));
   EXPECT_EQ(links[1], dc.host_link(1));
@@ -90,8 +87,7 @@ TEST(DataCenterTest, PathLinksSameRack) {
 
 TEST(DataCenterTest, PathLinksCrossRack) {
   const DataCenter dc = small_dc(2, 2);
-  std::vector<LinkId> links;
-  dc.path_links(0, 2, links);
+  const PathLinks links = dc.path_between(0, 2);
   ASSERT_EQ(links.size(), 4u);
   EXPECT_EQ(links[2], dc.rack_link(0));
   EXPECT_EQ(links[3], dc.rack_link(1));
@@ -99,8 +95,7 @@ TEST(DataCenterTest, PathLinksCrossRack) {
 
 TEST(DataCenterTest, PathLinksCrossSite) {
   const DataCenter dc = two_site_dc(1, 1);  // 2 hosts, one per site
-  std::vector<LinkId> links;
-  dc.path_links(0, 1, links);
+  const PathLinks links = dc.path_between(0, 1);
   // host, host, tor, tor, pod, pod, site, site.
   ASSERT_EQ(links.size(), 8u);
   EXPECT_EQ(links[6], dc.site_link(0));

@@ -84,13 +84,12 @@ TEST(MaxMinHierarchyTest, RandomFlowsRespectEveryCapacity) {
     }
     const FairShareResult result = max_min_fair_rates(dc, flows);
     std::vector<double> used(dc.link_count(), 0.0);
-    std::vector<dc::LinkId> links;
     for (std::size_t f = 0; f < flows.size(); ++f) {
       EXPECT_GE(result.rate_mbps[f], -1e-9);
       EXPECT_LE(result.rate_mbps[f], flows[f].demand_mbps + 1e-6);
-      links.clear();
-      dc.path_links(flows[f].src, flows[f].dst, links);
-      for (const auto link : links) used[link] += result.rate_mbps[f];
+      for (const auto link : dc.path_between(flows[f].src, flows[f].dst)) {
+        used[link] += result.rate_mbps[f];
+      }
     }
     for (std::size_t l = 0; l < used.size(); ++l) {
       EXPECT_LE(used[l],

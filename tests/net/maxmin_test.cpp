@@ -84,9 +84,9 @@ TEST(MaxMinTest, MaxMinProperty) {
   const FairShareResult result = max_min_fair_rates(dc, flows);
   // Recompute link usage.
   std::vector<double> used(dc.link_count(), 0.0);
-  std::vector<std::vector<dc::LinkId>> paths(flows.size());
+  std::vector<dc::PathLinks> paths(flows.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    dc.path_links(flows[f].src, flows[f].dst, paths[f]);
+    paths[f] = dc.path_between(flows[f].src, flows[f].dst);
     for (const auto link : paths[f]) used[link] += result.rate_mbps[f];
   }
   for (std::size_t l = 0; l < used.size(); ++l) {

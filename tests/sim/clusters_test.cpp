@@ -69,9 +69,7 @@ TEST(SimDatacenterTest, PaperScaleStructure) {
   }
   EXPECT_DOUBLE_EQ(dc.host(0).uplink_mbps, 10'000.0);
   // Cross-rack paths use exactly 4 links (no pod hop).
-  std::vector<dc::LinkId> links;
-  dc.path_links(0, 16, links);
-  EXPECT_EQ(links.size(), 4u);
+  EXPECT_EQ(dc.path_between(0, 16).size(), 4u);
 }
 
 TEST(SimDatacenterTest, CustomSizeAndValidation) {
