@@ -257,6 +257,8 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
       util::metrics::counter("astar.eg_reruns");
   static util::metrics::Counter& m_eg_reused =
       util::metrics::counter("astar.eg_reruns_reused");
+  static util::metrics::Counter& m_estimates =
+      util::metrics::counter("estimator.candidate_estimates");
   static util::metrics::Summary& m_open_size =
       util::metrics::summary("astar.open_queue_size");
   static util::metrics::Summary& m_run_seconds =
@@ -539,19 +541,23 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
     for (const auto& nb : topology.neighbors(node)) {
       parent_bounds.push_back(parent->edge_bound(nb.edge_index));
     }
+    // The fan's estimate and prune counts are published once per
+    // expansion, after the loop (see util/metrics.h).
+    std::uint64_t estimates = 0;
+    std::uint64_t pruned_bound = 0;
+    std::uint64_t pruned_random = 0;
     for (const dc::HostId host : candidates) {
       const ChildScore score =
           child_priority(*parent, node, host, parent_bounds);
       const double bound_utility =
           parent->objective().utility(score.ubw + score.bound_rem, score.uc);
       if (bound_utility >= incumbent.utility - kEps) {  // line 11 bounding
-        ++stats.paths_pruned_bound;
-        m_pruned_bound.inc();
+        ++pruned_bound;
         continue;
       }
       double order_utility = bound_utility;
       if (deadline_bounded) {
-        ++stats.heuristic_calls;
+        ++estimates;
         const Estimate est =
             estimate_context
                 ? estimate_context->estimate(host, estimate_scratch)
@@ -570,8 +576,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
         const double s = static_cast<double>(entry.depth + 1) /
                          static_cast<double>(order.size());
         if (rng.chance(prune_probability(prune_range, s))) {
-          ++stats.paths_pruned_random;
-          m_pruned_random.inc();
+          ++pruned_random;
           continue;
         }
       }
@@ -585,12 +590,16 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
           children.begin(),
           children.begin() + static_cast<long>(config.dba_beam_width),
           children.end());
-      stats.paths_pruned_random +=
-          children.size() - config.dba_beam_width;
-      m_pruned_random.add(children.size() - config.dba_beam_width);
+      pruned_random += children.size() - config.dba_beam_width;
       children.resize(config.dba_beam_width);
       std::sort(children.begin(), children.end());
     }
+    stats.heuristic_calls += estimates;
+    m_estimates.add(estimates);
+    stats.paths_pruned_bound += pruned_bound;
+    m_pruned_bound.add(pruned_bound);
+    stats.paths_pruned_random += pruned_random;
+    m_pruned_random.add(pruned_random);
     for (const auto& [order_utility, child_host] : children) {
       open.push(PathEntry{parent, node, child_host, order_utility, false,
                           entry.depth + 1, sequence++});

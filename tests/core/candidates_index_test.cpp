@@ -55,6 +55,27 @@ dc::DataCenter deep_dc() {
   return builder.build();
 }
 
+/// small_dc(3, 3)'s shape with hosts added to the racks in turn (rack 0,
+/// rack 1, rack 2, rack 0, ...): host ids interleave across racks, so the
+/// indexed descent emits them out of order and must sort its list.
+dc::DataCenter interleaved_dc() {
+  dc::DataCenterBuilder builder;
+  const auto site = builder.add_site("site0", 16000.0);
+  const auto pod = builder.add_pod(site, "pod0", 16000.0);
+  std::vector<std::uint32_t> racks;
+  for (int r = 0; r < 3; ++r) {
+    racks.push_back(builder.add_rack(pod, "rack" + std::to_string(r), 4000.0));
+  }
+  for (int h = 0; h < 3; ++h) {
+    for (int r = 0; r < 3; ++r) {
+      builder.add_host(racks[static_cast<std::size_t>(r)],
+                       "h" + std::to_string(r) + "-" + std::to_string(h),
+                       {8.0, 16.0, 500.0}, 1000.0);
+    }
+  }
+  return builder.build();
+}
+
 /// Random background tenants: host loads and uplink reservations, leaving
 /// some hosts exhausted and some untouched so the index has real prunes.
 void randomize_occupancy(dc::Occupancy& occupancy, util::Rng& rng) {
@@ -96,10 +117,13 @@ void expect_candidates_identical(const PartialPlacement& state,
 TEST(CandidatesIndexTest, RandomizedStatesMatchLinearScanExactly) {
   util::Rng rng(31337);
   CandidateBuffer buf;
-  for (int trial = 0; trial < 40; ++trial) {
-    const auto datacenter = trial % 3 == 0   ? small_dc(3, 3)
-                            : trial % 3 == 1 ? two_site_dc(2, 3)
-                                             : deep_dc();
+  ASSERT_EQ(interleaved_dc().racks()[0].hosts,
+            (std::vector<dc::HostId>{0, 3, 6}));
+  for (int trial = 0; trial < 56; ++trial) {
+    const auto datacenter = trial % 4 == 0   ? small_dc(3, 3)
+                            : trial % 4 == 1 ? two_site_dc(2, 3)
+                            : trial % 4 == 2 ? deep_dc()
+                                             : interleaved_dc();
     dc::Occupancy occupancy(datacenter);
     randomize_occupancy(occupancy, rng);
     const auto app = random_app(rng, 7);

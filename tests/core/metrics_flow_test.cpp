@@ -6,10 +6,12 @@
 #include "core/scheduler.h"
 #include "helpers.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace ostro::core {
 namespace {
 
+using ostro::testing::random_app;
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
@@ -31,7 +33,8 @@ TEST_F(MetricsFlowTest, GreedyPlanPopulatesRegistryAndStats) {
   EXPECT_GT(registry.counter_value("greedy.candidates_evaluated"), 0u);
   EXPECT_GT(registry.counter_value("greedy.runs"), 0u);
   EXPECT_GT(registry.counter_value("greedy.nodes_placed"), 0u);
-  EXPECT_GT(registry.counter_value("estimator.candidate_estimates"), 0u);
+  EXPECT_EQ(registry.counter_value("estimator.candidate_estimates"),
+            placement.stats.heuristic_calls);
   EXPECT_EQ(registry.counter_value("scheduler.plans"), 1u);
   EXPECT_EQ(registry.summary_snapshot("scheduler.plan_seconds").count, 1u);
 
@@ -39,6 +42,51 @@ TEST_F(MetricsFlowTest, GreedyPlanPopulatesRegistryAndStats) {
   EXPECT_GT(placement.stats.candidates_evaluated, 0u);
   EXPECT_GT(placement.stats.heuristic_calls, 0u);
   EXPECT_GT(placement.stats.runtime_seconds, 0.0);
+
+  // The estimate fans count once per fan, not once per estimate; the
+  // registry total must still move by exactly the run's heuristic calls,
+  // whichever loop ran them: EG's fan on a 4-worker pool (16 candidates
+  // per VM, enough for the pool to split the fan), EG without the
+  // per-node context, BA* (its EG completions) and DBA* (its EG
+  // completions and its sibling ranking).
+  SearchConfig pooled;
+  pooled.threads = 4;
+  const dc::DataCenter wide = small_dc(4, 4);
+  const OstroScheduler wide_scheduler(wide, pooled);
+  SearchConfig no_context = pooled;
+  no_context.use_estimate_context = false;
+  const topo::AppTopology tiny = tiny_app();
+  // On tiny_app EG is optimal, so DBA* bound-prunes every child and ranks
+  // no siblings; this 8-VM app leaves it 328 sibling estimates.
+  util::Rng rng(5);
+  const topo::AppTopology mesh = random_app(rng, 8, 0.5);
+  const struct {
+    const char* label;
+    Algorithm algorithm;
+    const topo::AppTopology* app;
+    const SearchConfig* config;
+  } runs[] = {
+      {"eg pooled", Algorithm::kEg, &tiny, &pooled},
+      {"eg without context", Algorithm::kEg, &tiny, &no_context},
+      {"ba*", Algorithm::kBaStar, &tiny, &pooled},
+      {"dba*", Algorithm::kDbaStar, &mesh, &pooled},
+  };
+  for (const auto& run : runs) {
+    const std::uint64_t before =
+        registry.counter_value("estimator.candidate_estimates");
+    const Placement p =
+        wide_scheduler.plan(*run.app, run.algorithm, *run.config);
+    ASSERT_TRUE(p.feasible) << run.label;
+    EXPECT_GT(p.stats.heuristic_calls, 0u) << run.label;
+    EXPECT_EQ(registry.counter_value("estimator.candidate_estimates") -
+                  before,
+              p.stats.heuristic_calls)
+        << run.label;
+    if (run.algorithm == Algorithm::kDbaStar) {
+      // Calls beyond its EG runs' candidates are the sibling ranking.
+      EXPECT_GT(p.stats.heuristic_calls, p.stats.candidates_evaluated);
+    }
+  }
 }
 
 TEST_F(MetricsFlowTest, AStarPlanCountsNodeExpansions) {

@@ -22,11 +22,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <mutex>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -57,6 +59,42 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   return buffer.str();
+}
+
+/// Largest template file `ostro serve` reads.  examples/data/three_tier.json
+/// spends 300 bytes per VM, pipes and zones included, so this admits some
+/// 200,000 VMs.
+constexpr std::uintmax_t kMaxTemplateBytes = std::uintmax_t{64} << 20;
+
+/// Reads a serve request's "template" file.  read_file reads to end of
+/// file, so a device such as /dev/zero would grow one string until memory
+/// runs out, a FIFO would block the reader so that no later request is
+/// read, and a huge or sparse file would be read whole.  Only a regular
+/// file of at most kMaxTemplateBytes is opened, and no more than the size
+/// it had when checked is read.  A path swapped for a FIFO between the
+/// check and the open still blocks: serve trusts the directories its
+/// templates live in.
+std::string read_template_file(const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::file_status status = fs::status(path, ec);
+  if (ec) throw std::runtime_error("cannot open " + path + ": " + ec.message());
+  if (!fs::is_regular_file(status)) {
+    throw std::runtime_error("template " + path + " is not a regular file");
+  }
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec) throw std::runtime_error("cannot open " + path + ": " + ec.message());
+  if (size > kMaxTemplateBytes) {
+    throw std::runtime_error("template " + path + " has " +
+                             std::to_string(size) + " bytes, over the " +
+                             std::to_string(kMaxTemplateBytes) + " limit");
+  }
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("cannot open " + path);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  file.read(text.data(), static_cast<std::streamsize>(size));
+  text.resize(static_cast<std::size_t>(file.gcount()));
+  return text;
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -242,6 +280,15 @@ int cmd_place(util::ArgParser& args) {
 
   const core::Placement placement = core::place_topology(
       occupancy, parsed.topology, algorithm, config, nullptr, nullptr);
+  if (placement.stats.truncated) {
+    std::cerr << "search truncated by "
+              << (placement.stats.hit_open_limit
+                      ? "the open-queue limit (max_open_paths = " +
+                            std::to_string(config.max_open_paths) + ")"
+                      : "the expansion cap (max_expansions = " +
+                            std::to_string(config.max_expansions) + ")")
+              << "\n";
+  }
   if (!placement.feasible) {
     std::cerr << "no feasible placement: " << placement.failure_reason
               << "\n";
@@ -386,6 +433,8 @@ int cmd_serve(util::ArgParser& args) {
             static_cast<int>(result.service.conflicts);
         response["retries"] = static_cast<int>(result.service.retries);
         const core::Placement& placement = result.service.placement;
+        response["truncated"] = placement.stats.truncated;
+        response["hit_open_limit"] = placement.stats.hit_open_limit;
         if (result.status == core::StreamStatus::kCommitted) {
           response["utility"] = placement.utility;
           response["reserved_bandwidth_mbps"] =
@@ -431,8 +480,8 @@ int cmd_serve(util::ArgParser& args) {
       if (doc.contains("stack")) {
         parsed = os::HeatTemplate::parse(doc.at("stack"));
       } else if (doc.contains("template")) {
-        parsed =
-            os::HeatTemplate::parse_text(read_file(doc.at("template").as_string()));
+        parsed = os::HeatTemplate::parse_text(
+            read_template_file(doc.at("template").as_string()));
       } else {
         throw std::runtime_error(
             "request needs \"template\" (path) or \"stack\" (inline)");
