@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
           const core::Placement placement = core::place_topology(
               occupancy, app,
               guided ? core::Algorithm::kDbaStar : core::Algorithm::kBaStar,
-              config, nullptr, nullptr);
+              config);
           if (!placement.feasible) continue;
           utility.add(placement.utility);
           bw.add(placement.reserved_bandwidth_mbps);

@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
         core::SearchConfig config;
         config.symmetry_reduction = reduce;
         const core::Placement placement = core::place_topology(
-            occupancy, app, core::Algorithm::kBaStar, config, nullptr,
-            nullptr);
+            occupancy, app, core::Algorithm::kBaStar, config);
         if (!placement.feasible) continue;
         utility.add(placement.utility);
         bw.add(placement.reserved_bandwidth_mbps);

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
         config.theta_bw = 1.0 - config.theta_c;
         config.deadline_seconds = 0.5;
         const core::Placement placement = core::place_topology(
-            occupancy, app, algorithm, config, nullptr, nullptr);
+            occupancy, app, algorithm, config);
         if (!placement.feasible) continue;
         bw.add(placement.reserved_bandwidth_mbps);
         nh.add(placement.new_active_hosts);

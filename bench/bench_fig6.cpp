@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
       config.seed = static_cast<std::uint64_t>(args.get_int("seed")) +
                     static_cast<std::uint64_t>(run);
       const core::Placement placement = core::place_topology(
-          occupancy, app, core::Algorithm::kDbaStar, config, nullptr,
-          nullptr);
+          occupancy, app, core::Algorithm::kDbaStar, config);
       if (!placement.feasible) {
         std::cerr << "T=" << deadline
                   << ": infeasible: " << placement.failure_reason << "\n";

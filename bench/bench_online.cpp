@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
       core::SearchConfig config;
       config.deadline_seconds = bench::dba_deadline_for(vms);
       const core::Placement first = core::place_topology(
-          occupancy, base, core::Algorithm::kDbaStar, config, nullptr,
-          nullptr);
+          occupancy, base, core::Algorithm::kDbaStar, config);
       if (!first.feasible) continue;
 
       const auto grown = sim::grow_multitier(
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
         }
         const core::Placement placement = core::place_topology(
             occupancy, grown, core::Algorithm::kDbaStar, delta_config,
-            pin_any ? &pinned : nullptr, nullptr);
+            pin_any ? &pinned : nullptr);
         ++agg.total;
         if (!placement.feasible) return;
         ++agg.feasible;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       config.theta_c = 0.01;
       config.deadline_seconds = 0.5;
       const core::Placement placement = core::place_topology(
-          occupancy, app, algorithm, config, nullptr, nullptr);
+          occupancy, app, algorithm, config);
       if (!placement.feasible || placement.bandwidth_overcommitted) {
         continue;  // EG_C may overcommit; no throughput run is meaningful
       }

@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   }
 
   core::SearchConfig config;
-  config.threads = 1;  // client threads are the concurrency under test
 
   util::TablePrinter table({"Threads", "Requests/sec", "Committed",
                             "Conflicts", "Retries", "Wall (sec)"});

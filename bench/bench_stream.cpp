@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   }
 
   core::SearchConfig config;
-  config.threads = 1;  // dispatcher concurrency is the subject under test
   config.stream_max_batch =
       static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("batch")));
   config.stream_dispatch_threads = static_cast<std::size_t>(

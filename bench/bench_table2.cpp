@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       config.seed = static_cast<std::uint64_t>(args.get_int("seed")) +
                     static_cast<std::uint64_t>(run);
       const core::Placement placement = core::place_topology(
-          occupancy, app, algorithm, config, nullptr, nullptr);
+          occupancy, app, algorithm, config);
       if (!placement.feasible) {
         std::cerr << core::to_string(algorithm)
                   << ": infeasible: " << placement.failure_reason << "\n";

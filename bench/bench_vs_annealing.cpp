@@ -40,13 +40,12 @@ int main(int argc, char** argv) {
                     static_cast<std::uint64_t>(run);
 
       const core::Placement eg = core::place_topology(
-          occupancy, app, core::Algorithm::kEg, config, nullptr, nullptr);
+          occupancy, app, core::Algorithm::kEg, config);
 
       core::SearchConfig dba_config = config;
       dba_config.deadline_seconds = budget;
       const core::Placement dba = core::place_topology(
-          occupancy, app, core::Algorithm::kDbaStar, dba_config, nullptr,
-          nullptr);
+          occupancy, app, core::Algorithm::kDbaStar, dba_config);
 
       core::AnnealingConfig sa_config;
       sa_config.deadline_seconds = budget;

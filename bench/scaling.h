@@ -45,7 +45,7 @@ using SweepResult = std::map<std::pair<int, core::Algorithm>, SweepCell>;
         config.deadline_seconds = dba_deadline_for(vms);
         config.seed = seed + static_cast<std::uint64_t>(run);
         const core::Placement placement = core::place_topology(
-            occupancy, app, algorithm, config, nullptr, nullptr);
+            occupancy, app, algorithm, config);
         if (!placement.feasible) {
           ++cell.infeasible;
           std::cerr << core::to_string(algorithm) << " @" << vms

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       core::SearchConfig config;
       config.deadline_seconds = 0.1 * zones;
       const core::Placement placement = core::place_topology(
-          occupancy, app, algorithm, config, nullptr, nullptr);
+          occupancy, app, algorithm, config);
       if (!placement.feasible) {
         std::cout << "  " << core::to_string(algorithm)
                   << ": infeasible: " << placement.failure_reason << "\n";

@@ -27,7 +27,7 @@ int main() {
   core::SearchConfig config;
   config.deadline_seconds = 5.0;
   const core::Placement first = core::place_topology(
-      occupancy, base, core::Algorithm::kDbaStar, config, nullptr, nullptr);
+      occupancy, base, core::Algorithm::kDbaStar, config);
   if (!first.feasible) {
     std::cerr << "initial placement failed: " << first.failure_reason << "\n";
     return 1;
@@ -50,7 +50,7 @@ int main() {
     pinned[v] = first.assignment[v];
   }
   core::Placement delta = core::place_topology(
-      occupancy, grown, core::Algorithm::kDbaStar, config, &pinned, nullptr);
+      occupancy, grown, core::Algorithm::kDbaStar, config, &pinned);
 
   if (!delta.feasible) {
     // Attempt 2: release the neighbors of the new VMs.
@@ -66,7 +66,7 @@ int main() {
       if (v < base.node_count()) pinned[v] = dc::kInvalidHost;
     }
     delta = core::place_topology(occupancy, grown, core::Algorithm::kDbaStar,
-                                 config, &pinned, nullptr);
+                                 config, &pinned);
   }
   if (!delta.feasible) {
     std::cerr << "re-placement failed: " << delta.failure_reason << "\n";

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     config.theta_c = 0.01;
     config.deadline_seconds = 0.5;  // DBA* budget, as in Table I
     const core::Placement placement = core::place_topology(
-        occupancy, app, algorithm, config, nullptr, nullptr);
+        occupancy, app, algorithm, config);
     if (!placement.feasible) {
       std::cout << core::to_string(algorithm)
                 << ": infeasible: " << placement.failure_reason << "\n";

@@ -239,7 +239,7 @@ struct Incumbent {
 }  // namespace
 
 AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
-                       bool deadline_bounded, util::ThreadPool* pool) {
+                       bool deadline_bounded) {
   // Process-wide counters mirroring the per-run SearchStats; BA* and DBA*
   // share the "astar." namespace.
   static util::metrics::Counter& m_runs = util::metrics::counter("astar.runs");
@@ -319,7 +319,7 @@ AStarOutcome run_astar(PartialPlacement initial, const SearchConfig& config,
     const util::WallTimer eg_timer;
     ++stats.eg_reruns;
     m_eg_reruns.inc();
-    GreedyOutcome eg = run_greedy(Algorithm::kEg, from, greedy_order, pool,
+    GreedyOutcome eg = run_greedy(Algorithm::kEg, from, greedy_order,
                                   config.use_estimate_context,
                                   config.use_candidate_index);
     stats.candidates_evaluated += eg.stats.candidates_evaluated;

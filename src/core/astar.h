@@ -22,7 +22,6 @@
 
 #include "core/partial.h"
 #include "core/types.h"
-#include "util/thread_pool.h"
 
 namespace ostro::core {
 
@@ -36,10 +35,8 @@ struct AStarOutcome {
 };
 
 /// Runs BA* (deadline_bounded == false) or DBA* (true) from `initial`.
-/// `pool` parallelizes the embedded EG runs.
 [[nodiscard]] AStarOutcome run_astar(PartialPlacement initial,
                                      const SearchConfig& config,
-                                     bool deadline_bounded,
-                                     util::ThreadPool* pool);
+                                     bool deadline_bounded);
 
 }  // namespace ostro::core

@@ -1,33 +1,9 @@
 #include "core/estimator.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
-#include "util/metrics.h"
-
 namespace ostro::core {
-namespace {
-
-/// Where a node sits during the imaginary completion: a real host, an
-/// imaginary host, or nowhere yet.
-struct Location {
-  enum class Kind : std::uint8_t { kNone, kReal, kImaginary } kind = Kind::kNone;
-  std::uint32_t index = 0;  ///< HostId or imaginary-host index
-
-  [[nodiscard]] bool assigned() const noexcept { return kind != Kind::kNone; }
-  [[nodiscard]] bool same_as(const Location& o) const noexcept {
-    return kind == o.kind && index == o.index && assigned();
-  }
-};
-
-struct WorkHost {
-  Location location;
-  topo::Resources residual;
-  std::vector<topo::NodeId> nodes;
-};
-
-}  // namespace
 
 double Estimator::rest_bound(const PartialPlacement& p, topo::NodeId node) {
   double incident = 0.0;
@@ -435,134 +411,6 @@ Estimate NodeEstimateContext::estimate(dc::HostId host,
       p.link_available(datacenter.rack_link(rack)) + 1e-9) {
     est.ubw += p.objective().ubw_worst();
   }
-  return est;
-}
-
-Estimate Estimator::imaginary_completion(const PartialPlacement& p) {
-  static util::metrics::Counter& m_completions =
-      util::metrics::counter("estimator.imaginary_completions");
-  m_completions.inc();
-  const topo::AppTopology& topology = p.topology();
-  const dc::DataCenter& datacenter = p.datacenter();
-
-  // Remaining nodes, sorted by bandwidth requirement (descending) as the
-  // paper prescribes, so heavily connected nodes grab co-location first.
-  std::vector<topo::NodeId> remaining;
-  for (const auto& n : topology.nodes()) {
-    if (!p.is_placed(n.id)) remaining.push_back(n.id);
-  }
-  std::sort(remaining.begin(), remaining.end(),
-            [&](topo::NodeId a, topo::NodeId b) {
-              const double bwa = topology.incident_bandwidth(a);
-              const double bwb = topology.incident_bandwidth(b);
-              if (bwa != bwb) return bwa > bwb;
-              return a < b;
-            });
-
-  // Working hosts: the real hosts H* already used by p, then imaginary
-  // hosts appended as the procedure creates them.
-  std::vector<WorkHost> hosts;
-  std::vector<Location> location(topology.node_count());
-  for (const dc::HostId used : p.used_hosts()) {
-    WorkHost wh;
-    wh.location = {Location::Kind::kReal, used};
-    wh.residual = p.available(used);
-    hosts.push_back(std::move(wh));
-  }
-  for (const auto& n : topology.nodes()) {
-    if (!p.is_placed(n.id)) continue;
-    location[n.id] = {Location::Kind::kReal, p.host_of(n.id)};
-    for (auto& wh : hosts) {
-      if (wh.location.index == p.host_of(n.id)) {
-        wh.nodes.push_back(n.id);
-        break;
-      }
-    }
-  }
-
-  const auto zone_conflict = [&](topo::NodeId v, const WorkHost& wh) {
-    // Host-level check against everything on the working host; for real
-    // hosts additionally the full placed-member zone check at all levels.
-    for (const topo::NodeId resident : wh.nodes) {
-      if (topology.required_separation(v, resident)) return true;
-    }
-    if (wh.location.kind == Location::Kind::kReal) {
-      if (p.zone_scope_to_host(v, wh.location.index) != dc::Scope::kSameHost) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  for (const topo::NodeId v : remaining) {
-    const topo::Resources& req = topology.node(v).requirements;
-
-    double best_bw = -1.0;
-    std::size_t best_index = hosts.size();
-    double bw_unassigned = 0.0;
-    for (const auto& nb : topology.neighbors(v)) {
-      if (!location[nb.node].assigned()) bw_unassigned += nb.bandwidth_mbps;
-    }
-    for (std::size_t h = 0; h < hosts.size(); ++h) {
-      const WorkHost& wh = hosts[h];
-      if (!req.fits_within(wh.residual)) continue;  // condition 1
-      if (zone_conflict(v, wh)) continue;           // condition 2
-      double bw_here = 0.0;
-      for (const auto& nb : topology.neighbors(v)) {
-        const Location& loc = location[nb.node];
-        if (loc.assigned() && loc.same_as(wh.location)) {
-          bw_here += nb.bandwidth_mbps;
-        }
-      }
-      if (bw_here > best_bw) {
-        best_bw = bw_here;
-        best_index = h;
-      }
-    }
-
-    // Conditions 1-4 of Section III-A-2: open a fresh imaginary host when
-    // nothing fits, nothing is connected, or the node is more strongly
-    // connected to the still-unplaced tail than to any used host.
-    const bool need_imaginary = best_index == hosts.size() ||
-                                best_bw <= 0.0 || bw_unassigned > best_bw;
-    if (need_imaginary) {
-      WorkHost wh;
-      wh.location = {Location::Kind::kImaginary,
-                     static_cast<std::uint32_t>(hosts.size())};
-      wh.residual = datacenter.max_host_capacity();
-      hosts.push_back(std::move(wh));
-      best_index = hosts.size() - 1;
-    }
-    WorkHost& chosen = hosts[best_index];
-    chosen.residual -= req;
-    chosen.nodes.push_back(v);
-    location[v] = chosen.location;
-  }
-
-  // Estimated bandwidth: every pipe not already committed in p, priced by
-  // the separation of the (approximate) locations — actual scope for two
-  // real hosts, otherwise the diversity-forced minimum (at least one rack
-  // apart, since the locations are distinct).
-  Estimate est;
-  for (const auto& edge : topology.edges()) {
-    if (p.is_placed(edge.a) && p.is_placed(edge.b)) continue;  // committed
-    const Location& la = location[edge.a];
-    const Location& lb = location[edge.b];
-    if (la.same_as(lb)) continue;
-    dc::Scope scope = dc::Scope::kSameRack;
-    if (la.kind == Location::Kind::kReal &&
-        lb.kind == Location::Kind::kReal) {
-      scope = datacenter.scope_between(la.index, lb.index);
-    } else if (const auto level =
-                   topology.required_separation(edge.a, edge.b)) {
-      scope = std::max(scope, dc::forced_scope(*level));
-    }
-    est.ubw += Objective::edge_cost(edge.bandwidth_mbps, scope);
-  }
-  // Imaginary hosts do not count toward u_c (Section III-A-2) and the real
-  // hosts H* are active by construction, so the estimate never adds
-  // activations.
-  est.uc = 0.0;
   return est;
 }
 

@@ -1,24 +1,17 @@
 // Heuristic utility estimates (GetHeuristic of Algorithm 1, Section
 // III-A-2 of the paper).
 //
-// Two estimates are provided:
-//
-//  * candidate_estimate — the per-candidate score EG uses in GetBest.  It
-//    combines (i) the exact cost of the node's pipes to already-placed
-//    neighbors when put on the candidate host, (ii) a residual-aware bound
-//    for its pipes to unplaced neighbors (can they still co-locate with the
-//    node on this host?), (iii) the candidate-independent lower bound of all
-//    other open pipes, and (iv) the host-activation cost.  O(degree) per
-//    candidate, which keeps EG's full scan over thousands of hosts cheap.
-//
-//  * imaginary_completion — the paper's full estimate: remaining nodes are
-//    approximately placed, sorted by bandwidth requirement, onto used hosts
-//    or onto "imaginary hosts" created when capacity / diversity /
-//    connectivity rules demand one (Figure 4).  Imaginary hosts carry the
-//    maximum per-resource host capacity of the data center and do not count
-//    toward u_c.  Sharper than the admissible bound but not guaranteed to
-//    be a lower bound.  No search calls it: DBA* ranks children with
-//    candidate_estimate, and BA* orders by the admissible bound.
+// candidate_estimate is the per-candidate score EG uses in GetBest.  It
+// combines (i) the exact cost of the node's pipes to already-placed
+// neighbors when put on the candidate host, (ii) a residual-aware bound for
+// its pipes to unplaced neighbors (can they still co-locate with the node on
+// this host?), (iii) the candidate-independent lower bound of all other open
+// pipes, and (iv) the host-activation cost.  O(degree) per candidate, which
+// keeps EG's full scan over thousands of hosts cheap.  This is the paper's
+// imaginary-host procedure (Figure 4) in EG's O(degree) form: the estimate
+// for the whole remaining node set is not computed (DESIGN.md, modeling
+// decision 4).  DBA* ranks children with the same estimate; BA* orders by
+// the admissible bound (PartialPlacement).
 #pragma once
 
 #include <span>
@@ -34,9 +27,9 @@ struct Estimate {
   double uc = 0.0;   ///< additional newly-activated hosts
 };
 
-/// Reusable per-thread buffers for NodeEstimateContext::estimate.  One
-/// instance per ThreadPool slot (see ThreadPool::parallel_for_slots) lets
-/// the candidate fan run allocation-free once the buffers are warm.
+/// Reusable buffers for NodeEstimateContext::estimate.  One instance per
+/// candidate fan lets the fan run allocation-free once the buffers are
+/// warm.
 struct EstimateScratch {
   std::vector<std::uint32_t> assumed;  ///< future indices assumed co-located
 };
@@ -128,10 +121,6 @@ class Estimator {
                                                    topo::NodeId node,
                                                    dc::HostId host,
                                                    double rest);
-
-  /// The paper's imaginary-host completion estimate for the whole remaining
-  /// node set of `p`.
-  [[nodiscard]] static Estimate imaginary_completion(const PartialPlacement& p);
 };
 
 }  // namespace ostro::core

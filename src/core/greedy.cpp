@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/candidates.h"
@@ -34,12 +35,11 @@ struct Means {
   return m;
 }
 
-/// Buffers reused across pick_eg calls within one run_greedy: the estimate
-/// fan and one EstimateScratch per pool slot, so the per-step candidate
-/// scan allocates nothing once warm.
+/// Buffers reused across pick_eg calls within one run_greedy, so the
+/// per-step candidate scan allocates nothing once warm.
 struct EgScratch {
   std::vector<Estimate> estimates;
-  std::vector<EstimateScratch> per_slot;
+  EstimateScratch estimate;
   CandidateBuffer candidates;
 };
 
@@ -48,35 +48,19 @@ struct EgScratch {
 [[nodiscard]] dc::HostId pick_eg(const PartialPlacement& state,
                                  topo::NodeId node,
                                  std::span<const dc::HostId> candidates,
-                                 util::ThreadPool* pool, bool use_context,
-                                 EgScratch& scratch) {
+                                 bool use_context, EgScratch& scratch) {
   const double rest = Estimator::rest_bound(state, node);
   std::vector<Estimate>& estimates = scratch.estimates;
   estimates.resize(candidates.size());
   if (use_context) {
     const NodeEstimateContext context(state, node, rest);
-    if (pool != nullptr) {
-      scratch.per_slot.resize(std::max<std::size_t>(1, pool->size()));
-      auto& slots = scratch.per_slot;
-      pool->parallel_for_slots(
-          candidates.size(), [&](std::size_t slot, std::size_t i) {
-            estimates[i] = context.estimate(candidates[i], slots[slot]);
-          });
-    } else {
-      scratch.per_slot.resize(1);
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        estimates[i] = context.estimate(candidates[i], scratch.per_slot[0]);
-      }
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      estimates[i] = context.estimate(candidates[i], scratch.estimate);
     }
   } else {
-    const auto evaluate = [&](std::size_t i) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
       estimates[i] =
           Estimator::candidate_estimate(state, node, candidates[i], rest);
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(candidates.size(), evaluate);
-    } else {
-      for (std::size_t i = 0; i < candidates.size(); ++i) evaluate(i);
     }
   }
 
@@ -219,8 +203,7 @@ std::vector<topo::NodeId> bandwidth_sort_order(
 
 GreedyOutcome run_greedy(Algorithm variant, PartialPlacement state,
                          std::span<const topo::NodeId> order,
-                         util::ThreadPool* pool, bool use_estimate_context,
-                         bool use_candidate_index) {
+                         bool use_estimate_context, bool use_candidate_index) {
   if (variant != Algorithm::kEg && variant != Algorithm::kEgC &&
       variant != Algorithm::kEgBw) {
     throw std::invalid_argument("run_greedy: not a greedy variant");
@@ -262,14 +245,14 @@ GreedyOutcome run_greedy(Algorithm variant, PartialPlacement state,
     outcome.stats.candidates_evaluated += candidates.size();
     if (variant == Algorithm::kEg) {
       // pick_eg scores every candidate with the estimate heuristic; the
-      // fan is counted here, once, whether it runs serially or on the pool.
+      // fan is counted here, once per fan.
       outcome.stats.heuristic_calls += candidates.size();
       m_estimates.add(candidates.size());
     }
     dc::HostId chosen = dc::kInvalidHost;
     switch (variant) {
       case Algorithm::kEg:
-        chosen = pick_eg(outcome.state, node, candidates, pool,
+        chosen = pick_eg(outcome.state, node, candidates,
                          use_estimate_context, scratch);
         break;
       case Algorithm::kEgC:

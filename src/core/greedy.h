@@ -16,12 +16,13 @@
 // bound used to bound and prune the A* search.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/partial.h"
-#include "util/thread_pool.h"
 
 namespace ostro::core {
 
@@ -49,16 +50,25 @@ struct GreedyOutcome {
 
 /// Completes `state` by placing its unplaced nodes in `order` (already
 /// placed entries are skipped), choosing hosts according to `variant`
-/// (kEg, kEgC or kEgBw; the A* variants are rejected).  `pool` parallelizes
-/// EG's candidate scoring when non-null.  `use_estimate_context` selects
-/// EG's hoisted per-node estimate path and `use_candidate_index` the
+/// (kEg, kEgC or kEgBw; the A* variants are rejected).  EG scores its
+/// candidates on the calling thread.  `use_estimate_context` selects EG's
+/// hoisted per-node estimate path and `use_candidate_index` the
 /// feasibility-index candidate generation (both bit-identical to their
 /// reference paths; see SearchConfig).
 [[nodiscard]] GreedyOutcome run_greedy(Algorithm variant,
                                        PartialPlacement state,
                                        std::span<const topo::NodeId> order,
-                                       util::ThreadPool* pool,
                                        bool use_estimate_context = true,
                                        bool use_candidate_index = true);
+
+/// Retired: the old signature's thread-pool position, kept only because
+/// perfbench/ still passes nullptr there.  ROADMAP item 1 deletes it.
+[[nodiscard]] inline GreedyOutcome run_greedy(
+    Algorithm variant, PartialPlacement state,
+    std::span<const topo::NodeId> order, std::nullptr_t,
+    bool use_estimate_context = true, bool use_candidate_index = true) {
+  return run_greedy(variant, std::move(state), order, use_estimate_context,
+                    use_candidate_index);
+}
 
 }  // namespace ostro::core

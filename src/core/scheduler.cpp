@@ -37,8 +37,7 @@ namespace {
 Placement place_topology(const dc::Occupancy& base,
                          const topo::AppTopology& topology,
                          Algorithm algorithm, const SearchConfig& config,
-                         const net::Assignment* pinned,
-                         util::ThreadPool* pool) {
+                         const net::Assignment* pinned) {
   config.validate();
   static util::metrics::Counter& m_plans =
       util::metrics::counter("scheduler.plans");
@@ -83,7 +82,7 @@ Placement place_topology(const dc::Occupancy& base,
                              ? bandwidth_sort_order(topology)
                              : eg_sort_order(topology);
       GreedyOutcome outcome =
-          run_greedy(algorithm, std::move(state), order, pool,
+          run_greedy(algorithm, std::move(state), order,
                      config.use_estimate_context, config.use_candidate_index);
       if (!outcome.feasible) m_infeasible.inc();
       return to_placement(outcome.feasible, std::move(outcome.failure),
@@ -94,8 +93,7 @@ Placement place_topology(const dc::Occupancy& base,
     case Algorithm::kDbaStar: {
       AStarOutcome outcome =
           run_astar(std::move(state), config,
-                    /*deadline_bounded=*/algorithm == Algorithm::kDbaStar,
-                    pool);
+                    /*deadline_bounded=*/algorithm == Algorithm::kDbaStar);
       if (!outcome.feasible) m_infeasible.inc();
       return to_placement(outcome.feasible, std::move(outcome.failure),
                           std::move(outcome.state), outcome.stats,
@@ -109,8 +107,7 @@ OstroScheduler::OstroScheduler(const dc::DataCenter& datacenter,
                                SearchConfig defaults)
     : datacenter_(&datacenter),
       occupancy_(datacenter),
-      defaults_(defaults),
-      pool_(std::make_unique<util::ThreadPool>(defaults.threads)) {
+      defaults_(defaults) {
   defaults_.validate();
 }
 
@@ -122,8 +119,7 @@ Placement OstroScheduler::plan(const topo::AppTopology& topology,
 Placement OstroScheduler::plan(const topo::AppTopology& topology,
                                Algorithm algorithm,
                                const SearchConfig& config) const {
-  return place_topology(occupancy_, topology, algorithm, config, nullptr,
-                        pool_.get());
+  return place_topology(occupancy_, topology, algorithm, config);
 }
 
 Placement OstroScheduler::plan(const PlacementRequest& request,
@@ -133,8 +129,7 @@ Placement OstroScheduler::plan(const PlacementRequest& request,
   }
   return place_topology(occupancy_, *request.topology, algorithm,
                         request.config,
-                        request.pinned.empty() ? nullptr : &request.pinned,
-                        pool_.get());
+                        request.pinned.empty() ? nullptr : &request.pinned);
 }
 
 Placement OstroScheduler::plan_against(const dc::Occupancy& snapshot,
@@ -145,8 +140,7 @@ Placement OstroScheduler::plan_against(const dc::Occupancy& snapshot,
     throw std::invalid_argument(
         "OstroScheduler::plan_against: snapshot of another data center");
   }
-  return place_topology(snapshot, topology, algorithm, config, nullptr,
-                        pool_.get());
+  return place_topology(snapshot, topology, algorithm, config);
 }
 
 Placement OstroScheduler::deploy(const topo::AppTopology& topology,
@@ -157,8 +151,8 @@ Placement OstroScheduler::deploy(const topo::AppTopology& topology,
 Placement OstroScheduler::deploy(const topo::AppTopology& topology,
                                  Algorithm algorithm,
                                  const SearchConfig& config) {
-  Placement placement = place_topology(occupancy_, topology, algorithm,
-                                       config, nullptr, pool_.get());
+  Placement placement =
+      place_topology(occupancy_, topology, algorithm, config);
   if (placement.feasible && !placement.bandwidth_overcommitted) {
     commit(topology, placement);
     placement.committed = true;

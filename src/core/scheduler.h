@@ -11,12 +11,9 @@
 // newly added ones) are optimized around them.
 #pragma once
 
-#include <memory>
-
 #include "core/types.h"
 #include "core/partial.h"
 #include "datacenter/occupancy.h"
-#include "util/thread_pool.h"
 
 namespace ostro::core {
 
@@ -45,8 +42,8 @@ class OstroScheduler {
                                Algorithm algorithm) const;
 
   /// Plans against an explicit occupancy (a PlacementService snapshot)
-  /// instead of the live one, with this session's thread pool.  `snapshot`
-  /// must belong to the same data center.
+  /// instead of the live one.  `snapshot` must belong to the same data
+  /// center.
   [[nodiscard]] Placement plan_against(const dc::Occupancy& snapshot,
                                        const topo::AppTopology& topology,
                                        Algorithm algorithm,
@@ -75,7 +72,6 @@ class OstroScheduler {
   const dc::DataCenter* datacenter_;
   dc::Occupancy occupancy_;
   SearchConfig defaults_;
-  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 /// Stateless one-shot planning against an explicit occupancy.
@@ -83,7 +79,6 @@ class OstroScheduler {
                                        const topo::AppTopology& topology,
                                        Algorithm algorithm,
                                        const SearchConfig& config,
-                                       const net::Assignment* pinned = nullptr,
-                                       util::ThreadPool* pool = nullptr);
+                                       const net::Assignment* pinned = nullptr);
 
 }  // namespace ostro::core

@@ -89,8 +89,9 @@ struct SearchConfig {
   /// expansion count fixed).
   std::size_t max_expansions = 0;
 
-  /// Worker threads for EG's parallel candidate evaluation; 0 = hardware
-  /// concurrency.
+  /// Retired and read by nothing: EG scores its candidates on the calling
+  /// thread.  Kept only because perfbench/ still assigns it; ROADMAP item 1
+  /// deletes it.
   std::size_t threads = 0;
 
   /// core::PlacementService only: how many times a request whose

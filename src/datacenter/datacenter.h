@@ -182,8 +182,9 @@ class DataCenter {
   [[nodiscard]] double link_capacity(LinkId link) const;
   [[nodiscard]] std::string link_name(LinkId link) const;
 
-  /// Component-wise maximum host capacity; the capacity given to the
-  /// "imaginary hosts" of the heuristic lower bound (Section III-A-2).
+  /// Component-wise maximum host capacity: two nodes whose summed
+  /// requirements exceed it never share a host (the admissible bound's
+  /// co-location test, Section III-A-2).
   [[nodiscard]] const topo::Resources& max_host_capacity() const noexcept {
     return max_host_capacity_;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -106,9 +107,27 @@ ShardLayout::ShardLayout(const DataCenter& global, std::uint32_t shard_count)
     shard_of_host_[host.id] = shard_of_pod_[host.pod];
   }
 
+  shards_.resize(shard_count);
+  if (shard_count == 1) {
+    // The one shard is the whole fleet: a copy of it, every id its own.
+    // No subset needs compacting, so nothing is rebuilt.
+    Shard& shard = shards_.front();
+    shard.dc = global;
+    shard.local_to_global_host.resize(global.host_count());
+    std::iota(shard.local_to_global_host.begin(),
+              shard.local_to_global_host.end(), HostId{0});
+    shard.local_to_global_link.resize(global.link_count());
+    std::iota(shard.local_to_global_link.begin(),
+              shard.local_to_global_link.end(), LinkId{0});
+    local_host_of_ = shard.local_to_global_host;
+    link_owner_.assign(global.link_count(), 0);
+    local_link_of_ = shard.local_to_global_link;
+    return;
+  }
+
   // Rebuild each shard as its own DataCenter, in GLOBAL id order on every
   // level, so local ids are the order-preserving compaction of the global
-  // ids (the identity when shard_count == 1).
+  // ids.
   const std::array<double, 5> latencies{
       global.scope_latency_us(Scope::kSameHost),
       global.scope_latency_us(Scope::kSameRack),
@@ -117,7 +136,6 @@ ShardLayout::ShardLayout(const DataCenter& global, std::uint32_t shard_count)
       global.scope_latency_us(Scope::kCrossSite)};
 
   constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
-  shards_.resize(shard_count);
   local_host_of_.assign(global.host_count(), kInvalidHost);
   link_owner_.assign(global.link_count(), kLedgerOwned);
   local_link_of_.assign(global.link_count(), 0);

@@ -1,7 +1,7 @@
 // Shard partitioning of one DataCenter into independent placement domains.
 //
 // ShardLayout cuts the global hierarchy into `shard_count` disjoint host
-// sets and rebuilds each as a self-contained DataCenter, so every shard can
+// sets and makes each a self-contained DataCenter, so every shard can
 // own its own Occupancy / FeasibilityIndex behind its own
 // writer lock (core::ShardRouter composes one core::PlacementService per
 // shard).  The partitioning invariant that keeps per-shard planning sound:
@@ -27,11 +27,12 @@
 //     count), and a split site distributes its pods greedily by host count
 //     over its shard group.
 //
-// Id mapping: within a shard, sites/pods/racks/hosts are rebuilt in GLOBAL
-// id order, so local ids are the order-preserving compaction of the global
-// ids.  With shard_count == 1 the mapping is the identity and the rebuilt
-// DataCenter is structurally identical to the global one — the basis of the
-// single-shard bit-identical differential tests.
+// Id mapping: with two or more shards, each shard's sites/pods/racks/hosts
+// are rebuilt in GLOBAL id order, so local ids are the order-preserving
+// compaction of the global ids.  With shard_count == 1 the shard's
+// DataCenter is a copy of the global one (a distinct object) and the
+// mapping is the identity — the basis of the single-shard bit-identical
+// differential tests.
 #pragma once
 
 #include <cstdint>

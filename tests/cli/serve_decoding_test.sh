@@ -1,5 +1,5 @@
 #!/bin/sh
-# End-to-end check of `ostro serve`'s request decoding.  Five request lines:
+# End-to-end check of `ostro serve`'s request decoding.  Seven request lines:
 #   1. 100,000 nested '[': the JSON depth limit rejects it;
 #   2. a "template" path naming a FIFO: rejected without opening it, since
 #      opening a FIFO blocks until a writer appears and would stall the
@@ -7,7 +7,10 @@
 #   3. a valid inline one-VM stack: committed, its search not truncated;
 #   4. a "template" path that does not exist: rejected as not found;
 #   5. a sparse 65 MiB template file: rejected, over the 64 MiB limit,
-#      without being read.
+#      without being read;
+#   6. a line of 64 MiB + 1 byte: rejected, over the same limit, and
+#      skipped through its newline;
+#   7. a valid inline one-VM stack: committed, so reading went on.
 # The answers must come in that order and serve must exit 0.  serve runs
 # under `timeout`, so a hang fails the test instead of stalling it.
 #
@@ -31,6 +34,9 @@ truncate -s 65M "$work/huge.json"
   printf '%s\n' '{"id": "inline", "stack": {"resources": {"vm": {"type": "OS::Nova::Server", "properties": {"flavor": {"vcpus": 1, "ram_gb": 1}}}}}}'
   printf '{"id": "missing", "template": "%s"}\n' "$work/missing.json"
   printf '{"id": "huge", "template": "%s"}\n' "$work/huge.json"
+  head -c 67108865 "$work/huge.json" | tr '\0' x
+  printf '\n'
+  printf '%s\n' '{"id": "after-long", "stack": {"resources": {"vm": {"type": "OS::Nova::Server", "properties": {"flavor": {"vcpus": 1, "ram_gb": 1}}}}}}'
 } > "$work/requests.ndjson"
 
 status=0
@@ -40,7 +46,7 @@ echo "--- answers"
 cat "$work/results.ndjson"
 [ "$status" -eq 0 ] || fail "serve exited $status (124: timed out)"
 
-[ "$(wc -l < "$work/results.ndjson")" -eq 5 ] || fail "expected 5 answers"
+[ "$(wc -l < "$work/results.ndjson")" -eq 7 ] || fail "expected 7 answers"
 # expect N TEXT...: answer N contains every TEXT.
 expect() {
   n=$1
@@ -61,4 +67,6 @@ expect 4 '"id":"missing"' '"status":"rejected"' "$work/missing.json" \
   'No such file'
 expect 5 '"id":"huge"' '"status":"rejected"' "$work/huge.json" \
   'over the 67108864 limit'
+expect 6 '"id":"req-5"' '"status":"rejected"' 'over the 67108864 limit'
+expect 7 '"id":"after-long"' '"status":"committed"'
 echo "OK"

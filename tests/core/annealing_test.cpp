@@ -39,7 +39,7 @@ TEST(AnnealingTest, NeverWorseThanItsEgSeed) {
     const dc::Occupancy occupancy(datacenter);
     const auto app = random_app(rng, 6);
     const Placement eg = place_topology(occupancy, app, Algorithm::kEg,
-                                        SearchConfig{}, nullptr, nullptr);
+                                        SearchConfig{});
     if (!eg.feasible) continue;
     const Placement sa =
         simulated_annealing(occupancy, app, SearchConfig{}, quick());

@@ -23,7 +23,7 @@ TEST(AStarStatsTest, TruncationFlagSetWhenQueueCapped) {
   SearchConfig config;
   config.max_open_paths = 16;  // absurdly small
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, config, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, config);
   if (placement.feasible) {
     EXPECT_TRUE(placement.stats.truncated);
   }
@@ -33,8 +33,7 @@ TEST(AStarStatsTest, NoTruncationOnSmallInstances) {
   const auto datacenter = small_dc(2, 2);
   const dc::Occupancy occupancy(datacenter);
   const Placement placement = place_topology(
-      occupancy, tiny_app(), Algorithm::kBaStar, SearchConfig{}, nullptr,
-      nullptr);
+      occupancy, tiny_app(), Algorithm::kBaStar, SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   EXPECT_FALSE(placement.stats.truncated);
 }
@@ -65,7 +64,7 @@ TEST(AStarStatsTest, EquivalentHostsCollapseBranching) {
   SearchConfig config;
   config.symmetry_reduction = false;  // isolate the host-side reduction
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, config, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, config);
   ASSERT_TRUE(placement.feasible);
   // Without dedup the root alone would emit 12 children; with it, at most
   // a couple of distinct configurations exist at every level.
@@ -78,7 +77,7 @@ TEST(AStarStatsTest, StatsAccumulateSensibly) {
   const dc::Occupancy occupancy(datacenter);
   const auto app = random_app(rng, 5);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, SearchConfig{});
   if (!placement.feasible) return;
   EXPECT_GE(placement.stats.paths_generated, placement.stats.paths_expanded);
   EXPECT_GE(placement.stats.eg_reruns, 1u);
@@ -107,13 +106,13 @@ TEST(AStarStatsTest, DiveAlongEgAnswersItsReboundsWithoutRunningEg) {
   const Objective objective(app, datacenter, config);
   const GreedyOutcome eg =
       run_greedy(Algorithm::kEg, PartialPlacement(app, occupancy, objective),
-                 eg_sort_order(app), nullptr);
+                 eg_sort_order(app));
   ASSERT_TRUE(eg.feasible);
 
   const auto& reused = util::metrics::counter("astar.eg_reruns_reused");
   const std::uint64_t reused_before = reused.value();
   const AStarOutcome dba = run_astar(
-      PartialPlacement(app, occupancy, objective), config, true, nullptr);
+      PartialPlacement(app, occupancy, objective), config, true);
   ASSERT_TRUE(dba.feasible);
   EXPECT_EQ(dba.state.assignment(), eg.state.assignment());
   EXPECT_EQ(dba.stats.eg_reruns, 1u);  // the root run only
@@ -133,10 +132,10 @@ TEST(AStarStatsTest, DiveOffEveryKnownCompletionStillRerunsEg) {
   const Objective objective(app, datacenter, config);
   const GreedyOutcome eg =
       run_greedy(Algorithm::kEg, PartialPlacement(app, occupancy, objective),
-                 eg_sort_order(app), nullptr);
+                 eg_sort_order(app));
   ASSERT_TRUE(eg.feasible);
   const AStarOutcome dba = run_astar(
-      PartialPlacement(app, occupancy, objective), config, true, nullptr);
+      PartialPlacement(app, occupancy, objective), config, true);
   ASSERT_TRUE(dba.feasible);
   EXPECT_LT(dba.state.utility_committed(),
             eg.state.utility_committed() - 1e-9);
@@ -152,7 +151,7 @@ TEST(AStarStatsTest, DbaRandomPruningCountsUnderPressure) {
   config.deadline_seconds = 0.0;       // no clock dependence
   config.initial_prune_range = 0.4;    // fixed pruning pressure
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kDbaStar, config, nullptr, nullptr);
+      occupancy, app, Algorithm::kDbaStar, config);
   ASSERT_TRUE(placement.feasible);
   EXPECT_GT(placement.stats.paths_pruned_random, 0u);
 }

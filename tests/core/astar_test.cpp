@@ -28,7 +28,7 @@ TEST(BaStarTest, SolvesTinyAppOptimally) {
   SearchConfig config;
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
+      initial_state(app, occupancy, objective), config, false);
   ASSERT_TRUE(outcome.feasible) << outcome.failure;
   EXPECT_TRUE(
       verify_placement(occupancy, app, outcome.state.assignment()).empty());
@@ -50,7 +50,7 @@ TEST(BaStarTest, MatchesBruteForceOnRandomInstances) {
     const BruteForceResult best =
         brute_force_optimal(initial_state(app, occupancy, objective), false);
     const AStarOutcome outcome = run_astar(
-        initial_state(app, occupancy, objective), config, false, nullptr);
+        initial_state(app, occupancy, objective), config, false);
     ASSERT_EQ(outcome.feasible, best.feasible) << "trial " << trial;
     if (!best.feasible) continue;
     ++checked;
@@ -87,9 +87,9 @@ TEST(BaStarTest, SymmetryReductionPreservesOptimality) {
     without.symmetry_reduction = false;
     const Objective objective(app, datacenter, with);
     const AStarOutcome a = run_astar(
-        initial_state(app, occupancy, objective), with, false, nullptr);
+        initial_state(app, occupancy, objective), with, false);
     const AStarOutcome b = run_astar(
-        initial_state(app, occupancy, objective), without, false, nullptr);
+        initial_state(app, occupancy, objective), without, false);
     ASSERT_TRUE(a.feasible);
     ASSERT_TRUE(b.feasible);
     EXPECT_NEAR(a.state.utility_committed(), b.state.utility_committed(),
@@ -108,9 +108,9 @@ TEST(BaStarTest, NeverWorseThanEg) {
     const Objective objective(app, datacenter, config);
     const GreedyOutcome eg = run_greedy(
         Algorithm::kEg, initial_state(app, occupancy, objective),
-        eg_sort_order(app), nullptr);
+        eg_sort_order(app));
     const AStarOutcome ba = run_astar(
-        initial_state(app, occupancy, objective), config, false, nullptr);
+        initial_state(app, occupancy, objective), config, false);
     if (!eg.feasible) continue;
     ASSERT_TRUE(ba.feasible);
     EXPECT_LE(ba.state.utility_committed(),
@@ -127,7 +127,7 @@ TEST(BaStarTest, InfeasibleInstanceReported) {
   SearchConfig config;
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
+      initial_state(app, occupancy, objective), config, false);
   EXPECT_FALSE(outcome.feasible);
   EXPECT_FALSE(outcome.failure.empty());
 }
@@ -141,7 +141,7 @@ TEST(BaStarTest, RespectsPinnedNodes) {
   PartialPlacement initial(app, occupancy, objective);
   initial.place(0, 3);
   const AStarOutcome outcome =
-      run_astar(std::move(initial), config, false, nullptr);
+      run_astar(std::move(initial), config, false);
   ASSERT_TRUE(outcome.feasible);
   EXPECT_EQ(outcome.state.host_of(0), 3u);
 }
@@ -155,7 +155,7 @@ TEST(BaStarTest, OpenQueueLimitFallsBackToIncumbent) {
   config.max_open_paths = 8;  // absurdly small: trip immediately
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
+      initial_state(app, occupancy, objective), config, false);
   // EG incumbent exists, so the search still reports a feasible placement.
   ASSERT_TRUE(outcome.feasible);
   EXPECT_TRUE(
@@ -192,7 +192,7 @@ TEST(BaStarTest, OpenQueueLimitWithoutIncumbentFails) {
   config.max_open_paths = 1;
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
+      initial_state(app, occupancy, objective), config, false);
   EXPECT_FALSE(outcome.feasible);
   EXPECT_FALSE(outcome.failure.empty());
   EXPECT_TRUE(outcome.stats.truncated);
@@ -201,7 +201,7 @@ TEST(BaStarTest, OpenQueueLimitWithoutIncumbentFails) {
   // Without the valve the same search finds the placement EG missed.
   config.max_open_paths = 0;
   const AStarOutcome unbounded = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
+      initial_state(app, occupancy, objective), config, false);
   ASSERT_TRUE(unbounded.feasible) << unbounded.failure;
   EXPECT_FALSE(unbounded.stats.truncated);
   EXPECT_TRUE(
@@ -217,7 +217,7 @@ TEST(BaStarTest, ExpansionBudgetTruncatesDeterministically) {
   config.max_expansions = 2;
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
+      initial_state(app, occupancy, objective), config, false);
   // The EG incumbent survives the truncation, and the budget is exact.
   ASSERT_TRUE(outcome.feasible);
   EXPECT_TRUE(
@@ -229,7 +229,7 @@ TEST(BaStarTest, ExpansionBudgetTruncatesDeterministically) {
 
   // A rerun stops at the same point of the same search.
   const AStarOutcome rerun = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
+      initial_state(app, occupancy, objective), config, false);
   EXPECT_EQ(rerun.state.assignment(), outcome.state.assignment());
   EXPECT_EQ(rerun.stats.paths_expanded, outcome.stats.paths_expanded);
 }
@@ -267,7 +267,7 @@ TEST(BaStarTest, HostsOfDifferentRacksAreNeverMerged) {
     ASSERT_TRUE(best.feasible);
     EXPECT_NEAR(best.utility, 0.7, 1e-9);
     const AStarOutcome outcome = run_astar(
-        initial_state(app, occupancy, objective), config, false, nullptr);
+        initial_state(app, occupancy, objective), config, false);
     ASSERT_TRUE(outcome.feasible) << outcome.failure;
     EXPECT_NEAR(outcome.state.utility_committed(), best.utility, 1e-9)
         << "symmetry_reduction=" << symmetry_reduction;
@@ -283,7 +283,7 @@ TEST(BaStarTest, StatsArePopulated) {
   SearchConfig config;
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, false, nullptr);
+      initial_state(app, occupancy, objective), config, false);
   ASSERT_TRUE(outcome.feasible);
   EXPECT_GT(outcome.stats.paths_generated, 0u);
   EXPECT_GE(outcome.stats.eg_reruns, 1u);

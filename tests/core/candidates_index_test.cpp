@@ -297,10 +297,10 @@ TEST(CandidatesIndexTest, GreedyVariantsIdenticalWithAndWithoutIndex) {
                              ? bandwidth_sort_order(app)
                              : eg_sort_order(app);
       const GreedyOutcome indexed = run_greedy(
-          variant, {app, occupancy, objective}, order, nullptr,
+          variant, {app, occupancy, objective}, order,
           /*use_estimate_context=*/true, /*use_candidate_index=*/true);
       const GreedyOutcome linear = run_greedy(
-          variant, {app, occupancy, objective}, order, nullptr,
+          variant, {app, occupancy, objective}, order,
           /*use_estimate_context=*/true, /*use_candidate_index=*/false);
       ASSERT_EQ(indexed.feasible, linear.feasible)
           << "trial " << trial << " variant " << to_string(variant);
@@ -328,9 +328,9 @@ TEST(CandidatesIndexTest, AStarIdenticalWithAndWithoutIndex) {
     const Objective objective(app, datacenter, indexed_config);
 
     const AStarOutcome indexed = run_astar({app, occupancy, objective},
-                                           indexed_config, false, nullptr);
+                                           indexed_config, false);
     const AStarOutcome linear = run_astar({app, occupancy, objective},
-                                          linear_config, false, nullptr);
+                                          linear_config, false);
     ASSERT_EQ(indexed.feasible, linear.feasible) << "trial " << trial;
     if (!linear.feasible) continue;
     EXPECT_EQ(indexed.state.assignment(), linear.state.assignment())

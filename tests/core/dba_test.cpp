@@ -28,7 +28,7 @@ TEST(DbaStarTest, FindsValidPlacement) {
   config.deadline_seconds = 0.5;
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, true, nullptr);
+      initial_state(app, occupancy, objective), config, true);
   ASSERT_TRUE(outcome.feasible) << outcome.failure;
   EXPECT_TRUE(
       verify_placement(occupancy, app, outcome.state.assignment()).empty());
@@ -48,9 +48,9 @@ TEST(DbaStarTest, WithoutDeadlineMatchesBaStarUtility) {
     config.initial_prune_range = 0.0;
     const Objective objective(app, datacenter, config);
     const AStarOutcome dba = run_astar(
-        initial_state(app, occupancy, objective), config, true, nullptr);
+        initial_state(app, occupancy, objective), config, true);
     const AStarOutcome ba = run_astar(
-        initial_state(app, occupancy, objective), config, false, nullptr);
+        initial_state(app, occupancy, objective), config, false);
     ASSERT_EQ(dba.feasible, ba.feasible) << "trial " << trial;
     if (ba.feasible) {
       EXPECT_NEAR(dba.state.utility_committed(),
@@ -75,7 +75,7 @@ TEST(DbaStarTest, RespectsDeadlineOnLargeInstance) {
   const Objective objective(app, datacenter, config);
   const util::WallTimer timer;
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, true, nullptr);
+      initial_state(app, occupancy, objective), config, true);
   const double elapsed = timer.elapsed_seconds();
   // Bounded slack: pops are fast; allow generous margin for CI noise.
   EXPECT_LT(elapsed, config.deadline_seconds + 1.0);
@@ -98,9 +98,9 @@ TEST(DbaStarTest, NeverWorseThanEgIncumbent) {
     const Objective objective(app, datacenter, config);
     const GreedyOutcome eg = run_greedy(
         Algorithm::kEg, initial_state(app, occupancy, objective),
-        eg_sort_order(app), nullptr);
+        eg_sort_order(app));
     const AStarOutcome dba = run_astar(
-        initial_state(app, occupancy, objective), config, true, nullptr);
+        initial_state(app, occupancy, objective), config, true);
     if (!eg.feasible) continue;
     ASSERT_TRUE(dba.feasible);
     EXPECT_LE(dba.state.utility_committed(),
@@ -117,7 +117,7 @@ TEST(DbaStarTest, AggressiveInitialPruningStillReturnsSolution) {
   config.initial_prune_range = 10.0;  // prune almost every shallow path
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, true, nullptr);
+      initial_state(app, occupancy, objective), config, true);
   // The EG incumbent guarantees an answer even when the search implodes.
   ASSERT_TRUE(outcome.feasible);
   EXPECT_TRUE(
@@ -134,7 +134,7 @@ TEST(DbaStarTest, PruningStatisticsRecorded) {
   config.initial_prune_range = 0.5;
   const Objective objective(app, datacenter, config);
   const AStarOutcome outcome = run_astar(
-      initial_state(app, occupancy, objective), config, true, nullptr);
+      initial_state(app, occupancy, objective), config, true);
   (void)outcome;
   // With a positive prune range, random pruning happens with overwhelming
   // probability on an instance of this size.
@@ -152,9 +152,9 @@ TEST(DbaStarTest, SeedReproducibility) {
   config.seed = 1234;
   const Objective objective(app, datacenter, config);
   const AStarOutcome a = run_astar(
-      initial_state(app, occupancy, objective), config, true, nullptr);
+      initial_state(app, occupancy, objective), config, true);
   const AStarOutcome b = run_astar(
-      initial_state(app, occupancy, objective), config, true, nullptr);
+      initial_state(app, occupancy, objective), config, true);
   ASSERT_EQ(a.feasible, b.feasible);
   if (a.feasible) {
     EXPECT_EQ(a.state.assignment(), b.state.assignment());

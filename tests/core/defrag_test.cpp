@@ -20,12 +20,6 @@ namespace {
 
 using ostro::testing::small_dc;
 
-SearchConfig serial_config() {
-  SearchConfig config;
-  config.threads = 1;
-  return config;
-}
-
 std::shared_ptr<const topo::AppTopology> vms(int count, double cores) {
   topo::TopologyBuilder builder;
   for (int i = 0; i < count; ++i) {
@@ -44,7 +38,7 @@ std::shared_ptr<const topo::AppTopology> zoned_pair(double cores) {
 
 TEST(DefragPlannerTest, VacatesSparsestHostIntoDensest) {
   const auto datacenter = small_dc(1, 3);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -74,7 +68,7 @@ TEST(DefragPlannerTest, VacatesSparsestHostIntoDensest) {
 
 TEST(DefragPlannerTest, AllOrNothingPerHostAndNoRefillOfVacatedHosts) {
   const auto datacenter = small_dc(1, 3);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -105,7 +99,7 @@ TEST(DefragPlannerTest, AllOrNothingPerHostAndNoRefillOfVacatedHosts) {
 
 TEST(DefragPlannerTest, MoveAndDowntimeBudgetsBoundTheBatch) {
   const auto datacenter = small_dc(1, 4);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -135,7 +129,7 @@ TEST(DefragPlannerTest, MoveAndDowntimeBudgetsBoundTheBatch) {
 
 TEST(DefragPlannerTest, MaxResidentNodesBoundsVacateCandidates) {
   const auto datacenter = small_dc(1, 3);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -158,7 +152,7 @@ TEST(DefragPlannerTest, MaxResidentNodesBoundsVacateCandidates) {
 
 TEST(DefragPlannerTest, ZoneConstraintsBlockColocatingMoves) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -182,7 +176,7 @@ TEST(DefragPlannerTest, ZoneConstraintsBlockColocatingMoves) {
 
 TEST(DefragPlannerTest, ConflictingPlanRetriesAgainstFreshSnapshot) {
   const auto datacenter = small_dc(1, 3);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 

@@ -84,49 +84,6 @@ TEST(EstimatorTest, CandidateEstimateSeesResidualForNeighbors) {
   EXPECT_GE(est.ubw, 200.0 - 1e-9);
 }
 
-TEST(EstimatorTest, ImaginaryCompletionEmptyWhenComplete) {
-  const auto datacenter = small_dc(2, 2);
-  const dc::Occupancy occupancy(datacenter);
-  const auto app = tiny_app();
-  const Objective objective(app, datacenter, SearchConfig{});
-  PartialPlacement p(app, occupancy, objective);
-  p.place(0, 0);
-  p.place(1, 0);
-  p.place(2, 0);
-  const Estimate est = Estimator::imaginary_completion(p);
-  EXPECT_DOUBLE_EQ(est.ubw, 0.0);
-  EXPECT_DOUBLE_EQ(est.uc, 0.0);
-}
-
-TEST(EstimatorTest, ImaginaryCompletionChargesForcedSeparation) {
-  topo::TopologyBuilder builder;
-  builder.add_vm("a", {1.0, 1.0, 0.0});
-  builder.add_vm("b", {1.0, 1.0, 0.0});
-  builder.connect("a", "b", 100.0);
-  builder.add_zone("z", topo::DiversityLevel::kHost,
-                   std::vector<std::string>{"a", "b"});
-  const auto app = builder.build();
-  const auto datacenter = small_dc(2, 2);
-  const dc::Occupancy occupancy(datacenter);
-  const Objective objective(app, datacenter, SearchConfig{});
-  const PartialPlacement p(app, occupancy, objective);
-  const Estimate est = Estimator::imaginary_completion(p);
-  // a and b can never share a host: at least 2 links for the 100 pipe.
-  EXPECT_GE(est.ubw, 200.0 - 1e-9);
-  EXPECT_DOUBLE_EQ(est.uc, 0.0);  // imaginary hosts are free
-}
-
-TEST(EstimatorTest, ImaginaryCompletionPrefersCoLocation) {
-  const auto datacenter = small_dc(2, 2);
-  const dc::Occupancy occupancy(datacenter);
-  const auto app = tiny_app();  // no zones; everything fits one host
-  const Objective objective(app, datacenter, SearchConfig{});
-  const PartialPlacement p(app, occupancy, objective);
-  const Estimate est = Estimator::imaginary_completion(p);
-  // All three nodes can gather on one imaginary host: nothing charged.
-  EXPECT_DOUBLE_EQ(est.ubw, 0.0);
-}
-
 TEST(EstimatorTest, AdmissibleBoundNeverExceedsOptimum) {
   // The PartialPlacement bound (used by BA*) must stay below the true
   // optimal completion cost found by exhaustive search.

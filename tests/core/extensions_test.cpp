@@ -103,7 +103,7 @@ TEST(LatencyTest, ConflictWithDiversityMakesInfeasible) {
   const auto datacenter = small_dc(2, 2);
   const dc::Occupancy occupancy(datacenter);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, SearchConfig{});
   EXPECT_FALSE(placement.feasible);
 }
 
@@ -133,7 +133,7 @@ TEST(LatencyTest, AllAlgorithmsHonorBudgets) {
     SearchConfig config;
     config.deadline_seconds = 0.2;
     const Placement placement = place_topology(occupancy, app, algorithm,
-                                               config, nullptr, nullptr);
+                                               config);
     ASSERT_TRUE(placement.feasible) << to_string(algorithm);
     EXPECT_TRUE(verify_placement(occupancy, app, placement.assignment).empty())
         << to_string(algorithm);
@@ -219,7 +219,7 @@ TEST(AffinityTest, AffinityPlusDiversityPicksMiddleGround) {
   const auto datacenter = small_dc(2, 2);
   const dc::Occupancy occupancy(datacenter);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   const auto& h = placement.assignment;
   EXPECT_NE(h[0], h[1]);
@@ -298,7 +298,7 @@ TEST(TagsTest, InfeasibleWhenNoHostCarriesTags) {
   const auto datacenter = tagged_dc();
   const dc::Occupancy occupancy(datacenter);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kEg, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kEg, SearchConfig{});
   EXPECT_FALSE(placement.feasible);
 }
 
@@ -377,7 +377,7 @@ TEST(ExtensionSearchTest, BaStarOptimalWithExtensions) {
     const BruteForceResult best =
         brute_force_optimal({app, occupancy, objective}, true);
     const Placement placement = place_topology(
-        occupancy, app, Algorithm::kBaStar, config, nullptr, nullptr);
+        occupancy, app, Algorithm::kBaStar, config);
     ASSERT_EQ(placement.feasible, best.feasible) << trial;
     if (best.feasible) {
       EXPECT_NEAR(placement.utility, best.utility, 1e-9) << trial;

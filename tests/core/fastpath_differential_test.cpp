@@ -16,7 +16,6 @@
 #include "net/reservation.h"
 #include "helpers.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace ostro::core {
 namespace {
@@ -100,7 +99,6 @@ TEST(FastPathDifferentialTest, CandidateEstimateMatchesContextExactly) {
 
 TEST(FastPathDifferentialTest, GreedyEgMatchesReferencePath) {
   util::Rng rng(8001);
-  util::ThreadPool pool(4);
   for (int trial = 0; trial < 25; ++trial) {
     const auto datacenter =
         trial % 2 == 0 ? small_dc(3, 3) : two_site_dc(2, 3);
@@ -112,15 +110,11 @@ TEST(FastPathDifferentialTest, GreedyEgMatchesReferencePath) {
 
     const GreedyOutcome reference =
         run_greedy(Algorithm::kEg, initial_state(app, occupancy, objective),
-                   order, nullptr, /*use_estimate_context=*/false);
-    const GreedyOutcome serial =
+                   order, /*use_estimate_context=*/false);
+    const GreedyOutcome fast =
         run_greedy(Algorithm::kEg, initial_state(app, occupancy, objective),
-                   order, nullptr, /*use_estimate_context=*/true);
-    const GreedyOutcome parallel =
-        run_greedy(Algorithm::kEg, initial_state(app, occupancy, objective),
-                   order, &pool, /*use_estimate_context=*/true);
-    expect_identical(serial, reference, trial);
-    expect_identical(parallel, reference, trial);
+                   order, /*use_estimate_context=*/true);
+    expect_identical(fast, reference, trial);
   }
 }
 
@@ -137,9 +131,9 @@ TEST(FastPathDifferentialTest, BaStarMatchesReferencePath) {
     const Objective objective(app, datacenter, fast_config);
 
     const AStarOutcome fast = run_astar(
-        initial_state(app, occupancy, objective), fast_config, false, nullptr);
+        initial_state(app, occupancy, objective), fast_config, false);
     const AStarOutcome reference = run_astar(
-        initial_state(app, occupancy, objective), ref_config, false, nullptr);
+        initial_state(app, occupancy, objective), ref_config, false);
     expect_identical(fast, reference, trial);
   }
 }
@@ -161,9 +155,9 @@ TEST(FastPathDifferentialTest, DeadlineBoundedAStarMatchesReferencePath) {
     const Objective objective(app, datacenter, fast_config);
 
     const AStarOutcome fast = run_astar(
-        initial_state(app, occupancy, objective), fast_config, true, nullptr);
+        initial_state(app, occupancy, objective), fast_config, true);
     const AStarOutcome reference = run_astar(
-        initial_state(app, occupancy, objective), ref_config, true, nullptr);
+        initial_state(app, occupancy, objective), ref_config, true);
     expect_identical(fast, reference, trial);
   }
 }
@@ -181,7 +175,7 @@ TEST(FastPathDifferentialTest, StagedTransactionMatchesDirectMode) {
     const Objective objective(app, datacenter, config);
     const GreedyOutcome outcome = run_greedy(
         Algorithm::kEg, initial_state(app, staged_occupancy, objective),
-        eg_sort_order(app), nullptr);
+        eg_sort_order(app));
     if (!outcome.feasible) continue;
     ++committed;
 

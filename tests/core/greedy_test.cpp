@@ -20,7 +20,7 @@ GreedyOutcome place_with(Algorithm algorithm, const topo::AppTopology& app,
   const auto order = (algorithm == Algorithm::kEgBw)
                          ? bandwidth_sort_order(app)
                          : eg_sort_order(app);
-  return run_greedy(algorithm, std::move(state), order, nullptr);
+  return run_greedy(algorithm, std::move(state), order);
 }
 
 TEST(SortOrderTest, EgOrderFavorsHeavyNodes) {
@@ -155,7 +155,7 @@ TEST(GreedyTest, RunGreedyRejectsAStarVariants) {
   PartialPlacement state(app, occupancy, objective);
   const auto order = eg_sort_order(app);
   EXPECT_THROW(
-      (void)run_greedy(Algorithm::kBaStar, std::move(state), order, nullptr),
+      (void)run_greedy(Algorithm::kBaStar, std::move(state), order),
       std::invalid_argument);
 }
 
@@ -168,33 +168,11 @@ TEST(GreedyTest, CompletesFromPartialState) {
   PartialPlacement state(app, occupancy, objective);
   state.place(0, 3);  // pin web on the last host
   const GreedyOutcome outcome = run_greedy(Algorithm::kEg, std::move(state),
-                                           eg_sort_order(app), nullptr);
+                                           eg_sort_order(app));
   ASSERT_TRUE(outcome.feasible);
   EXPECT_EQ(outcome.state.host_of(0), 3u);
   EXPECT_TRUE(
       verify_placement(occupancy, app, outcome.state.assignment()).empty());
-}
-
-TEST(GreedyTest, ParallelAndSequentialEgAgree) {
-  util::Rng rng(31337);
-  util::ThreadPool pool(3);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto datacenter = small_dc(2, 3);
-    const dc::Occupancy occupancy(datacenter);
-    const auto app = random_app(rng, 6);
-    const Objective objective(app, datacenter, SearchConfig{});
-    const auto order = eg_sort_order(app);
-    const GreedyOutcome seq = run_greedy(
-        Algorithm::kEg, PartialPlacement(app, occupancy, objective), order,
-        nullptr);
-    const GreedyOutcome par = run_greedy(
-        Algorithm::kEg, PartialPlacement(app, occupancy, objective), order,
-        &pool);
-    ASSERT_EQ(seq.feasible, par.feasible);
-    if (seq.feasible) {
-      EXPECT_EQ(seq.state.assignment(), par.state.assignment());
-    }
-  }
 }
 
 TEST(GreedyTest, DeterministicAcrossRuns) {
@@ -205,11 +183,9 @@ TEST(GreedyTest, DeterministicAcrossRuns) {
   const Objective objective(app, datacenter, SearchConfig{});
   const auto order = eg_sort_order(app);
   const GreedyOutcome a = run_greedy(
-      Algorithm::kEg, PartialPlacement(app, occupancy, objective), order,
-      nullptr);
+      Algorithm::kEg, PartialPlacement(app, occupancy, objective), order);
   const GreedyOutcome b = run_greedy(
-      Algorithm::kEg, PartialPlacement(app, occupancy, objective), order,
-      nullptr);
+      Algorithm::kEg, PartialPlacement(app, occupancy, objective), order);
   ASSERT_EQ(a.feasible, b.feasible);
   if (a.feasible) {
     EXPECT_EQ(a.state.assignment(), b.state.assignment());

@@ -39,7 +39,7 @@ TEST(IncrementalTest, AllAlgorithmsRespectPins) {
     SearchConfig config;
     config.deadline_seconds = 0.2;
     const Placement placement = place_topology(occupancy, app, algorithm,
-                                               config, &pins, nullptr);
+                                               config, &pins);
     ASSERT_TRUE(placement.feasible) << to_string(algorithm);
     EXPECT_EQ(placement.assignment[0], 5u) << to_string(algorithm);
     EXPECT_EQ(placement.assignment[3], 0u) << to_string(algorithm);
@@ -54,7 +54,7 @@ TEST(IncrementalTest, AllPinnedIsValidationOnly) {
   const auto app = chain(3);
   const net::Assignment pins{0, 0, 1};
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kEg, SearchConfig{}, &pins, nullptr);
+      occupancy, app, Algorithm::kEg, SearchConfig{}, &pins);
   ASSERT_TRUE(placement.feasible);
   EXPECT_EQ(placement.assignment, pins);
   // Cost of the fully pinned placement is computed correctly: one 50 Mbps
@@ -71,7 +71,7 @@ TEST(IncrementalTest, ConflictingPinsReported) {
   const auto app = builder.build();
   const net::Assignment pins{0, 0};
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kEg, SearchConfig{}, &pins, nullptr);
+      occupancy, app, Algorithm::kEg, SearchConfig{}, &pins);
   EXPECT_FALSE(placement.feasible);
   EXPECT_NE(placement.failure_reason.find("pinned"), std::string::npos);
 }
@@ -87,7 +87,7 @@ TEST(IncrementalTest, PinViolatingZoneReported) {
   const auto app = builder.build();
   const net::Assignment pins{2, 2};  // same host despite the zone
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, SearchConfig{}, &pins, nullptr);
+      occupancy, app, Algorithm::kBaStar, SearchConfig{}, &pins);
   EXPECT_FALSE(placement.feasible);
 }
 
@@ -135,7 +135,7 @@ TEST(IncrementalTest, BaStarOptimalGivenPins) {
     net::Assignment pins(app.node_count(), dc::kInvalidHost);
     pins[0] = pin;
     const Placement placement = place_topology(
-        occupancy, app, Algorithm::kBaStar, config, &pins, nullptr);
+        occupancy, app, Algorithm::kBaStar, config, &pins);
     ASSERT_EQ(placement.feasible, best.feasible) << trial;
     if (best.feasible) {
       EXPECT_NEAR(placement.utility, best.utility, 1e-9) << trial;

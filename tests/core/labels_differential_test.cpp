@@ -74,10 +74,10 @@ AStarOutcome expect_ba_matches_reference(const topo::AppTopology& app,
                                          int trial) {
   AStarOutcome labeled = run_astar(
       PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
-      config, false, nullptr);
+      config, false);
   const AStarOutcome reference = run_astar(
       PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/false),
-      config, false, nullptr);
+      config, false);
   expect_identical(labeled, reference, trial);
   EXPECT_LE(labeled.stats.paths_expanded, reference.stats.paths_expanded)
       << "trial " << trial;
@@ -102,11 +102,11 @@ TEST(LabelsDifferentialTest, EgMatchesReferenceBounds) {
     const GreedyOutcome labeled = run_greedy(
         Algorithm::kEg,
         PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
-        order, nullptr);
+        order);
     const GreedyOutcome reference = run_greedy(
         Algorithm::kEg,
         PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/false),
-        order, nullptr);
+        order);
     expect_identical(labeled, reference, trial);
   }
 }
@@ -126,10 +126,10 @@ TEST(LabelsDifferentialTest, BaStarMatchesReferenceAndNeverExpandsMore) {
 
     const AStarOutcome labeled = run_astar(
         PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
-        config, false, nullptr);
+        config, false);
     const AStarOutcome reference = run_astar(
         PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/false),
-        config, false, nullptr);
+        config, false);
     expect_identical(labeled, reference, trial);
     expanded_on += labeled.stats.paths_expanded;
     expanded_off += reference.stats.paths_expanded;
@@ -156,10 +156,10 @@ TEST(LabelsDifferentialTest, DbaStarMatchesReference) {
 
     const AStarOutcome labeled = run_astar(
         PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
-        config, true, nullptr);
+        config, true);
     const AStarOutcome reference = run_astar(
         PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/false),
-        config, true, nullptr);
+        config, true);
     expect_identical(labeled, reference, trial);
   }
 }

@@ -69,9 +69,7 @@ std::shared_ptr<const topo::AppTopology> zoned_pair() {
 
 TEST(LifecycleRaceTest, DefragRacesStreamedPlacementsAndReplaysSerially) {
   const auto datacenter = small_dc(2, 3);
-  SearchConfig search;
-  search.threads = 1;  // concurrency comes from the test threads below
-  OstroScheduler scheduler(datacenter, search);
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 

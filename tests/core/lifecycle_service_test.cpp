@@ -21,12 +21,6 @@ namespace {
 using ostro::testing::small_dc;
 using ostro::testing::tiny_app;
 
-SearchConfig serial_config() {
-  SearchConfig config;
-  config.threads = 1;
-  return config;
-}
-
 std::shared_ptr<const topo::AppTopology> one_vm(double cores) {
   topo::TopologyBuilder builder;
   builder.add_vm("vm", {cores, cores, 0.0});
@@ -44,7 +38,7 @@ std::shared_ptr<const topo::AppTopology> zoned_pair() {
 
 TEST(LifecycleServiceTest, ReleaseStackDrainsAndGuardsDoubleRelease) {
   const auto datacenter = small_dc(2, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -69,7 +63,7 @@ TEST(LifecycleServiceTest, ReleaseStackDrainsAndGuardsDoubleRelease) {
 
 TEST(LifecycleServiceTest, FailHostKillsResidentsAndRepairRestores) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -101,7 +95,7 @@ TEST(LifecycleServiceTest, FailHostKillsResidentsAndRepairRestores) {
 
 TEST(LifecycleServiceTest, MigrationMovesStackAndVacatesSource) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -135,7 +129,7 @@ TEST(LifecycleServiceTest, MigrationMovesStackAndVacatesSource) {
 
 TEST(LifecycleServiceTest, MigrationConflictsWhenAssignmentMovedOn) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -161,7 +155,7 @@ TEST(LifecycleServiceTest, MigrationConflictsWhenAssignmentMovedOn) {
 
 TEST(LifecycleServiceTest, MigrationRejectsStructureViolations) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -185,7 +179,7 @@ TEST(LifecycleServiceTest, MigrationRejectsStructureViolations) {
 
 TEST(LifecycleServiceTest, MigrationConflictsWhenTargetLacksCapacity) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 
@@ -212,7 +206,7 @@ TEST(LifecycleServiceTest, MigrationConflictsWhenTargetLacksCapacity) {
 // std::out_of_range, not be silently miscounted as contention.
 TEST(LifecycleServiceTest, MigrationPropagatesNonCapacityExceptions) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
 

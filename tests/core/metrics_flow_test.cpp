@@ -45,15 +45,13 @@ TEST_F(MetricsFlowTest, GreedyPlanPopulatesRegistryAndStats) {
 
   // The estimate fans count once per fan, not once per estimate; the
   // registry total must still move by exactly the run's heuristic calls,
-  // whichever loop ran them: EG's fan on a 4-worker pool (16 candidates
-  // per VM, enough for the pool to split the fan), EG without the
-  // per-node context, BA* (its EG completions) and DBA* (its EG
+  // whichever loop ran them: EG's fan (16 candidates per VM), EG without
+  // the per-node context, BA* (its EG completions) and DBA* (its EG
   // completions and its sibling ranking).
-  SearchConfig pooled;
-  pooled.threads = 4;
+  const SearchConfig defaults{};
   const dc::DataCenter wide = small_dc(4, 4);
-  const OstroScheduler wide_scheduler(wide, pooled);
-  SearchConfig no_context = pooled;
+  const OstroScheduler wide_scheduler(wide, defaults);
+  SearchConfig no_context = defaults;
   no_context.use_estimate_context = false;
   const topo::AppTopology tiny = tiny_app();
   // On tiny_app EG is optimal, so DBA* bound-prunes every child and ranks
@@ -66,10 +64,10 @@ TEST_F(MetricsFlowTest, GreedyPlanPopulatesRegistryAndStats) {
     const topo::AppTopology* app;
     const SearchConfig* config;
   } runs[] = {
-      {"eg pooled", Algorithm::kEg, &tiny, &pooled},
+      {"eg", Algorithm::kEg, &tiny, &defaults},
       {"eg without context", Algorithm::kEg, &tiny, &no_context},
-      {"ba*", Algorithm::kBaStar, &tiny, &pooled},
-      {"dba*", Algorithm::kDbaStar, &mesh, &pooled},
+      {"ba*", Algorithm::kBaStar, &tiny, &defaults},
+      {"dba*", Algorithm::kDbaStar, &mesh, &defaults},
   };
   for (const auto& run : runs) {
     const std::uint64_t before =

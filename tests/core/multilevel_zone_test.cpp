@@ -60,7 +60,7 @@ TEST(MultiLevelZoneTest, RackZoneSpreadsAcrossRacks) {
   const dc::Occupancy occupancy(datacenter);
   const auto app = replicas(4, topo::DiversityLevel::kRack);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kEg, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kEg, SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   std::set<std::uint32_t> racks;
   for (const auto host : placement.assignment) {
@@ -74,7 +74,7 @@ TEST(MultiLevelZoneTest, PodZoneSpreadsAcrossPods) {
   const dc::Occupancy occupancy(datacenter);
   const auto app = replicas(4, topo::DiversityLevel::kPod);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kEg, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kEg, SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   std::set<std::uint32_t> pods;
   for (const auto host : placement.assignment) {
@@ -88,7 +88,7 @@ TEST(MultiLevelZoneTest, DatacenterZoneSpreadsAcrossSites) {
   const dc::Occupancy occupancy(datacenter);
   const auto app = replicas(2, topo::DiversityLevel::kDatacenter);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   EXPECT_NE(datacenter.host(placement.assignment[0]).datacenter,
             datacenter.host(placement.assignment[1]).datacenter);
@@ -99,7 +99,7 @@ TEST(MultiLevelZoneTest, TooManyPodReplicasIsInfeasible) {
   const dc::Occupancy occupancy(datacenter);
   const auto app = replicas(5, topo::DiversityLevel::kPod);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, SearchConfig{});
   EXPECT_FALSE(placement.feasible);
 }
 
@@ -108,7 +108,7 @@ TEST(MultiLevelZoneTest, TooManySiteReplicasIsInfeasible) {
   const dc::Occupancy occupancy(datacenter);
   const auto app = replicas(3, topo::DiversityLevel::kDatacenter);
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kEg, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kEg, SearchConfig{});
   EXPECT_FALSE(placement.feasible);
 }
 
@@ -123,7 +123,7 @@ TEST(MultiLevelZoneTest, CrossSitePipeCostsEightLinks) {
                    std::vector<std::string>{"a", "b"});
   const auto app = builder.build();
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   EXPECT_DOUBLE_EQ(placement.reserved_bandwidth_mbps, 800.0);
 }
@@ -143,7 +143,7 @@ TEST(MultiLevelZoneTest, MixedLevelsOnOneNode) {
                    std::vector<std::string>{"hub", "y"});
   const auto app = builder.build();
   const Placement placement = place_topology(
-      occupancy, app, Algorithm::kBaStar, SearchConfig{}, nullptr, nullptr);
+      occupancy, app, Algorithm::kBaStar, SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   const auto& h = placement.assignment;
   const auto hub = app.node_id("hub");

@@ -21,8 +21,7 @@ struct Fixture {
   SearchConfig config;
 
   Placement place() {
-    return place_topology(occupancy, app, Algorithm::kEg, config, nullptr,
-                          nullptr);
+    return place_topology(occupancy, app, Algorithm::kEg, config);
   }
 };
 

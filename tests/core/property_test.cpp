@@ -53,7 +53,7 @@ TEST_P(PlacementValidity, OutputSatisfiesAllConstraints) {
   config.deadline_seconds = 0.2;
   config.seed = param.seed;
   const Placement placement = place_topology(occupancy, app, param.algorithm,
-                                             config, nullptr, nullptr);
+                                             config);
   if (!placement.feasible) {
     // Infeasibility must come with a reason; nothing else to check.
     EXPECT_FALSE(placement.failure_reason.empty());
@@ -121,8 +121,7 @@ TEST_P(BaStarOptimality, MatchesBruteForce) {
   const BruteForceResult best =
       brute_force_optimal({app, occupancy, objective}, true);
   const Placement placement = place_topology(occupancy, app,
-                                             Algorithm::kBaStar, config,
-                                             nullptr, nullptr);
+                                             Algorithm::kBaStar, config);
   ASSERT_EQ(placement.feasible, best.feasible);
   if (best.feasible) {
     EXPECT_NEAR(placement.utility, best.utility, 1e-9);
@@ -182,7 +181,7 @@ TEST_P(BaStarOptimality, MatchesBruteForceOnUnevenPreloadedFleet) {
     const BruteForceResult best =
         brute_force_optimal({app, occupancy, objective}, false);
     const Placement placement = place_topology(
-        occupancy, app, Algorithm::kBaStar, config, nullptr, nullptr);
+        occupancy, app, Algorithm::kBaStar, config);
     ASSERT_EQ(placement.feasible, best.feasible);
     if (best.feasible) {
       EXPECT_NEAR(placement.utility, best.utility, 1e-9)
@@ -228,10 +227,9 @@ TEST_P(UtilityOrdering, BaStarNeverWorseThanGreedy) {
   const dc::Occupancy occupancy(datacenter);
   const auto app = random_app(rng, 6);
   const SearchConfig config;
-  const Placement eg = place_topology(occupancy, app, Algorithm::kEg, config,
-                                      nullptr, nullptr);
+  const Placement eg = place_topology(occupancy, app, Algorithm::kEg, config);
   const Placement ba = place_topology(occupancy, app, Algorithm::kBaStar,
-                                      config, nullptr, nullptr);
+                                      config);
   if (!eg.feasible) return;
   ASSERT_TRUE(ba.feasible);
   EXPECT_LE(ba.utility, eg.utility + 1e-9);
@@ -262,7 +260,7 @@ TEST_P(WorkloadSweep, MultitierOnSimDatacenterIsValid) {
   SearchConfig config;
   config.deadline_seconds = 0.3;
   const Placement placement = place_topology(occupancy, app, algorithm,
-                                             config, nullptr, nullptr);
+                                             config);
   ASSERT_TRUE(placement.feasible) << placement.failure_reason;
   if (!placement.bandwidth_overcommitted) {
     EXPECT_TRUE(

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+
 #include "core/verify.h"
 #include "helpers.h"
 
@@ -171,7 +174,7 @@ TEST(SchedulerTest, PinnedSizeMismatchThrows) {
   const auto app = tiny_app();
   const net::Assignment bad_pins{0};
   EXPECT_THROW((void)place_topology(occupancy, app, Algorithm::kEg,
-                                    SearchConfig{}, &bad_pins, nullptr),
+                                    SearchConfig{}, &bad_pins),
                std::invalid_argument);
 }
 
@@ -183,6 +186,25 @@ TEST(SchedulerTest, DbaDeadlineFlowsThroughConfig) {
   const Placement placement =
       scheduler.plan(tiny_app(), Algorithm::kDbaStar, config);
   EXPECT_TRUE(placement.feasible);
+}
+
+// EG scores its candidates on the calling thread, so a scheduler built with
+// the default SearchConfig (as `ostro serve` builds it) starts no thread.
+TEST(SchedulerTest, DefaultSchedulerStartsNoThreads) {
+  namespace fs = std::filesystem;
+  const fs::path tasks = "/proc/self/task";
+  std::error_code ec;
+  if (!fs::is_directory(tasks, ec)) {
+    GTEST_SKIP() << tasks << " is not available";
+  }
+  const auto thread_count = [&] {
+    return std::distance(fs::directory_iterator(tasks),
+                         fs::directory_iterator());
+  };
+  const auto datacenter = small_dc(2, 2);
+  const auto before = thread_count();
+  const OstroScheduler scheduler(datacenter);
+  EXPECT_EQ(thread_count(), before);
 }
 
 }  // namespace

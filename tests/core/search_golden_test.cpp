@@ -146,8 +146,7 @@ std::vector<GoldenRun> ba_star_runs() {
     const SearchConfig config;
     const Objective objective(app, datacenter, config);
     runs.push_back(golden_of(run_astar(
-        PartialPlacement(app, occupancy, objective), config, false,
-        nullptr)));
+        PartialPlacement(app, occupancy, objective), config, false)));
   }
   return runs;
 }
@@ -166,8 +165,7 @@ std::vector<GoldenRun> dba_star_runs() {
     config.deadline_seconds = 0.0;
     const Objective objective(app, datacenter, config);
     runs.push_back(golden_of(run_astar(
-        PartialPlacement(app, occupancy, objective), config, true,
-        nullptr)));
+        PartialPlacement(app, occupancy, objective), config, true)));
   }
   return runs;
 }
@@ -191,7 +189,7 @@ std::vector<GoldenRun> pinned_prefix_runs() {
           0, static_cast<int>(datacenter.host_count()) - 1));
       if (initial.can_place(node, host)) initial.place(node, host);
     }
-    runs.push_back(golden_of(run_astar(initial, config, false, nullptr)));
+    runs.push_back(golden_of(run_astar(initial, config, false)));
   }
   return runs;
 }
@@ -229,8 +227,7 @@ std::vector<GoldenRun> random_topology_runs() {
     const bool dba = trial % 5 == 0;
     if (dba) config.deadline_seconds = 0.0;
     runs.push_back(golden_of(run_astar(
-        PartialPlacement(app, occupancy, objective), config, dba,
-        nullptr)));
+        PartialPlacement(app, occupancy, objective), config, dba)));
   }
   return runs;
 }
@@ -249,7 +246,7 @@ std::vector<GoldenRun> prune_label_runs() {
     const Objective objective(app, datacenter, config);
     runs.push_back(golden_of(run_astar(
         PartialPlacement(app, occupancy, objective, /*use_prune_labels=*/true),
-        config, false, nullptr)));
+        config, false)));
   }
   return runs;
 }
@@ -263,7 +260,7 @@ std::vector<GoldenRun> expansion_budget_runs() {
   config.max_expansions = 2;
   const Objective objective(app, datacenter, config);
   return {golden_of(run_astar(PartialPlacement(app, occupancy, objective),
-                              config, false, nullptr))};
+                              config, false))};
 }
 
 // ---- fixtures ------------------------------------------------------------

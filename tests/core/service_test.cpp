@@ -46,18 +46,12 @@ topo::AppTopology one_vm(const std::string& name, double cores) {
   return builder.build();
 }
 
-SearchConfig serial_config() {
-  SearchConfig config;
-  config.threads = 1;  // keep the per-request search single-threaded
-  return config;
-}
-
 TEST(ServiceTest, PlaceCommitsLikeDeploy) {
   const auto datacenter = small_dc(2, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
-  OstroScheduler reference(datacenter, serial_config());
+  OstroScheduler reference(datacenter);
   const Placement expected = reference.deploy(tiny_app(), Algorithm::kEg);
   ASSERT_TRUE(expected.committed);
 
@@ -73,7 +67,7 @@ TEST(ServiceTest, PlaceCommitsLikeDeploy) {
 
 TEST(ServiceTest, FreshSnapshotCommitsWithoutRevalidation) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
   PlannedPlacement planned = service.plan(tiny_app(), Algorithm::kEg);
@@ -90,7 +84,7 @@ TEST(ServiceTest, FreshSnapshotCommitsWithoutRevalidation) {
 
 TEST(ServiceTest, StaleButCompatibleSnapshotStillCommits) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
   // Plan A against the empty occupancy, then let B commit first.  Both
@@ -110,7 +104,7 @@ TEST(ServiceTest, StaleButCompatibleSnapshotStillCommits) {
 
 TEST(ServiceTest, ConflictingCommitIsDetectedAtTheGate) {
   const auto datacenter = contended_dc();
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
   const auto app_a = one_vm("a", 6.0);
@@ -134,7 +128,7 @@ TEST(ServiceTest, ConflictingCommitIsDetectedAtTheGate) {
 // 5e-7 Mbps overshoot once A commits: within a 1e-6 slack, past 1e-9.
 TEST(ServiceTest, StalePlanPastLinkCapacityIsAConflictNotAThrow) {
   const auto datacenter = small_dc(1, 2);  // two hosts, 1000 Mbps uplinks
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   const auto spread_pair = [](double cores, double mbps) {
     topo::TopologyBuilder builder;
@@ -162,7 +156,7 @@ TEST(ServiceTest, StalePlanPastLinkCapacityIsAConflictNotAThrow) {
 
 TEST(ServiceTest, InfeasibleAndOvercommittedPlansAreRejected) {
   const auto datacenter = small_dc(1, 1);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
   PlannedPlacement infeasible = service.plan(one_vm("x", 64.0), Algorithm::kEg);
@@ -174,7 +168,7 @@ TEST(ServiceTest, InfeasibleAndOvercommittedPlansAreRejected) {
 
 TEST(ServiceTest, ConflictTriggersReplanOntoRemainingCapacity) {
   const auto datacenter = small_dc(1, 2);  // two 8-core hosts
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
   // After A's first plan, inject a competing 6-core commit; A's replan
@@ -200,10 +194,10 @@ TEST(ServiceTest, ConflictTriggersReplanOntoRemainingCapacity) {
 
 TEST(ServiceTest, ExhaustedRetryLadderReturnsUncommitted) {
   const auto datacenter = contended_dc();
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
-  SearchConfig config = serial_config();
+  SearchConfig config;
   config.service_max_conflict_retries = 0;  // no replans allowed
   std::atomic<bool> injected{false};
   service.set_post_plan_hook([&](std::uint32_t) {
@@ -225,7 +219,7 @@ TEST(ServiceTest, ExhaustedRetryLadderReturnsUncommitted) {
 
 TEST(ServiceTest, ReplanAfterConflictCanComeBackInfeasible) {
   const auto datacenter = contended_dc();
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
   std::atomic<bool> injected{false};
@@ -247,12 +241,12 @@ TEST(ServiceTest, ReplanAfterConflictCanComeBackInfeasible) {
 
 TEST(ServiceTest, CommitterRefusalIsRejectedNotRetried) {
   const auto datacenter = small_dc(1, 2);
-  OstroScheduler scheduler(datacenter, serial_config());
+  OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
 
   int committer_calls = 0;
   const ServiceResult result = service.place_with(
-      tiny_app(), Algorithm::kEg, serial_config(),
+      tiny_app(), Algorithm::kEg, SearchConfig{},
       [&](const Placement&, std::string& failure) {
         ++committer_calls;
         failure = "quota exceeded";
@@ -276,7 +270,7 @@ TEST(ServiceStressTest, ConcurrentPlacementsMatchSerialReplay) {
   constexpr int kStacksPerThread = 50;
 
   const auto datacenter = small_dc(4, 4);  // 16 hosts, 128 cores
-  const SearchConfig config = serial_config();
+  const SearchConfig config{};
   OstroScheduler scheduler(datacenter, config);
   PlacementService service(scheduler);
 
@@ -362,7 +356,7 @@ TEST(ServiceStressTest, ConcurrentPlacementsMatchSerialReplay) {
 // concurrent search reproduces the serial one exactly.
 TEST(ServiceStressTest, ConcurrentBaStarPlansMatchSerialPlans) {
   const auto datacenter = small_dc(3, 3);
-  const SearchConfig config = serial_config();
+  const SearchConfig config{};
   OstroScheduler scheduler(datacenter, config);
 
   // A few distinct stacks so concurrent plans stress differently shaped

@@ -56,7 +56,6 @@ topo::AppTopology one_vm(const std::string& name, double cores) {
 
 SearchConfig stream_config(std::size_t batch = 8, std::size_t capacity = 64) {
   SearchConfig config;
-  config.threads = 1;  // the streaming layer is the concurrency under test
   config.stream_max_batch = batch;
   config.stream_queue_capacity = capacity;
   return config;

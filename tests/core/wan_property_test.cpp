@@ -56,7 +56,7 @@ TEST_P(WanSweep, GeoWorkloadsPlaceValidly) {
   config.deadline_seconds = 0.3;
   config.seed = seed;
   const Placement placement = place_topology(occupancy, app, algorithm,
-                                             config, nullptr, nullptr);
+                                             config);
   if (!placement.feasible) {
     EXPECT_FALSE(placement.failure_reason.empty());
     return;

@@ -51,8 +51,7 @@ TEST(DotTest, PlacementDotClustersByHost) {
   builder.connect("web", "db", 100.0);
   const auto simple = builder.build();
   const core::Placement placement = core::place_topology(
-      occupancy, simple, core::Algorithm::kEg, core::SearchConfig{}, nullptr,
-      nullptr);
+      occupancy, simple, core::Algorithm::kEg, core::SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   const std::string dot =
       placement_to_dot(simple, placement.assignment, datacenter);

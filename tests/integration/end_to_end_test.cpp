@@ -110,7 +110,7 @@ TEST(EndToEndTest, QfsThroughputReflectsPlacementQuality) {
     util::Rng rng(3);
     sim::apply_testbed_preload(occupancy, rng);
     const core::Placement placement = core::place_topology(
-        occupancy, app, algorithm, config, nullptr, nullptr);
+        occupancy, app, algorithm, config);
     ASSERT_TRUE(placement.feasible) << core::to_string(algorithm);
     net::commit_placement(occupancy, app, placement.assignment);
     const qfs::QfsCluster cluster(app, placement.assignment, occupancy);

@@ -58,8 +58,7 @@ TEST(PersistenceFlowTest, FullSessionRoundTrip) {
   const os::HeatTemplate parsed = os::HeatTemplate::parse_text(kApp);
 
   const core::Placement placement = core::place_topology(
-      fresh, parsed.topology, core::Algorithm::kBaStar, core::SearchConfig{},
-      nullptr, nullptr);
+      fresh, parsed.topology, core::Algorithm::kBaStar, core::SearchConfig{});
   ASSERT_TRUE(placement.feasible);
   EXPECT_EQ(datacenter
                 .host(placement.assignment[parsed.topology.node_id("db")])
@@ -92,7 +91,7 @@ TEST(PersistenceFlowTest, FullSessionRoundTrip) {
   // occupied fleet (capacity permitting), seeing the first one's load.
   const core::Placement second = core::place_topology(
       occupancy2, parsed.topology, core::Algorithm::kEg,
-      core::SearchConfig{}, nullptr, nullptr);
+      core::SearchConfig{});
   ASSERT_TRUE(second.feasible);
   EXPECT_EQ(second.new_active_hosts, 0);  // reuses the active hosts
 

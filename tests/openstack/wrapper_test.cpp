@@ -147,9 +147,8 @@ TEST(WrapperStreamTest, StreamedStackDeploysLikeProcess) {
   HeatEngine engine(scheduler.occupancy());
   OstroHeatWrapper wrapper(service, engine);
 
-  core::SearchConfig config;
-  config.threads = 1;
-  core::StreamingService stream(service, config, /*start_dispatchers=*/false);
+  core::StreamingService stream(service, core::SearchConfig{},
+                               /*start_dispatchers=*/false);
 
   auto streamed = wrapper.submit_streamed(
       stream, util::Json::parse(kTemplate), core::Algorithm::kEg,
@@ -181,9 +180,8 @@ TEST(WrapperStreamTest, BadTemplateResolvesImmediatelyAsFailed) {
   HeatEngine engine(scheduler.occupancy());
   OstroHeatWrapper wrapper(service, engine);
 
-  core::SearchConfig config;
-  config.threads = 1;
-  core::StreamingService stream(service, config, /*start_dispatchers=*/false);
+  core::StreamingService stream(service, core::SearchConfig{},
+                               /*start_dispatchers=*/false);
 
   auto streamed = wrapper.submit_streamed(
       stream, util::Json::parse(R"({"resources": {"x": {"type": "Bad"}}})"),

@@ -27,7 +27,7 @@ struct PlacedQfs {
     config.theta_c = 0.01;
     config.deadline_seconds = 0.5;
     const core::Placement placement = core::place_topology(
-        occupancy, app, algorithm, config, nullptr, nullptr);
+        occupancy, app, algorithm, config);
     if (!placement.feasible) {
       throw std::runtime_error("QFS placement failed: " +
                                placement.failure_reason);

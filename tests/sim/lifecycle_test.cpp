@@ -17,12 +17,6 @@ namespace {
 
 using ostro::testing::small_dc;
 
-core::SearchConfig serial_config() {
-  core::SearchConfig config;
-  config.threads = 1;
-  return config;
-}
-
 /// Churny-but-small config: 5-VM stacks (all-large tiers) on a 4-host
 /// cluster, enough arrivals to cycle capacity several times over.
 LifecycleConfig churn_config() {
@@ -42,7 +36,7 @@ TEST(LifecycleSimTest, SameSeedReproducesTheRunBitForBit) {
   dc::Occupancy finals[2] = {dc::Occupancy(datacenter),
                              dc::Occupancy(datacenter)};
   for (int i = 0; i < 2; ++i) {
-    core::OstroScheduler scheduler(datacenter, serial_config());
+    core::OstroScheduler scheduler(datacenter);
     core::PlacementService service(scheduler);
     Lifecycle lifecycle(service, churn_config());
     runs[i] = lifecycle.run();
@@ -70,7 +64,7 @@ TEST(LifecycleSimTest, SameSeedReproducesTheRunBitForBit) {
 
 TEST(LifecycleSimTest, SoakThenDrainMatchesFreshRebuild) {
   const auto datacenter = small_dc(2, 2);
-  core::OstroScheduler scheduler(datacenter, serial_config());
+  core::OstroScheduler scheduler(datacenter);
   core::PlacementService service(scheduler);
 
   LifecycleConfig config = churn_config();
@@ -101,7 +95,7 @@ TEST(LifecycleSimTest, SoakThenDrainMatchesFreshRebuild) {
 
 TEST(LifecycleSimTest, HostFailureAndRepairAccounting) {
   const auto datacenter = small_dc(2, 2);
-  core::OstroScheduler scheduler(datacenter, serial_config());
+  core::OstroScheduler scheduler(datacenter);
   core::PlacementService service(scheduler);
 
   LifecycleConfig config = churn_config();

@@ -47,8 +47,7 @@ TEST(WanTest, GeoReplicationSpreadsAcrossSites) {
   builder.add_zone("geo", topo::DiversityLevel::kDatacenter, dbs);
   const auto app = builder.build();
   const core::Placement placement = core::place_topology(
-      occupancy, app, core::Algorithm::kEg, core::SearchConfig{}, nullptr,
-      nullptr);
+      occupancy, app, core::Algorithm::kEg, core::SearchConfig{});
   ASSERT_TRUE(placement.feasible) << placement.failure_reason;
   std::set<std::uint32_t> sites;
   for (const auto host : placement.assignment) {
@@ -72,8 +71,7 @@ TEST(WanTest, TightLatencyCannotCrossTheWan) {
                    std::vector<std::string>{"a", "b"});
   const auto app = builder.build();
   const core::Placement placement = core::place_topology(
-      occupancy, app, core::Algorithm::kBaStar, core::SearchConfig{},
-      nullptr, nullptr);
+      occupancy, app, core::Algorithm::kBaStar, core::SearchConfig{});
   EXPECT_FALSE(placement.feasible);
 }
 

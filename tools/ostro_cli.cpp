@@ -26,8 +26,10 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -61,10 +63,34 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// Largest template file `ostro serve` reads.  examples/data/three_tier.json
-/// spends 300 bytes per VM, pipes and zones included, so this admits some
-/// 200,000 VMs.
+/// `ostro serve`'s one per-request size limit: its longest request line and
+/// its largest template file.  examples/data/three_tier.json spends 300
+/// bytes per VM, pipes and zones included, so this admits some 200,000 VMs.
 constexpr std::uintmax_t kMaxTemplateBytes = std::uintmax_t{64} << 20;
+
+/// Reads one serve request line into `line`, without its newline; false at
+/// end of input.  std::getline would grow one string until a newline
+/// arrives, so an endless line could exhaust memory.  Here a line longer
+/// than kMaxTemplateBytes sets `too_long` and is dropped: its rest, through
+/// the newline, is skipped, and reading goes on from the next line.
+bool read_request_line(std::istream& in, std::string& line, bool& too_long) {
+  line.clear();
+  too_long = false;
+  std::streambuf& buffer = *in.rdbuf();
+  for (int c = buffer.sbumpc(); c != std::char_traits<char>::eof();
+       c = buffer.sbumpc()) {
+    if (c == '\n') return true;
+    if (line.size() == kMaxTemplateBytes) {
+      too_long = true;
+      line.clear();
+      line.shrink_to_fit();
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      return true;
+    }
+    line.push_back(static_cast<char>(c));
+  }
+  return !line.empty();  // a last line without its newline
+}
 
 /// Reads a serve request's "template" file.  read_file reads to end of
 /// file, so a device such as /dev/zero would grow one string until memory
@@ -279,7 +305,7 @@ int cmd_place(util::ArgParser& args) {
   const auto algorithm = core::parse_algorithm(args.get_string("algorithm"));
 
   const core::Placement placement = core::place_topology(
-      occupancy, parsed.topology, algorithm, config, nullptr, nullptr);
+      occupancy, parsed.topology, algorithm, config);
   if (placement.stats.truncated) {
     std::cerr << "search truncated by "
               << (placement.stats.hit_open_limit
@@ -349,7 +375,8 @@ int cmd_place(util::ArgParser& args) {
 /// normal, "deadline" is the per-request ADMISSION deadline in seconds
 /// (how long the request may wait queued; --deadline stays the DBA*
 /// search deadline).  A line reading "quit" (or EOF) ends the session;
-/// queued requests still drain before exit.
+/// queued requests still drain before exit.  A line longer than
+/// kMaxTemplateBytes is answered "rejected" and skipped.
 int cmd_serve(util::ArgParser& args) {
   const auto datacenter =
       dc::datacenter_from_text(read_file(args.get_string("datacenter")));
@@ -465,15 +492,23 @@ int cmd_serve(util::ArgParser& args) {
   });
 
   std::string line;
+  bool too_long = false;
   std::uint64_t next_id = 0;
-  while (std::getline(*in, line)) {
+  while (read_request_line(*in, line, too_long)) {
     const std::string_view trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    if (trimmed == "quit" || trimmed == "exit") break;
+    if (!too_long) {
+      if (trimmed.empty() || trimmed.front() == '#') continue;
+      if (trimmed == "quit" || trimmed == "exit") break;
+    }
 
     std::string id = "req-" + std::to_string(next_id);
     std::future<core::StreamResult> future;
     try {
+      if (too_long) {
+        throw std::runtime_error("request line is over the " +
+                                 std::to_string(kMaxTemplateBytes) +
+                                 " limit");
+      }
       const util::Json doc = util::Json::parse(trimmed);
       id = doc.string_or("id", id);
       os::HeatTemplate parsed;
