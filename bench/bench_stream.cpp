@@ -9,7 +9,9 @@
 // to dispatcher pickup), commit/expiry/rejection counts, and achieved
 // throughput; the sweep ends with a max-sustainable-QPS estimate — the
 // highest offered rate whose miss fraction (expired + rejected + failed)
-// stayed under 1%.
+// stayed under 1%.  The stream's one dispatcher is the service's only
+// writer, so no request may meet a commit conflict: the bench exits 1 when
+// one does.
 #include "common.h"
 
 #include <algorithm>
@@ -42,8 +44,6 @@ int main(int argc, char** argv) {
   args.add_int("requests", 160, "requests per rate point");
   args.add_int("stack-vms", 5, "VMs per stack");
   args.add_int("racks", 12, "data-center racks (8 hosts each)");
-  args.add_int("batch", 8, "stream_max_batch (snapshot-shared batching)");
-  args.add_int("dispatchers", 2, "stream_dispatch_threads");
   args.add_double("admission-deadline", 1.0,
                   "per-request admission deadline (seconds; 0 = none)");
   args.add_flag("smoke", "tiny sizes for CI (overrides --requests/--racks)");
@@ -67,10 +67,6 @@ int main(int argc, char** argv) {
   }
 
   core::SearchConfig config;
-  config.stream_max_batch =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("batch")));
-  config.stream_dispatch_threads = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, args.get_int("dispatchers")));
   config.stream_queue_capacity =
       static_cast<std::size_t>(total_requests) + 1;
 
@@ -92,8 +88,9 @@ int main(int argc, char** argv) {
 
   util::TablePrinter table({"Offered QPS", "Achieved QPS", "p50 wait (ms)",
                             "p99 wait (ms)", "Committed", "Expired",
-                            "Failed", "Spills"});
+                            "Failed", "Conflicts"});
   double max_sustainable_qps = 0.0;
+  std::uint64_t total_conflicts = 0;
   for (const double factor : rate_factors) {
     const double offered_qps = serial_rate * factor;
     core::OstroScheduler scheduler(datacenter, config);
@@ -125,7 +122,7 @@ int main(int argc, char** argv) {
     const double wall = timer.elapsed_seconds();
 
     int committed = 0, expired = 0, failed = 0, rejected = 0;
-    std::uint64_t spills = 0;
+    std::uint64_t conflicts = 0;
     std::vector<double> waits;
     waits.reserve(futures.size());
     for (std::future<core::StreamResult>& future : futures) {
@@ -139,8 +136,9 @@ int main(int argc, char** argv) {
       if (result.status != core::StreamStatus::kRejected) {
         waits.push_back(result.wait_seconds);
       }
-      spills += result.spills;
+      conflicts += result.service.conflicts;
     }
+    total_conflicts += conflicts;
     const double p50 = percentile(waits, 0.50);
     const double p99 = percentile(waits, 0.99);
     const double achieved_qps = static_cast<double>(committed) / wall;
@@ -158,11 +156,17 @@ int main(int argc, char** argv) {
                    util::format("%d/%d", committed, total_requests),
                    util::format("%d", expired), util::format("%d", failed),
                    util::format("%llu",
-                                static_cast<unsigned long long>(spills))});
+                                static_cast<unsigned long long>(conflicts))});
   }
   bench::emit(table, args, "streaming admission Poisson sweep");
   std::cout << "max sustainable QPS (miss fraction <= 1%): "
             << util::format("%.1f", max_sustainable_qps) << "\n";
   bench::emit_metrics(args);
+  if (total_conflicts > 0) {
+    std::cerr << "bench_stream: " << total_conflicts
+              << " commit conflict(s), but the stream's dispatcher is the "
+                 "service's only writer\n";
+    return 1;
+  }
   return 0;
 }

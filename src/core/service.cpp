@@ -72,16 +72,6 @@ PlacementService::CommitOutcome PlacementService::try_commit(
 PlacementService::CommitOutcome PlacementService::try_commit_with(
     const topo::AppTopology& topology, PlannedPlacement& planned,
     const Committer& committer, std::uint64_t* commit_epoch) {
-  BatchCommitMember member{&topology, &planned, &committer};
-  try_commit_batch({&member, 1});
-  if (member.outcome == CommitOutcome::kCommitted && commit_epoch != nullptr) {
-    *commit_epoch = member.commit_epoch;
-  }
-  return member.outcome;
-}
-
-std::size_t PlacementService::try_commit_batch(
-    std::span<BatchCommitMember> batch) {
   static util::metrics::Counter& m_conflicts =
       util::metrics::counter("service.conflicts");
   static util::metrics::Counter& m_rejected =
@@ -89,64 +79,48 @@ std::size_t PlacementService::try_commit_batch(
   static util::metrics::Summary& m_commit_wait =
       util::metrics::summary("service.commit_wait_seconds");
 
-  // Deterministic rejects need no lock: infeasible or bandwidth-
-  // overcommitted members can never commit no matter what the live
-  // occupancy looks like.
-  std::size_t pending = 0;
-  for (BatchCommitMember& member : batch) {
-    Placement& placement = member.planned->placement;
-    if (!placement.feasible || placement.bandwidth_overcommitted) {
-      if (placement.feasible && placement.failure_reason.empty()) {
-        placement.failure_reason =
-            "placement overcommits link bandwidth; not committed";
-      }
-      member.outcome = CommitOutcome::kRejected;
-      m_rejected.inc();
-      continue;
+  // Deterministic rejects need no lock: an infeasible or bandwidth-
+  // overcommitted plan can never commit no matter what the live occupancy
+  // looks like.
+  Placement& placement = planned.placement;
+  if (!placement.feasible || placement.bandwidth_overcommitted) {
+    if (placement.feasible && placement.failure_reason.empty()) {
+      placement.failure_reason =
+          "placement overcommits link bandwidth; not committed";
     }
-    member.outcome = CommitOutcome::kConflict;  // until proven otherwise
-    ++pending;
+    m_rejected.inc();
+    return CommitOutcome::kRejected;
   }
-  if (pending == 0) return 0;
 
   util::WallTimer wait_timer;
   const std::unique_lock<std::shared_mutex> lock(mutex_);
   m_commit_wait.observe(wait_timer.elapsed_seconds());
 
-  std::size_t committed = 0;
-  for (BatchCommitMember& member : batch) {
-    if (member.outcome == CommitOutcome::kRejected) continue;
-    Placement& placement = member.planned->placement;
-    // Per-member epoch gate.  An unchanged version proves no mutation
-    // interleaved since the snapshot, so the plan's own checks still hold.
-    // Otherwise (a competing commit, or a batch predecessor) the plan's ops
-    // are staged against the live occupancy with the commit's own
-    // arithmetic; the structure checks (tags, zones, affinity, latency) do
-    // not depend on occupancy and held when the plan was made.
-    if (scheduler_->occupancy().version() != member.planned->epoch &&
-        !fits_live(scheduler_->occupancy(), *member.topology,
-                   placement.assignment)) {
-      member.outcome = CommitOutcome::kConflict;
-      m_conflicts.inc();
-      continue;
-    }
-    if (member.committer != nullptr && *member.committer) {
-      std::string failure;
-      if (!(*member.committer)(placement, failure)) {
-        placement.failure_reason = std::move(failure);
-        member.outcome = CommitOutcome::kRejected;
-        m_rejected.inc();
-        continue;
-      }
-    } else {
-      scheduler_->commit(*member.topology, placement);
-    }
-    placement.committed = true;
-    member.outcome = CommitOutcome::kCommitted;
-    member.commit_epoch = scheduler_->occupancy().version();
-    ++committed;
+  // Epoch gate.  An unchanged version proves no mutation interleaved since
+  // the snapshot, so the plan's own checks still hold.  Otherwise the
+  // plan's ops are staged against the live occupancy with the commit's own
+  // arithmetic; the structure checks (tags, zones, affinity, latency) do
+  // not depend on occupancy and held when the plan was made.
+  if (scheduler_->occupancy().version() != planned.epoch &&
+      !fits_live(scheduler_->occupancy(), topology, placement.assignment)) {
+    m_conflicts.inc();
+    return CommitOutcome::kConflict;
   }
-  return committed;
+  if (committer) {
+    std::string failure;
+    if (!committer(placement, failure)) {
+      placement.failure_reason = std::move(failure);
+      m_rejected.inc();
+      return CommitOutcome::kRejected;
+    }
+  } else {
+    scheduler_->commit(topology, placement);
+  }
+  placement.committed = true;
+  if (commit_epoch != nullptr) {
+    *commit_epoch = scheduler_->occupancy().version();
+  }
+  return CommitOutcome::kCommitted;
 }
 
 bool PlacementService::release_stack(StackRegistry& registry, StackId id,

@@ -39,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -155,11 +154,15 @@ class PlacementService {
                                       Algorithm algorithm,
                                       const SearchConfig& config) const;
 
-  /// Step 3: the validate-and-commit gate under the writer lock
-  /// (try_commit_batch over this one member).  On kCommitted,
-  /// `planned.placement.committed` is set and `commit_epoch` (when
-  /// non-null) receives the post-commit epoch.  On kConflict the placement
-  /// is untouched so the caller can inspect or replan.
+  /// Step 3: the validate-and-commit gate under the writer lock.  An
+  /// infeasible or bandwidth-overcommitted plan is rejected without taking
+  /// the lock.  Otherwise a plan whose snapshot epoch still equals the
+  /// live one commits directly, and a stale plan commits only if its ops
+  /// still fit the live occupancy.  An empty `committer` uses the default
+  /// scheduler commit.  On kCommitted, `planned.placement.committed` is
+  /// set and `commit_epoch` (when non-null) receives the post-commit
+  /// epoch.  On kConflict the placement is untouched so the caller can
+  /// inspect or replan.
   CommitOutcome try_commit(const topo::AppTopology& topology,
                            PlannedPlacement& planned,
                            std::uint64_t* commit_epoch = nullptr);
@@ -167,32 +170,6 @@ class PlacementService {
                                 PlannedPlacement& planned,
                                 const Committer& committer,
                                 std::uint64_t* commit_epoch = nullptr);
-
-  /// One member of a batched commit (the StreamingService dispatcher).
-  /// `topology`/`planned` are the inputs; `outcome`/`commit_epoch` are
-  /// filled by try_commit_batch.  A null `committer` uses the default
-  /// scheduler commit; a non-null one runs as the member's commit step
-  /// under the writer lock (same contract as try_commit_with).
-  struct BatchCommitMember {
-    const topo::AppTopology* topology = nullptr;
-    PlannedPlacement* planned = nullptr;
-    const Committer* committer = nullptr;
-    CommitOutcome outcome = CommitOutcome::kConflict;
-    std::uint64_t commit_epoch = 0;
-  };
-
-  /// Batched step 3: validate-and-commit every member under ONE
-  /// writer-lock acquisition, in batch order.  Members are typically
-  /// planned against the same shared snapshot, so the first committable
-  /// member takes the epoch fast path and every later member is
-  /// re-validated against the occupancy as already mutated by its batch
-  /// predecessors — intra-batch resource collisions surface as kConflict
-  /// exactly like cross-request races, and the caller spills those members
-  /// into the per-request conflict-replan ladder.  Each member's `outcome`
-  /// is final as soon as it is decided, so when a committer throws, the
-  /// members before it keep their kCommitted.  Returns the number of
-  /// members committed.
-  std::size_t try_commit_batch(std::span<BatchCommitMember> batch);
 
   /// The full request: plan → try_commit → bounded conflict-retry ladder.
   /// The returned placement has `committed` set iff it was applied;

@@ -10,30 +10,26 @@
 //  * AdmissionQueue — a bounded multi-class priority queue.  push() fails
 //    immediately when the queue is full (admission control: overload is
 //    answered with a fast reject, never with unbounded queueing delay) or
-//    after close().  pop_batch() drains strictly by priority class (high
-//    before normal before low), FIFO within a class.
+//    after close().  pop() drains strictly by priority class (high before
+//    normal before low), FIFO within a class.
 //
-//  * StreamingService — dispatcher threads that drain the queue in
-//    batches: pop up to SearchConfig::stream_max_batch requests, drop
-//    members whose admission deadline expired while queued, take ONE
-//    occupancy snapshot, plan every member against it with no lock held,
-//    then validate-and-commit the whole batch under a single writer-lock
-//    acquisition (PlacementService::try_commit_batch).  Members whose
-//    validation fails — because a batch predecessor or a concurrent
-//    request consumed their resources — are *spilled* back into the
-//    per-request conflict-replan ladder (PlacementService::place_with),
-//    so batching is a throughput optimization that can delay but never
-//    wrong a request.
+//  * StreamingService — one dispatcher thread that takes one request at a
+//    time, answers it `expired` when its admission deadline passed while
+//    queued, and otherwise places it through PlacementService::place_with
+//    (snapshot → plan → commit gate → conflict-replan ladder).  The
+//    dispatcher is the stream's only writer, so each request plans against
+//    an occupancy that holds every earlier streamed commit; when no other
+//    caller writes to the service, the placement it reports (new active
+//    hosts, utility) is the one its commit made.
 //
 // Every request resolves exactly once through its std::future, including
 // on shutdown (close() stops admissions, queued work still drains) and on
-// planning or commit exceptions (delivered through the future, never
-// allowed to escape a dispatcher thread).  When a member's commit step
-// throws, batch members already committed still resolve as committed.
+// planning or commit exceptions, std or not (delivered through the future,
+// never allowed to escape the dispatcher thread).
 //
 // Telemetry under "stream.": submitted / rejected_queue_full /
-// deadline_misses / batches / spills / committed / failed counters,
-// queue_depth / batch_size / admission_wait_seconds summaries.
+// deadline_misses / committed / failed / dispatch_errors counters,
+// queue_depth / admission_wait_seconds summaries.
 #pragma once
 
 #include <array>
@@ -44,9 +40,9 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/service.h"
 
@@ -67,7 +63,7 @@ struct StreamRequest {
   Algorithm algorithm = Algorithm::kEg;
   StreamPriority priority = StreamPriority::kNormal;
   /// Admission deadline: the longest this request may wait *queued*, in
-  /// seconds (<= 0 = none).  A request whose deadline passes before a
+  /// seconds (<= 0 = none).  A request whose deadline passes before the
   /// dispatcher picks it up completes as kExpired without ever planning —
   /// a late placement answer is treated as worthless, per-request.
   double deadline_seconds = 0.0;
@@ -96,15 +92,9 @@ struct StreamResult {
   ServiceResult service;
   /// Admission wait: submit() to dispatcher pickup, seconds.
   double wait_seconds = 0.0;
-  /// Members planned together in this request's batch (itself included);
-  /// 0 when the request never reached the planning phase.
-  std::uint32_t batch_size = 0;
-  /// 1 when the batch commit conflicted and the request was spilled into
-  /// the per-request conflict-replan ladder.
-  std::uint32_t spills = 0;
 };
 
-/// Bounded multi-class FIFO with blocking batched pops.  Thread-safe.
+/// Bounded multi-class FIFO with blocking pops.  Thread-safe.
 class AdmissionQueue {
  public:
   using Clock = std::chrono::steady_clock;
@@ -123,12 +113,11 @@ class AdmissionQueue {
   /// when the queue is full or closed.
   [[nodiscard]] bool push(Entry& entry);
 
-  /// Pops up to `max_batch` entries in priority order.  With `wait`,
-  /// blocks until at least one entry is available or the queue is closed
-  /// *and* drained (then returns empty — the consumer-exit signal).
-  /// Without `wait`, returns empty immediately when nothing is queued.
-  [[nodiscard]] std::vector<Entry> pop_batch(std::size_t max_batch,
-                                             bool wait = true);
+  /// Pops the front entry of the highest non-empty class.  With `wait`,
+  /// blocks until an entry is available or the queue is closed *and*
+  /// drained (then returns nullopt — the consumer-exit signal).  Without
+  /// `wait`, returns nullopt immediately when nothing is queued.
+  [[nodiscard]] std::optional<Entry> pop(bool wait = true);
 
   /// Stops admissions and wakes every blocked consumer.  Queued entries
   /// remain poppable: close-then-drain is the shutdown protocol.
@@ -147,19 +136,18 @@ class AdmissionQueue {
 };
 
 /// The streaming front end.  One instance per PlacementService; the
-/// stream_* knobs of the SearchConfig given at construction size the queue
-/// and the dispatcher pool, and the same config is the search
-/// configuration every request is planned with.
+/// SearchConfig given at construction sizes the queue
+/// (stream_queue_capacity) and is the search configuration every request
+/// is planned with.
 class StreamingService {
  public:
   /// `service` must outlive the streaming service.  With
-  /// `start_dispatchers` (the default) a pool of
-  /// config.stream_dispatch_threads dispatcher threads drains the queue;
-  /// with false, nothing runs until dispatch_once() is called — the
+  /// `start_dispatcher` (the default) one dispatcher thread drains the
+  /// queue; with false, nothing runs until dispatch_once() is called — the
   /// deterministic mode the interleaving tests (and any caller that wants
   /// to pump the queue itself) use.  `config.validate()` is enforced.
   StreamingService(PlacementService& service, SearchConfig config,
-                   bool start_dispatchers = true);
+                   bool start_dispatcher = true);
   ~StreamingService();  ///< shutdown()
 
   StreamingService(const StreamingService&) = delete;
@@ -172,14 +160,14 @@ class StreamingService {
 
   /// Stops admissions; already-queued requests still drain.
   void close();
-  /// close(), then joins the dispatchers; in manual mode (no dispatcher
-  /// threads) drains the queue inline first.  Idempotent.
+  /// close(), then joins the dispatcher; in manual mode (no dispatcher
+  /// thread) drains the queue inline instead.  Idempotent.
   void shutdown();
 
-  /// Manual pump: form and process one batch.  Returns the number of
-  /// requests completed (0 = queue empty).  Only meaningful in manual
-  /// mode; racing it against a running dispatcher pool is safe but makes
-  /// batch composition nondeterministic.
+  /// Manual pump: take and process one request.  Returns the number of
+  /// requests completed (0 = queue empty, else 1).  Only meaningful in
+  /// manual mode; racing it against a running dispatcher is safe but makes
+  /// the order of commits nondeterministic.
   std::size_t dispatch_once();
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
@@ -187,12 +175,12 @@ class StreamingService {
 
  private:
   void dispatcher_loop();
-  std::size_t process_batch(std::vector<AdmissionQueue::Entry> batch);
+  void process(AdmissionQueue::Entry entry);
 
   PlacementService* service_;
   SearchConfig config_;
   AdmissionQueue queue_;
-  std::vector<std::thread> dispatchers_;
+  std::thread dispatcher_;
   std::mutex shutdown_mutex_;
   bool shut_down_ = false;
 };

@@ -57,13 +57,6 @@ void SearchConfig::validate() const {
     throw std::invalid_argument(
         "SearchConfig: stream_queue_capacity must be >= 1");
   }
-  if (stream_max_batch == 0) {
-    throw std::invalid_argument("SearchConfig: stream_max_batch must be >= 1");
-  }
-  if (stream_dispatch_threads == 0) {
-    throw std::invalid_argument(
-        "SearchConfig: stream_dispatch_threads must be >= 1");
-  }
 }
 
 }  // namespace ostro::core

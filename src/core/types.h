@@ -107,16 +107,6 @@ struct SearchConfig {
   /// into unbounded latency.  Must be >= 1.
   std::size_t stream_queue_capacity = 1024;
 
-  /// core::StreamingService only: how many queued requests a dispatcher
-  /// batches against one shared occupancy snapshot (plan every member with
-  /// no lock held, validate-and-commit the group under one writer-lock
-  /// acquisition).  1 degenerates to per-request dispatch.  Must be >= 1.
-  std::size_t stream_max_batch = 8;
-
-  /// core::StreamingService only: dispatcher threads draining the
-  /// admission queue (each forms its own batches).  Must be >= 1.
-  std::size_t stream_dispatch_threads = 1;
-
   /// DBA* children beam: after candidate generation (and the symmetry
   /// rules) only the best this-many children by estimated utility are
   /// queued.  Bounds the branching factor — a 2400-host fleet otherwise

@@ -70,9 +70,8 @@ OstroHeatWrapper::StreamedStack OstroHeatWrapper::submit_streamed(
   request.priority = priority;
   request.deadline_seconds = deadline_seconds;
   // Same commit step as process(), shared with the caller through `stack`:
-  // the dispatcher runs it under the service writer lock after the batch
-  // gate validated the plan, so the engine deploy stays TOCTOU-free even
-  // when the request was batched with others.
+  // the dispatcher runs it under the service writer lock after the commit
+  // gate validated the plan, so the engine deploy stays TOCTOU-free.
   request.committer = [state = streamed.stack, document = template_document,
                        parsed = std::move(parsed), this](
                           const core::Placement& placement,

@@ -57,7 +57,7 @@ class OstroHeatWrapper {
                                            core::Algorithm algorithm);
 
   /// A stack admitted to the streaming front end.  `result` resolves when
-  /// a dispatcher completes the request; `stack` is shared with the commit
+  /// the dispatcher completes the request; `stack` is shared with the commit
   /// step and carries the annotated template and engine deployment once
   /// the result is ready (merge the placement from the StreamResult).
   struct StreamedStack {
@@ -68,9 +68,9 @@ class OstroHeatWrapper {
   /// Streamed pipeline: parse, then enqueue on `stream` (which must front
   /// the same PlacementService this wrapper deploys through) with the
   /// annotate+deploy step as the request's commit step — the same
-  /// TOCTOU-free shape as process(), but batched, prioritized and
-  /// deadline-gated by the admission queue.  Template parse errors resolve
-  /// the future immediately as kFailed.
+  /// TOCTOU-free shape as process(), but prioritized and deadline-gated by
+  /// the admission queue.  Template parse errors resolve the future
+  /// immediately as kFailed.
   [[nodiscard]] StreamedStack submit_streamed(
       core::StreamingService& stream, const util::Json& template_document,
       core::Algorithm algorithm,

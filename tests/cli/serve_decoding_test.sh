@@ -10,9 +10,11 @@
 #      without being read;
 #   6. a line of 64 MiB + 1 byte: rejected, over the same limit, and
 #      skipped through its newline;
-#   7. a valid inline one-VM stack: committed, so reading went on.
-# The answers must come in that order and serve must exit 0.  serve runs
-# under `timeout`, so a hang fails the test instead of stalling it.
+#   7. a valid inline one-VM stack: committed, so reading went on.  It
+#      lands on the host answer 3 activated, so it activates none.
+# The answers must come in that order, carry only documented fields, and
+# serve must exit 0.  serve runs under `timeout`, so a hang fails the test
+# instead of stalling it.
 #
 # Usage: serve_decoding_test.sh OSTRO_BINARY DATACENTER_JSON
 set -eu
@@ -61,12 +63,22 @@ expect() {
 }
 expect 1 '"id":"req-0"' '"status":"rejected"' 'nesting deeper'
 expect 2 '"id":"fifo"' '"status":"rejected"' "$work/template.fifo"
-expect 3 '"id":"inline"' '"status":"committed"' '"truncated":false' \
-  '"hit_open_limit":false'
+expect 3 '"id":"inline"' '"status":"committed"' '"new_active_hosts":1' \
+  '"truncated":false' '"hit_open_limit":false'
 expect 4 '"id":"missing"' '"status":"rejected"' "$work/missing.json" \
   'No such file'
 expect 5 '"id":"huge"' '"status":"rejected"' "$work/huge.json" \
   'over the 67108864 limit'
 expect 6 '"id":"req-5"' '"status":"rejected"' 'over the 67108864 limit'
-expect 7 '"id":"after-long"' '"status":"committed"'
+expect 7 '"id":"after-long"' '"status":"committed"' '"new_active_hosts":0'
+# Every answer field is one the README documents.
+for key in $(grep -o '"[a-z_]*":' "$work/results.ndjson" | sort -u); do
+  case $key in
+    '"id":' | '"status":' | '"wait_seconds":' | '"conflicts":' | \
+      '"retries":' | '"truncated":' | '"hit_open_limit":' | '"utility":' | \
+      '"reserved_bandwidth_mbps":' | '"new_active_hosts":' | \
+      '"commit_epoch":' | '"failure":') ;;
+    *) fail "an answer carries the undocumented field $key" ;;
+  esac
+done
 echo "OK"

@@ -148,7 +148,7 @@ TEST(WrapperStreamTest, StreamedStackDeploysLikeProcess) {
   OstroHeatWrapper wrapper(service, engine);
 
   core::StreamingService stream(service, core::SearchConfig{},
-                               /*start_dispatchers=*/false);
+                               /*start_dispatcher=*/false);
 
   auto streamed = wrapper.submit_streamed(
       stream, util::Json::parse(kTemplate), core::Algorithm::kEg,
@@ -181,7 +181,7 @@ TEST(WrapperStreamTest, BadTemplateResolvesImmediatelyAsFailed) {
   OstroHeatWrapper wrapper(service, engine);
 
   core::StreamingService stream(service, core::SearchConfig{},
-                               /*start_dispatchers=*/false);
+                               /*start_dispatcher=*/false);
 
   auto streamed = wrapper.submit_streamed(
       stream, util::Json::parse(R"({"resources": {"x": {"type": "Bad"}}})"),

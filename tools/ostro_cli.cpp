@@ -8,8 +8,7 @@
 //                  [--commit-out occ2.json] [--service-threads N]
 //   ostro serve    --datacenter dc.json [--occupancy occ.json]
 //                  [--in FIFO|-] [--results FILE|-]
-//                  [--stream-queue-capacity N] [--stream-batch K]
-//                  [--stream-dispatch-threads D]
+//                  [--stream-queue-capacity N]
 //   ostro validate --datacenter dc.json --template app.json
 //                  --placement placement.json [--occupancy occ.json]
 //   ostro report   --datacenter dc.json [--occupancy occ.json]
@@ -387,20 +386,14 @@ int cmd_serve(util::ArgParser& args) {
   const auto default_algorithm =
       core::parse_algorithm(args.get_string("algorithm"));
 
-  // Negative or zero stream knobs are argument errors, not silent modes
-  // (the --service-threads lesson applied to the new flags).
-  const auto stream_knob = [&](const char* name) {
-    const std::int64_t value = args.get_int(name);
-    if (value <= 0) {
-      throw std::invalid_argument(std::string("--") + name +
-                                  " must be >= 1, got " +
-                                  std::to_string(value));
-    }
-    return static_cast<std::size_t>(value);
-  };
-  config.stream_queue_capacity = stream_knob("stream-queue-capacity");
-  config.stream_max_batch = stream_knob("stream-batch");
-  config.stream_dispatch_threads = stream_knob("stream-dispatch-threads");
+  // A negative or zero capacity is an argument error, not a silent mode
+  // (the --service-threads lesson).
+  const std::int64_t capacity = args.get_int("stream-queue-capacity");
+  if (capacity <= 0) {
+    throw std::invalid_argument("--stream-queue-capacity must be >= 1, got " +
+                                std::to_string(capacity));
+  }
+  config.stream_queue_capacity = static_cast<std::size_t>(capacity);
 
   core::OstroScheduler scheduler(datacenter, config);
   scheduler.occupancy() = occupancy;
@@ -454,8 +447,6 @@ int cmd_serve(util::ArgParser& args) {
         const core::StreamResult result = item.second.get();
         response["status"] = core::to_string(result.status);
         response["wait_seconds"] = result.wait_seconds;
-        response["batch_size"] = static_cast<int>(result.batch_size);
-        response["spills"] = static_cast<int>(result.spills);
         response["conflicts"] =
             static_cast<int>(result.service.conflicts);
         response["retries"] = static_cast<int>(result.service.retries);
@@ -549,7 +540,7 @@ int cmd_serve(util::ArgParser& args) {
     cv.notify_one();
   }
 
-  stream.close();  // no new admissions; dispatchers drain the queue
+  stream.close();  // no new admissions; the dispatcher drains the queue
   {
     const std::lock_guard<std::mutex> lock(mutex);
     input_done = true;
@@ -660,10 +651,6 @@ int main(int argc, char** argv) {
     args.add_int("stream-queue-capacity", 1024,
                  "bounded admission-queue capacity (submits beyond it are "
                  "rejected)");
-    args.add_int("stream-batch", 8,
-                 "requests batched against one shared occupancy snapshot");
-    args.add_int("stream-dispatch-threads", 1,
-                 "dispatcher threads draining the admission queue");
   }
   if (command == "validate") {
     args.add_string("placement", "", "placement JSON to validate");
