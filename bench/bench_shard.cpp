@@ -55,11 +55,13 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
   bench::apply_metrics_flags(args);
 
+  // The smoke fleet (2 sites x 4 pods x 1 rack x 16 hosts) is split below
+  // the site level at 4 and 8 shards, so its sweep reaches cross-shard
+  // commits over split-site uplinks.
   const bool smoke = args.flag("smoke");
   const int sites = smoke ? 2 : static_cast<int>(args.get_int("sites"));
-  const int pods = smoke ? 2 : static_cast<int>(args.get_int("pods"));
-  const int racks = smoke ? 2 : static_cast<int>(args.get_int("racks"));
-  const int hosts_per_rack = smoke ? 4 : 16;
+  const int pods = smoke ? 4 : static_cast<int>(args.get_int("pods"));
+  const int racks = smoke ? 1 : static_cast<int>(args.get_int("racks"));
   const int stacks = smoke ? 48 : static_cast<int>(args.get_int("stacks"));
   const int stack_vms = static_cast<int>(args.get_int("stack-vms"));
   const std::size_t threads =
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   const dc::DataCenter datacenter =
-      sim::make_wan(sites, pods, racks, hosts_per_rack);
+      sim::make_wan(sites, pods, racks, /*hosts_per_rack=*/16);
   const std::uint32_t total_pods =
       static_cast<std::uint32_t>(datacenter.pods().size());
 

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/objective.h"
 #include "core/verify.h"
 #include "datacenter/state_delta.h"
 #include "util/metrics.h"
@@ -29,6 +30,17 @@ bool fits_live(const dc::Occupancy& live, const topo::AppTopology& topology,
 }
 
 }  // namespace
+
+void report_activated_hosts(Placement& placement, std::size_t activated,
+                            const topo::AppTopology& topology,
+                            const dc::DataCenter& datacenter,
+                            const SearchConfig& config) {
+  const int hosts = static_cast<int>(activated);
+  if (hosts == placement.new_active_hosts) return;
+  placement.new_active_hosts = hosts;
+  placement.utility = Objective(topology, datacenter, config)
+                          .utility(placement.reserved_bandwidth_mbps, hosts);
+}
 
 std::uint64_t PlacementService::epoch() const {
   const std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -309,6 +321,22 @@ ServiceResult PlacementService::place_with(const topo::AppTopology& topology,
       util::metrics::counter("service.retries");
   m_requests.inc();
 
+  // The commit step, under the writer lock, counts the hosts it activates.
+  std::size_t activated = 0;
+  const Committer counted = [&](const Placement& placement,
+                                std::string& failure) {
+    const dc::Occupancy& live = scheduler_->occupancy();
+    const std::size_t before = live.active_host_count();
+    bool ok = true;
+    if (committer) {
+      ok = committer(placement, failure);
+    } else {
+      scheduler_->commit(topology, placement);
+    }
+    activated = live.active_host_count() - before;
+    return ok;
+  };
+
   ServiceResult result;
   for (std::uint32_t attempt = 0;; ++attempt) {
     PlannedPlacement planned = plan(topology, algorithm, config);
@@ -319,9 +347,13 @@ ServiceResult PlacementService::place_with(const topo::AppTopology& topology,
       return result;
     }
     const CommitOutcome outcome =
-        try_commit_with(topology, planned, committer, &result.commit_epoch);
+        try_commit_with(topology, planned, counted, &result.commit_epoch);
     if (outcome != CommitOutcome::kConflict) {
-      if (outcome == CommitOutcome::kCommitted) m_committed.inc();
+      if (outcome == CommitOutcome::kCommitted) {
+        m_committed.inc();
+        report_activated_hosts(planned.placement, activated, topology,
+                               datacenter(), config);
+      }
       result.placement = std::move(planned.placement);
       return result;
     }

@@ -69,6 +69,17 @@ struct ServiceResult {
   std::uint64_t commit_epoch = 0;
 };
 
+/// Makes a committed placement report the `activated` hosts its commit
+/// turned on.  A stale plan that still fit may land on hosts a competing
+/// commit activated after its snapshot; its `new_active_hosts` and
+/// `utility` are then re-priced over `datacenter`, the one it was planned
+/// on.  A fresh plan activates exactly the hosts it counted and keeps its
+/// numbers bit for bit.
+void report_activated_hosts(Placement& placement, std::size_t activated,
+                            const topo::AppTopology& topology,
+                            const dc::DataCenter& datacenter,
+                            const SearchConfig& config);
+
 class PlacementService {
  public:
   /// What try_commit did with a planned placement.
@@ -162,7 +173,10 @@ class PlacementService {
   /// scheduler commit.  On kCommitted, `planned.placement.committed` is
   /// set and `commit_epoch` (when non-null) receives the post-commit
   /// epoch.  On kConflict the placement is untouched so the caller can
-  /// inspect or replan.
+  /// inspect or replan.  The placement keeps the plan's own
+  /// `new_active_hosts` and `utility`, even when a competing commit
+  /// activated some of its hosts since the snapshot; place() and
+  /// place_with() report what the commit activated.
   CommitOutcome try_commit(const topo::AppTopology& topology,
                            PlannedPlacement& planned,
                            std::uint64_t* commit_epoch = nullptr);
@@ -174,7 +188,8 @@ class PlacementService {
   /// The full request: plan → try_commit → bounded conflict-retry ladder.
   /// The returned placement has `committed` set iff it was applied;
   /// otherwise `failure_reason` says why (infeasible, overcommitted, or
-  /// conflict ladder exhausted).
+  /// conflict ladder exhausted).  A committed placement reports the hosts
+  /// its commit activated (report_activated_hosts).
   ServiceResult place(const topo::AppTopology& topology, Algorithm algorithm);
   ServiceResult place(const topo::AppTopology& topology, Algorithm algorithm,
                       const SearchConfig& config);

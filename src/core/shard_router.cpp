@@ -1,6 +1,7 @@
 #include "core/shard_router.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -47,35 +48,6 @@ const ShardConfig& validated(const ShardConfig& config) {
   return config;
 }
 
-/// Sets each op's link in `used` to step(current value, op), in order; at
-/// the first nullopt restores every link set so far and returns that op
-/// (nullptr when all applied).  Throws std::invalid_argument on a malformed
-/// op before touching anything.
-template <class Step>
-const CrossShardLedger::Op* apply_all_or_nothing(
-    std::vector<double>& used, const std::vector<CrossShardLedger::Op>& ops,
-    Step step) {
-  for (const CrossShardLedger::Op& op : ops) {
-    if (op.link >= used.size() || op.mbps < 0.0) {
-      throw std::invalid_argument("CrossShardLedger: malformed op");
-    }
-  }
-  std::vector<std::pair<dc::LinkId, double>> saved;
-  saved.reserve(ops.size());
-  for (const CrossShardLedger::Op& op : ops) {
-    const std::optional<double> next = step(used[op.link], op);
-    if (!next) {
-      for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-        used[it->first] = it->second;
-      }
-      return &op;
-    }
-    saved.emplace_back(op.link, used[op.link]);
-    used[op.link] = *next;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 void ShardConfig::validate() const {
@@ -84,99 +56,35 @@ void ShardConfig::validate() const {
   }
 }
 
-// ---------------------------------------------------------------- ledger
-
-CrossShardLedger::CrossShardLedger(const dc::DataCenter& global)
-    : dc_(&global), used_(global.link_count(), 0.0) {}
-
-bool CrossShardLedger::try_reserve(const std::vector<Op>& ops) {
-  static util::metrics::Counter& m_reservations =
-      util::metrics::counter("shard.ledger_reservations");
-  static util::metrics::Counter& m_conflicts =
-      util::metrics::counter("shard.ledger_conflicts");
-  if (ops.empty()) return true;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Op* rejected =
-      apply_all_or_nothing(used_, ops, [this](double used, const Op& op) {
-        return dc::link_after_reserve(used, op.mbps,
-                                      dc_->link_capacity(op.link));
-      });
-  if (rejected != nullptr) {
-    m_conflicts.inc();
-    return false;
-  }
-  m_reservations.add(ops.size());
-  return true;
-}
-
-void CrossShardLedger::release(const std::vector<Op>& ops) {
-  static util::metrics::Counter& m_releases =
-      util::metrics::counter("shard.ledger_releases");
-  if (ops.empty()) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Op* rejected =
-      apply_all_or_nothing(used_, ops, [](double used, const Op& op) {
-        return dc::link_after_release(used, op.mbps);
-      });
-  if (rejected != nullptr) {
-    throw std::invalid_argument(
-        "CrossShardLedger: releasing more than reserved on " +
-        dc_->link_name(rejected->link));
-  }
-  m_releases.add(ops.size());
-}
-
-double CrossShardLedger::used_mbps(dc::LinkId link) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return used_.at(link);
-}
-
-void CrossShardLedger::overlay(dc::Occupancy& global_occupancy) const {
-  dc::OccupancyDelta stitch(global_occupancy);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (dc::LinkId link = 0; link < used_.size(); ++link) {
-      if (used_[link] > 0.0) stitch.reserve_link(link, used_[link]);
-    }
-  }
-  global_occupancy.apply_delta(stitch);
-}
-
 // ------------------------------------------------------------- decompose
 
-DecomposedOps decompose_ops(const dc::ShardLayout& layout,
-                            const topo::AppTopology& topology,
-                            const net::Assignment& assignment) {
+std::vector<ShardOps> decompose_ops(const dc::ShardLayout& layout,
+                                    const topo::AppTopology& topology,
+                                    const net::Assignment& assignment) {
   const net::StackOps global =
       net::stack_ops(layout.global(), topology, assignment);
-  DecomposedOps out;
-  // Shard id -> index into out.shards, grown on first touch.
-  std::vector<std::uint32_t> slot(layout.shard_count(),
-                                  dc::ShardLayout::kLedgerOwned);
+  std::vector<ShardOps> out;
+  // Shard id -> index into out, grown on first touch.
+  constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> slot(layout.shard_count(), kNoSlot);
   const auto shard_ops = [&](std::uint32_t shard) -> net::StackOps& {
-    if (slot[shard] == dc::ShardLayout::kLedgerOwned) {
-      slot[shard] = static_cast<std::uint32_t>(out.shards.size());
-      out.shards.push_back(ShardOps{shard, {}});
+    if (slot[shard] == kNoSlot) {
+      slot[shard] = static_cast<std::uint32_t>(out.size());
+      out.push_back(ShardOps{shard, {}});
     }
-    return out.shards[slot[shard]].ops;
+    return out[slot[shard]].ops;
   };
   for (const auto& [host, load] : global.host_loads) {
     shard_ops(layout.shard_of_host(host))
         .host_loads.emplace_back(layout.to_local_host(host), load);
   }
   for (const auto& [link, mbps] : global.link_mbps) {
-    const std::uint32_t owner = layout.link_owner(link);
-    if (owner == dc::ShardLayout::kLedgerOwned) {
-      out.ledger.push_back({link, mbps});
-    } else {
-      shard_ops(owner).link_mbps.emplace_back(layout.to_local_link(link),
-                                              mbps);
-    }
+    shard_ops(layout.link_owner(link))
+        .link_mbps.emplace_back(layout.to_local_link(link), mbps);
   }
-  std::sort(out.shards.begin(), out.shards.end(),
-            [](const ShardOps& a, const ShardOps& b) {
-              return a.shard < b.shard;
-            });
+  std::sort(out.begin(), out.end(), [](const ShardOps& a, const ShardOps& b) {
+    return a.shard < b.shard;
+  });
   return out;
 }
 
@@ -184,9 +92,7 @@ DecomposedOps decompose_ops(const dc::ShardLayout& layout,
 
 ShardRouter::ShardRouter(const dc::DataCenter& global,
                          const ShardConfig& config, SearchConfig defaults)
-    : config_(validated(config)),
-      layout_(global, config.shards),
-      ledger_(global) {
+    : config_(validated(config)), layout_(global, config.shards) {
   schedulers_.reserve(layout_.shard_count());
   services_.reserve(layout_.shard_count());
   for (std::uint32_t k = 0; k < layout_.shard_count(); ++k) {
@@ -224,7 +130,6 @@ dc::Occupancy ShardRouter::stitched_snapshot() const {
     const dc::Occupancy snap = services_[k]->snapshot();
     layout_.overlay(stitched, k, snap);
   }
-  ledger_.overlay(stitched);
   return stitched;
 }
 
@@ -361,9 +266,12 @@ ShardRouter::Result ShardRouter::place(
     const StackId stack_id =
         next_stack_id_.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t epoch = 0;
-    if (try_two_phase_commit(topology, planned.assignment, stack_id,
-                             &epoch)) {
+    std::size_t activated = 0;
+    if (try_two_phase_commit(topology, planned.assignment, stack_id, &epoch,
+                             &activated)) {
       planned.committed = true;
+      report_activated_hosts(planned, activated, topo_ref, layout_.global(),
+                             config);
       registry_.add(stack_id, topology, planned.assignment);
       result.service.placement = std::move(planned);
       result.stack_id = stack_id;
@@ -390,14 +298,16 @@ ShardRouter::Result ShardRouter::place(
 bool ShardRouter::try_two_phase_commit(
     const std::shared_ptr<const topo::AppTopology>& topology,
     const net::Assignment& assignment, StackId stack_id,
-    std::uint64_t* epoch) {
-  const DecomposedOps ops = decompose_ops(layout_, *topology, assignment);
+    std::uint64_t* epoch, std::size_t* activated) {
+  const std::vector<ShardOps> ops =
+      decompose_ops(layout_, *topology, assignment);
   // Phase 1a — lock every participant in ascending shard id (decompose_ops
   // sorts), the global order that makes concurrent two-phase commits
-  // deadlock-free.
+  // deadlock-free.  The owner of a split site's uplink is a participant
+  // when a pipe crosses it, even if it holds none of the stack's hosts.
   std::vector<PlacementService::ExclusiveSession> sessions;
-  sessions.reserve(ops.shards.size());
-  for (const ShardOps& shard_ops : ops.shards) {
+  sessions.reserve(ops.size());
+  for (const ShardOps& shard_ops : ops) {
     sessions.push_back(services_[shard_ops.shard]->exclusive());
   }
   // Phase 1b — stage one delta per participant against its LIVE occupancy.
@@ -406,24 +316,24 @@ bool ShardRouter::try_two_phase_commit(
   // against a stale stitch) and aborts with nothing touched — the sessions
   // unlock via RAII.  Any other exception is corruption and propagates.
   std::vector<dc::OccupancyDelta> deltas;
-  deltas.reserve(ops.shards.size());
+  deltas.reserve(ops.size());
   try {
-    for (std::size_t i = 0; i < ops.shards.size(); ++i) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
       net::stage_ops(deltas.emplace_back(sessions[i].occupancy()),
-                     ops.shards[i].ops, net::OpDirection::kReserve);
+                     ops[i].ops, net::OpDirection::kReserve);
     }
   } catch (const std::invalid_argument&) {
-    return false;
-  }
-  // Phase 1c — the shared wide-area uplinks, all-or-nothing.
-  if (!ledger_.try_reserve(ops.ledger)) {
     return false;
   }
   // Phase 2 — commit: flush every staged delta.  Cannot fail: each delta
   // was validated against the occupancy it flushes into, and the writer
   // locks are still held.
-  for (std::size_t i = 0; i < ops.shards.size(); ++i) {
-    sessions[i].occupancy().apply_delta(deltas[i]);
+  *activated = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    dc::Occupancy& occupancy = sessions[i].occupancy();
+    const std::size_t before = occupancy.active_host_count();
+    occupancy.apply_delta(deltas[i]);
+    *activated += occupancy.active_host_count() - before;
   }
   *epoch = append_commit(CommitKind::kPlace, stack_id, topology, assignment);
   return true;
@@ -434,19 +344,18 @@ bool ShardRouter::release_stack(StackId id) {
       util::metrics::counter("router.releases");
   const std::optional<DeployedStack> stack = registry_.remove(id);
   if (!stack.has_value()) return false;  // double-release guard
-  const DecomposedOps ops =
+  const std::vector<ShardOps> ops =
       decompose_ops(layout_, *stack->topology, stack->assignment);
   std::vector<PlacementService::ExclusiveSession> sessions;
-  sessions.reserve(ops.shards.size());
-  for (const ShardOps& shard_ops : ops.shards) {
+  sessions.reserve(ops.size());
+  for (const ShardOps& shard_ops : ops) {
     sessions.push_back(services_[shard_ops.shard]->exclusive());
   }
   // A throw here means corrupted accounting and propagates.
-  for (std::size_t i = 0; i < ops.shards.size(); ++i) {
-    net::apply_ops(sessions[i].occupancy(), ops.shards[i].ops,
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    net::apply_ops(sessions[i].occupancy(), ops[i].ops,
                    net::OpDirection::kRelease);
   }
-  ledger_.release(ops.ledger);
   append_commit(CommitKind::kRelease, id, stack->topology, stack->assignment);
   m_releases.inc();
   return true;
@@ -455,8 +364,8 @@ bool ShardRouter::release_stack(StackId id) {
 // ----------------------------------------------------------------- replay
 
 std::vector<dc::Occupancy> replay_commit_log(
-    const dc::ShardLayout& layout, std::vector<ShardRouter::CommitRecord> log,
-    CrossShardLedger* ledger) {
+    const dc::ShardLayout& layout,
+    std::vector<ShardRouter::CommitRecord> log) {
   std::sort(log.begin(), log.end(),
             [](const ShardRouter::CommitRecord& a,
                const ShardRouter::CommitRecord& b) {
@@ -467,22 +376,14 @@ std::vector<dc::Occupancy> replay_commit_log(
   for (std::uint32_t k = 0; k < layout.shard_count(); ++k) {
     occupancies.emplace_back(layout.shard_datacenter(k));
   }
-  CrossShardLedger local_ledger(layout.global());
-  CrossShardLedger& led = ledger != nullptr ? *ledger : local_ledger;
   for (const ShardRouter::CommitRecord& record : log) {
-    const DecomposedOps ops =
-        decompose_ops(layout, *record.topology, record.assignment);
-    const bool place = record.kind == ShardRouter::CommitKind::kPlace;
-    for (const ShardOps& shard_ops : ops.shards) {
-      net::apply_ops(occupancies[shard_ops.shard], shard_ops.ops,
-                     place ? net::OpDirection::kReserve
-                           : net::OpDirection::kRelease);
-    }
-    if (!place) {
-      led.release(ops.ledger);
-    } else if (!led.try_reserve(ops.ledger)) {
-      throw std::logic_error(
-          "replay_commit_log: ledger reservation failed in serial order");
+    const net::OpDirection direction =
+        record.kind == ShardRouter::CommitKind::kPlace
+            ? net::OpDirection::kReserve
+            : net::OpDirection::kRelease;
+    for (const ShardOps& shard_ops :
+         decompose_ops(layout, *record.topology, record.assignment)) {
+      net::apply_ops(occupancies[shard_ops.shard], shard_ops.ops, direction);
     }
   }
   return occupancies;

@@ -45,8 +45,8 @@ ShardLayout::ShardLayout(const DataCenter& global, std::uint32_t shard_count)
     site_pods[pod.datacenter] += 1;
   }
 
+  constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
   shard_of_pod_.assign(num_pods, 0);
-  site_split_.assign(num_sites, false);
 
   if (shard_count <= num_sites) {
     // Whole-site bins: sites in id order, each to the smallest bin (by host
@@ -71,7 +71,7 @@ ShardLayout::ShardLayout(const DataCenter& global, std::uint32_t shard_count)
     std::vector<std::uint32_t> shares(num_sites, 1);
     for (std::uint32_t extra = shard_count - static_cast<std::uint32_t>(num_sites);
          extra > 0; --extra) {
-      std::uint32_t best = kLedgerOwned;
+      std::uint32_t best = kUnmapped;
       double best_score = -1.0;
       for (std::uint32_t s = 0; s < num_sites; ++s) {
         if (shares[s] >= site_pods[s]) continue;  // cannot split further
@@ -88,7 +88,6 @@ ShardLayout::ShardLayout(const DataCenter& global, std::uint32_t shard_count)
     std::uint32_t next_shard = 0;
     for (const Site& site : global.sites()) {
       const std::uint32_t groups = shares[site.id];
-      if (groups > 1) site_split_[site.id] = true;
       std::vector<std::size_t> group_hosts(groups, 0);
       for (const std::uint32_t pod : site.pods) {
         std::uint32_t best = 0;
@@ -135,9 +134,8 @@ ShardLayout::ShardLayout(const DataCenter& global, std::uint32_t shard_count)
       global.scope_latency_us(Scope::kSameSite),
       global.scope_latency_us(Scope::kCrossSite)};
 
-  constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
   local_host_of_.assign(global.host_count(), kInvalidHost);
-  link_owner_.assign(global.link_count(), kLedgerOwned);
+  link_owner_.assign(global.link_count(), kUnmapped);
   local_link_of_.assign(global.link_count(), 0);
 
   std::vector<std::uint32_t> local_site(num_sites);
@@ -188,8 +186,9 @@ ShardLayout::ShardLayout(const DataCenter& global, std::uint32_t shard_count)
     shard.dc = builder.build();
 
     // Link mapping for this shard.  A split site appears in several shards;
-    // each maps its local site uplink to the same global link, but the link
-    // is ledger-owned (no shard's local paths ever traverse it).
+    // each maps its local site uplink to the same global link, and the
+    // first of them in id order owns it (no shard's local paths ever
+    // traverse it, so only cross-shard placements load the owner's copy).
     shard.local_to_global_link.assign(shard.dc.link_count(), 0);
     for (const HostId gh : shard.local_to_global_host) {
       const LinkId g = global.host_link(gh);
@@ -219,16 +218,10 @@ ShardLayout::ShardLayout(const DataCenter& global, std::uint32_t shard_count)
       const LinkId g = global.site_link(site.id);
       const LinkId l = shard.dc.site_link(local_site[site.id]);
       shard.local_to_global_link[l] = g;
-      if (!site_split_[site.id]) {
+      if (link_owner_[g] == kUnmapped) {
         link_owner_[g] = k;
         local_link_of_[g] = l;
       }
-    }
-  }
-
-  for (std::uint32_t s = 0; s < num_sites; ++s) {
-    if (site_split_[s]) {
-      shared_links_.push_back(global.site_link(s));
     }
   }
 }

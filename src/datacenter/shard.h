@@ -14,10 +14,11 @@
 //     split site (its local paths top out at same-site scope), so the shard
 //     can validate every link it touches against its own local capacity
 //     with no global knowledge.
-//   * Every link of a cross-shard path is owned by exactly one participant
-//     shard, except the uplinks of split sites, which are shared between
-//     that site's shards — those are tracked by the cross-shard link ledger
-//     (link_owner() == kLedgerOwned, listed in shared_links()).
+//   * Every global link is owned by exactly one shard.  Host, rack and pod
+//     links belong to the shard of their pod.  Each shard of a split site
+//     holds a copy of the site uplink, with the global capacity; the lowest
+//     of them owns it, and only cross-shard placements ever load it, so the
+//     other copies stay at zero.
 //
 // Partitioning policy (deterministic):
 //   * shard_count <= sites: whole sites are binned greedily by host count
@@ -45,11 +46,6 @@ namespace ostro::dc {
 
 class ShardLayout {
  public:
-  /// link_owner() value for the shared uplinks of split sites: no shard owns
-  /// them; reservations go through the cross-shard ledger.
-  static constexpr std::uint32_t kLedgerOwned =
-      static_cast<std::uint32_t>(-1);
-
   /// Partitions `global` into `shard_count` shards.  Throws
   /// std::invalid_argument when shard_count is 0, exceeds the number of
   /// pods, or produces an empty shard (e.g. a host-less site).  `global`
@@ -76,11 +72,6 @@ class ShardLayout {
   [[nodiscard]] std::uint32_t shard_of_host(HostId host) const {
     return shard_of_host_.at(host);
   }
-  /// True when the site's pods are spread over more than one shard (its
-  /// uplink is then ledger-owned).
-  [[nodiscard]] bool site_split(std::uint32_t site) const {
-    return site_split_.at(site);
-  }
 
   // ---- host id mapping ----
   [[nodiscard]] HostId to_local_host(HostId global_host) const {
@@ -92,24 +83,18 @@ class ShardLayout {
   }
 
   // ---- link ownership and mapping ----
-  /// Owning shard of a global link, or kLedgerOwned for the shared uplink
-  /// of a split site.  Host/rack/pod links are always owned by the shard of
-  /// their pod; a site link is owned iff the site is unsplit.
+  /// Owning shard of a global link: the shard of the link's pod, or for a
+  /// site uplink the lowest shard holding a pod of that site.
   [[nodiscard]] std::uint32_t link_owner(LinkId global_link) const {
     return link_owner_.at(global_link);
   }
-  /// Local id of an OWNED global link in its owner shard.  Only valid when
-  /// link_owner() != kLedgerOwned.
+  /// Local id of a global link in its owner shard.
   [[nodiscard]] LinkId to_local_link(LinkId global_link) const {
     return local_link_of_.at(global_link);
   }
   [[nodiscard]] LinkId to_global_link(std::uint32_t shard,
                                       LinkId local_link) const {
     return shards_.at(shard).local_to_global_link.at(local_link);
-  }
-  /// Global ids of every ledger-owned (shared) link, ascending.
-  [[nodiscard]] const std::vector<LinkId>& shared_links() const noexcept {
-    return shared_links_;
   }
 
   /// Adds one shard's occupancy (host loads, link reservations, active
@@ -118,8 +103,8 @@ class ShardLayout {
   /// per touched host/link, carrying the shard's stored value, so the
   /// stitched state is bit-identical to a monolithic occupancy that
   /// performed the same logical mutations.  `shard_occupancy` must belong to
-  /// shard_datacenter(shard); split-site local uplinks always carry zero
-  /// (the invariant above), so shared links are never double-counted.
+  /// shard_datacenter(shard).  A split site's uplink carries bandwidth only
+  /// in its owner shard, so overlaying every shard counts it once.
   void overlay(Occupancy& global_occupancy, std::uint32_t shard,
                const Occupancy& shard_occupancy) const;
 
@@ -135,10 +120,8 @@ class ShardLayout {
   std::vector<std::uint32_t> shard_of_pod_;   // global pod -> shard
   std::vector<std::uint32_t> shard_of_host_;  // global host -> shard
   std::vector<HostId> local_host_of_;         // global host -> local id
-  std::vector<std::uint32_t> link_owner_;     // global link -> shard/ledger
+  std::vector<std::uint32_t> link_owner_;     // global link -> shard
   std::vector<LinkId> local_link_of_;         // global link -> local id
-  std::vector<LinkId> shared_links_;
-  std::vector<bool> site_split_;
 };
 
 }  // namespace ostro::dc

@@ -1,6 +1,7 @@
 #include "datacenter/state_delta.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -25,6 +26,20 @@ constexpr double kReleaseTolerance = 1e-6;
   return next <= kReleaseTolerance ? 0.0 : next;
 }
 
+/// Reserved bandwidth of a link holding `used` of `capacity` Mbps after
+/// reserving `mbps` more, or nullopt when that exceeds the capacity.
+[[nodiscard]] std::optional<double> link_after_reserve(
+    double used, double mbps, double capacity) noexcept {
+  if (used + mbps > capacity + kReserveSlack) return std::nullopt;
+  return used + mbps;
+}
+
+/// Reserved bandwidth after releasing `mbps` of `used` (see released).
+[[nodiscard]] std::optional<double> link_after_release(double used,
+                                                       double mbps) noexcept {
+  return released(used - mbps);
+}
+
 /// Position of `id` in an id-sorted entry table, or where it would go.
 /// Checks the back first so ascending bulk staging appends in O(1).
 template <class Entries, class Id>
@@ -36,16 +51,6 @@ template <class Entries, class Id>
 }
 
 }  // namespace
-
-std::optional<double> link_after_reserve(double used, double mbps,
-                                         double capacity) noexcept {
-  if (used + mbps > capacity + kReserveSlack) return std::nullopt;
-  return used + mbps;
-}
-
-std::optional<double> link_after_release(double used, double mbps) noexcept {
-  return released(used - mbps);
-}
 
 topo::Resources OccupancyDelta::available(HostId h) const {
   const auto it = slot_of(hosts_, h);

@@ -7,9 +7,10 @@
 // the staged value of the host or link it touches.  Occupancy::apply_delta
 // then writes each touched entry's staged value in one batch; it is the
 // only writer of an Occupancy's loads and bandwidth, so the check-and-clamp
-// arithmetic below exists once (core::CrossShardLedger runs its shared
-// uplinks through link_after_reserve and link_after_release).  A staging
-// that turns out infeasible never touches the base at all.  A staged value
+// arithmetic exists once, in state_delta.cpp.  Every link a placement
+// touches, the uplinks of sites split across shards included, lives in one
+// Occupancy (dc::ShardLayout::link_owner).  A staging that turns out
+// infeasible never touches the base at all.  A staged value
 // comes from the same ops in the same order whether they arrive in one
 // batch or one delta each, so batching never changes the result.
 //
@@ -25,23 +26,11 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "datacenter/occupancy.h"
 
 namespace ostro::dc {
-
-/// Reserved bandwidth of a link holding `used` of `capacity` Mbps after
-/// reserving `mbps` more, or nullopt when that exceeds the capacity by more
-/// than 1e-9.
-[[nodiscard]] std::optional<double> link_after_reserve(
-    double used, double mbps, double capacity) noexcept;
-/// Reserved bandwidth after releasing `mbps` of `used`, or nullopt when the
-/// release exceeds `used` by more than the 1e-6 over-release tolerance.  A
-/// result within that tolerance of zero is exactly 0.
-[[nodiscard]] std::optional<double> link_after_release(double used,
-                                                       double mbps) noexcept;
 
 class OccupancyDelta {
  public:
@@ -63,7 +52,7 @@ class OccupancyDelta {
   /// every host that received load active.
   void add_host_load(HostId h, const topo::Resources& load);
   /// Stages a bandwidth reservation; throws std::invalid_argument when the
-  /// link would exceed capacity (link_after_reserve).
+  /// link would exceed capacity by more than 1e-9.
   void reserve_link(LinkId link, double mbps);
 
   /// Stages a load release on host `h`; throws std::invalid_argument when
@@ -72,8 +61,9 @@ class OccupancyDelta {
   /// received leaves it at zero load.  Active flags are untouched: the
   /// caller decides when an emptied host goes dark (deactivate_if_idle).
   void remove_host_load(HostId h, const topo::Resources& load);
-  /// Stages a bandwidth release (link_after_release); throws
-  /// std::invalid_argument when more than is reserved would be released.
+  /// Stages a bandwidth release; throws std::invalid_argument when it
+  /// exceeds what is reserved by more than 1e-6.  A link left within 1e-6
+  /// of zero becomes exactly 0.
   void release_link(LinkId link, double mbps);
 
   /// Discards everything staged; the delta is reusable.

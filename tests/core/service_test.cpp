@@ -260,6 +260,34 @@ TEST(ServiceTest, CommitterRefusalIsRejectedNotRetried) {
   EXPECT_TRUE(scheduler.occupancy() == dc::Occupancy(datacenter));
 }
 
+// A stale plan that still fits commits, but a competing commit activated
+// its host after the snapshot: the request reports what its own commit
+// activated (no host) and re-prices its utility to match.
+TEST(ServiceTest, StaleCommitReportsTheHostsItActivated) {
+  const auto datacenter = small_dc(1, 2);  // two 8-core hosts
+  OstroScheduler scheduler(datacenter);
+  PlacementService service(scheduler);
+
+  std::atomic<bool> injected{false};
+  dc::HostId competitor = dc::kInvalidHost;
+  service.set_post_plan_hook([&](std::uint32_t) {
+    if (!injected.exchange(true)) {
+      const ServiceResult r = service.place(one_vm("b", 1.0), Algorithm::kEg);
+      ASSERT_TRUE(r.placement.committed);
+      EXPECT_EQ(r.placement.new_active_hosts, 1);
+      competitor = r.placement.assignment[0];
+    }
+  });
+
+  const ServiceResult result = service.place(one_vm("a", 1.0), Algorithm::kEg);
+  ASSERT_TRUE(result.placement.committed);
+  EXPECT_EQ(result.conflicts, 0u);
+  EXPECT_EQ(result.placement.assignment[0], competitor);
+  EXPECT_EQ(result.placement.new_active_hosts, 0);
+  EXPECT_EQ(result.placement.utility, 0.0);
+  EXPECT_EQ(scheduler.occupancy().active_host_count(), 1u);
+}
+
 // The stress test of the ISSUE's acceptance criteria: N threads x M stacks
 // against one service.  Every request either commits or reports why not;
 // afterwards the live occupancy must equal a *serial* replay of exactly

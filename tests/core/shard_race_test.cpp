@@ -6,9 +6,12 @@
 // global-epoch commit log; because each epoch is drawn while the
 // participating shard writer lock(s) are held, a SERIAL replay of the log
 // in global-epoch order must reproduce every shard's live occupancy bit
-// for bit — host loads, link accumulators, active flags — plus the shared-
-// uplink ledger.  All requirements and bandwidths are integral so releases
-// cancel reservations exactly.
+// for bit — host loads, link accumulators, active flags.  Both sites are
+// split, so cross-shard commits also load the site uplinks their owner
+// shards hold.  Every commit that touches a link draws its epoch under the
+// owner's writer lock, so the replay adds the same amounts to each link in
+// the same order; the test runs once with integral bandwidths and once with
+// multiples of 10/3 Mbps, whose sums depend on that order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,7 +29,8 @@
 namespace ostro::core {
 namespace {
 
-std::shared_ptr<const topo::AppTopology> small_stack(util::Rng& rng) {
+std::shared_ptr<const topo::AppTopology> small_stack(util::Rng& rng,
+                                                     double mbps_unit) {
   topo::TopologyBuilder builder;
   const int vms = static_cast<int>(rng.uniform_int(1, 3));
   for (int i = 0; i < vms; ++i) {
@@ -36,27 +40,31 @@ std::shared_ptr<const topo::AppTopology> small_stack(util::Rng& rng) {
   for (int i = 1; i < vms; ++i) {
     builder.connect(static_cast<topo::NodeId>(i - 1),
                     static_cast<topo::NodeId>(i),
-                    static_cast<double>(rng.uniform_int(1, 4)) * 10.0);
+                    static_cast<double>(rng.uniform_int(1, 4)) * mbps_unit);
   }
   return std::make_shared<const topo::AppTopology>(builder.build());
 }
 
 /// Datacenter-diversity pair: must straddle sites, hence shards.
-std::shared_ptr<const topo::AppTopology> spread_pair(util::Rng& rng) {
+std::shared_ptr<const topo::AppTopology> spread_pair(util::Rng& rng,
+                                                     double mbps_unit) {
   topo::TopologyBuilder builder;
   const double cpu = static_cast<double>(rng.uniform_int(1, 2));
   builder.add_vm("a", {cpu, cpu, 0.0});
   builder.add_vm("b", {cpu, cpu, 0.0});
-  builder.connect("a", "b", static_cast<double>(rng.uniform_int(1, 4)) * 5.0);
+  builder.connect("a", "b",
+                  static_cast<double>(rng.uniform_int(1, 4)) * mbps_unit / 2.0);
   builder.add_zone("spread", topo::DiversityLevel::kDatacenter,
                    std::vector<std::string>{"a", "b"});
   return std::make_shared<const topo::AppTopology>(builder.build());
 }
 
-TEST(ShardRaceTest, SerialReplayOfCommitLogReproducesEveryShard) {
+/// Races the router with pipes in multiples of `mbps_unit`, then replays
+/// its commit log serially.
+void race_and_replay(double mbps_unit) {
   const dc::DataCenter wan = sim::make_wan(2, 2, 1, 4);  // 16 hosts
   ShardConfig config;
-  config.shards = 4;  // both sites split: the ledger is exercised too
+  config.shards = 4;  // both sites split
   config.router_commit_log = true;
   ShardRouter router(wan, config);
 
@@ -85,7 +93,8 @@ TEST(ShardRaceTest, SerialReplayOfCommitLogReproducesEveryShard) {
         if (victim != 0) router.release_stack(victim);
         continue;
       }
-      const auto app = roll < 8 ? small_stack(rng) : spread_pair(rng);
+      const auto app = roll < 8 ? small_stack(rng, mbps_unit)
+                                : spread_pair(rng, mbps_unit);
       const ShardRouter::Result result = router.place(app, Algorithm::kEg);
       if (result.service.placement.committed) {
         const std::lock_guard<std::mutex> lock(live_mutex);
@@ -96,24 +105,29 @@ TEST(ShardRaceTest, SerialReplayOfCommitLogReproducesEveryShard) {
 
   // Serial replay in global-epoch order onto fresh per-shard occupancies
   // (over the SAME shard DataCenters, so operator== is meaningful).
-  CrossShardLedger replay_ledger(wan);
   const std::vector<dc::Occupancy> replayed =
-      replay_commit_log(router.layout(), router.commit_log(), &replay_ledger);
+      replay_commit_log(router.layout(), router.commit_log());
   ASSERT_EQ(replayed.size(), router.shard_count());
   for (std::uint32_t k = 0; k < router.shard_count(); ++k) {
     EXPECT_EQ(replayed[k], router.service(k).snapshot()) << "shard " << k;
-  }
-  for (const dc::LinkId link : router.layout().shared_links()) {
-    EXPECT_EQ(replay_ledger.used_mbps(link), router.ledger().used_mbps(link))
-        << "shared link " << link;
   }
   // And the stitch is internally consistent with the replayed parts.
   dc::Occupancy stitched(wan);
   for (std::uint32_t k = 0; k < router.shard_count(); ++k) {
     router.layout().overlay(stitched, k, replayed[k]);
   }
-  replay_ledger.overlay(stitched);
   EXPECT_EQ(stitched, router.stitched_snapshot());
+}
+
+TEST(ShardRaceTest, SerialReplayOfCommitLogReproducesEveryShard) {
+  {
+    SCOPED_TRACE("integral Mbps");
+    race_and_replay(10.0);
+  }
+  {
+    SCOPED_TRACE("Mbps in units of 10/3");
+    race_and_replay(10.0 / 3.0);
+  }
 }
 
 }  // namespace

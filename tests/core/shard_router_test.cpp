@@ -1,7 +1,8 @@
 // core::ShardRouter: the single-shard bit-identical differential against a
 // plain PlacementService, shard routing, the cross-shard two-phase commit
-// (shared-uplink ledger accounting, exact release, abort semantics), and
-// ShardConfig validation.
+// (split-site uplinks accounted in their owner shard, exact release, abort
+// semantics, the hosts a stale commit activated), and ShardConfig
+// validation.
 #include "core/shard_router.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/objective.h"
 #include "core/service.h"
 #include "core/stack_registry.h"
 #include "datacenter/occupancy.h"
@@ -116,17 +118,16 @@ TEST(ShardRouterTest, SingleShardStackStaysInsideOneShard) {
   EXPECT_EQ(router.live_stacks(), 1u);
 }
 
-// Satellite: a topology straddling two shards reserves the shared wide-area
-// uplink bandwidth exactly once per edge (through the ledger), the stitched
-// state matches a monolithic single-Occupancy run bit for bit, and
-// release_stack restores everything exactly.
-TEST(ShardRouterTest, CrossShardReservesSharedUplinksExactlyOnce) {
+// A topology straddling two split sites reserves each site uplink's
+// bandwidth once, in the owner shard's copy of the link; the other copy
+// stays at zero.  The stitched state matches a monolithic single-Occupancy
+// run bit for bit, and release_stack restores everything exactly.
+TEST(ShardRouterTest, CrossShardReservesSplitSiteUplinksOnceInTheOwner) {
   const dc::DataCenter wan = sim::make_wan(2, 2, 1, 2);  // 2 sites x 2 pods
   ShardConfig config;
   config.shards = 4;  // every pod a shard; both sites split
   ShardRouter router(wan, config);
   const dc::ShardLayout& layout = router.layout();
-  ASSERT_EQ(layout.shared_links().size(), 2u);
 
   const double pipe_mbps = 100.0;
   const auto app = shared(cross_site_pair(pipe_mbps));
@@ -139,10 +140,23 @@ TEST(ShardRouterTest, CrossShardReservesSharedUplinksExactlyOnce) {
                 .scope_between(assignment[0], assignment[1]),
             dc::Scope::kCrossSite);
 
-  // Exactly one reservation of the pipe's bandwidth per shared site uplink.
+  // Each site uplink has one copy in each of its two shards: the owner's
+  // carries the pipe once, the other's nothing.
   for (const dc::Site& site : wan.sites()) {
-    EXPECT_DOUBLE_EQ(router.ledger().used_mbps(wan.site_link(site.id)),
-                     pipe_mbps);
+    const dc::LinkId uplink = wan.site_link(site.id);
+    std::size_t copies = 0;
+    for (std::uint32_t k = 0; k < router.shard_count(); ++k) {
+      const dc::Occupancy snap = router.service(k).snapshot();
+      for (dc::LinkId local = 0; local < snap.datacenter().link_count();
+           ++local) {
+        if (layout.to_global_link(k, local) != uplink) continue;
+        ++copies;
+        EXPECT_DOUBLE_EQ(snap.link_used_mbps(local),
+                         k == layout.link_owner(uplink) ? pipe_mbps : 0.0)
+            << "site " << site.id << " shard " << k;
+      }
+    }
+    EXPECT_EQ(copies, 2u);
   }
 
   // Bit-for-bit against a monolithic occupancy performing the same
@@ -151,11 +165,12 @@ TEST(ShardRouterTest, CrossShardReservesSharedUplinksExactlyOnce) {
   net::commit_placement(mono, *app, assignment);
   EXPECT_EQ(router.stitched_snapshot(), mono);
 
-  // Exact release: back to pristine, ledger drained, registry empty.
+  // Exact release: back to pristine, registry empty.
   EXPECT_TRUE(router.release_stack(result.stack_id));
   EXPECT_EQ(router.stitched_snapshot(), dc::Occupancy(wan));
-  for (const dc::LinkId link : layout.shared_links()) {
-    EXPECT_DOUBLE_EQ(router.ledger().used_mbps(link), 0.0);
+  for (std::uint32_t k = 0; k < router.shard_count(); ++k) {
+    EXPECT_EQ(router.service(k).snapshot(),
+              dc::Occupancy(layout.shard_datacenter(k)));
   }
   EXPECT_EQ(router.live_stacks(), 0u);
   EXPECT_FALSE(router.release_stack(result.stack_id));  // double release
@@ -163,11 +178,10 @@ TEST(ShardRouterTest, CrossShardReservesSharedUplinksExactlyOnce) {
 
 // decompose_ops splits net::stack_ops by owner: each participant's ops,
 // mapped back to global ids, are the subsequence of the global op list its
-// shard owns, in order, and the ledger receives exactly the unowned links.
+// shard owns, in order, and together they cover every op.
 TEST(ShardRouterTest, DecomposeOpsSplitsStackOpsByOwner) {
   const dc::DataCenter wan = sim::make_wan(2, 2, 1, 2);
   const dc::ShardLayout layout(wan, 4);  // both sites split
-  ASSERT_FALSE(layout.shared_links().empty());
   util::Rng rng(4242);
   for (int trial = 0; trial < 20; ++trial) {
     const topo::AppTopology app = random_app(rng, 5, 0.6, false);
@@ -177,7 +191,7 @@ TEST(ShardRouterTest, DecomposeOpsSplitsStackOpsByOwner) {
           rng.uniform_int(0, static_cast<int>(wan.host_count()) - 1));
     }
     const net::StackOps global = net::stack_ops(wan, app, assignment);
-    const DecomposedOps split = decompose_ops(layout, app, assignment);
+    const std::vector<ShardOps> split = decompose_ops(layout, app, assignment);
     const auto owned_links = [&](std::uint32_t owner) {
       std::vector<std::pair<dc::LinkId, double>> links;
       for (const auto& [link, mbps] : global.link_mbps) {
@@ -185,8 +199,8 @@ TEST(ShardRouterTest, DecomposeOpsSplitsStackOpsByOwner) {
       }
       return links;
     };
-    std::size_t split_ops = split.ledger.size();
-    for (const ShardOps& part : split.shards) {
+    std::size_t split_ops = 0;
+    for (const ShardOps& part : split) {
       net::StackOps mapped;
       for (const auto& [host, load] : part.ops.host_loads) {
         mapped.host_loads.emplace_back(
@@ -206,12 +220,9 @@ TEST(ShardRouterTest, DecomposeOpsSplitsStackOpsByOwner) {
       EXPECT_EQ(mapped.link_mbps, owned_links(part.shard)) << "trial " << trial;
       split_ops += part.ops.host_loads.size() + part.ops.link_mbps.size();
     }
-    std::vector<std::pair<dc::LinkId, double>> ledger;
-    for (const CrossShardLedger::Op& op : split.ledger) {
-      ledger.emplace_back(op.link, op.mbps);
+    for (std::size_t i = 1; i < split.size(); ++i) {
+      EXPECT_LT(split[i - 1].shard, split[i].shard) << "trial " << trial;
     }
-    EXPECT_EQ(ledger, owned_links(dc::ShardLayout::kLedgerOwned))
-        << "trial " << trial;
     EXPECT_EQ(split_ops, global.host_loads.size() + global.link_mbps.size())
         << "trial " << trial;
   }
@@ -257,6 +268,49 @@ TEST(ShardRouterTest, TwoPhaseCommitAbortsAndReplansOnConflict) {
   EXPECT_EQ(router.live_stacks(), 1u);
   EXPECT_TRUE(router.release_stack(blocker_id));
   EXPECT_EQ(router.stitched_snapshot(), dc::Occupancy(global));
+}
+
+// A competing commit after planning activates a host the cross-shard plan
+// chose, yet the plan still fits and commits without a conflict.  The
+// result reports the one host its commit activated, not the plan's two.
+TEST(ShardRouterTest, StaleCrossShardCommitReportsTheHostsItActivated) {
+  const dc::DataCenter global = two_site_dc(1, 2);  // 4 hosts, 8 cores each
+  ShardConfig config;
+  config.shards = 2;  // one site per shard
+  ShardRouter router(global, config);
+
+  topo::TopologyBuilder pair;
+  pair.add_vm("a", {1.0, 1.0, 0.0});
+  pair.add_vm("b", {1.0, 1.0, 0.0});
+  pair.add_zone("spread", topo::DiversityLevel::kDatacenter,
+                std::vector<std::string>{"a", "b"});
+  const auto spread_pair = shared(pair.build());
+
+  topo::TopologyBuilder one;
+  one.add_vm("vm", {1.0, 1.0, 0.0});
+  const auto one_vm = shared(one.build());
+
+  net::Assignment competitor;
+  router.set_pre_commit_hook([&](std::uint32_t attempt) {
+    if (attempt != 0) return;
+    const ShardRouter::Result r = router.place(one_vm, Algorithm::kEg);
+    ASSERT_TRUE(r.service.placement.committed);
+    EXPECT_EQ(r.service.placement.new_active_hosts, 1);
+    competitor = r.service.placement.assignment;
+  });
+
+  const ShardRouter::Result result = router.place(spread_pair, Algorithm::kEg);
+  ASSERT_TRUE(result.service.placement.committed)
+      << result.service.placement.failure_reason;
+  EXPECT_TRUE(result.cross_shard);
+  EXPECT_EQ(result.service.conflicts, 0u);
+  ASSERT_EQ(competitor.size(), 1u);
+  EXPECT_EQ(result.service.placement.assignment[0], competitor[0]);
+  EXPECT_EQ(result.service.placement.new_active_hosts, 1);
+  EXPECT_DOUBLE_EQ(result.service.placement.utility,
+                   Objective(*spread_pair, global, SearchConfig{})
+                       .utility(0.0, 1.0));
+  EXPECT_EQ(router.stitched_snapshot().active_host_count(), 2u);
 }
 
 }  // namespace

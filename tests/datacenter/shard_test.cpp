@@ -22,6 +22,16 @@ using ostro::testing::reserve_link;
 using ostro::testing::small_dc;
 using ostro::testing::two_site_dc;
 
+/// True when the site's pods are spread over more than one shard.
+bool split_across_shards(const ShardLayout& layout, const Site& site) {
+  for (const std::uint32_t pod : site.pods) {
+    if (layout.shard_of_pod(pod) != layout.shard_of_pod(site.pods.front())) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Every host maps into exactly one shard, round trips through the local id
 // mapping, and lands in the shard of its pod.
 void check_partition_invariants(const DataCenter& global,
@@ -54,7 +64,9 @@ void check_partition_invariants(const DataCenter& global,
     for (const Pod& pod : global.pods()) {
       if (layout.shard_of_pod(pod.id) != k) continue;
       sites.insert(pod.datacenter);
-      if (layout.site_split(pod.datacenter)) any_split = true;
+      if (split_across_shards(layout, global.sites()[pod.datacenter])) {
+        any_split = true;
+      }
     }
     if (any_split) {
       // Pods of a split site: the shard must hold pods of that ONE site.
@@ -63,34 +75,24 @@ void check_partition_invariants(const DataCenter& global,
     }
   }
 
-  // A site is marked split iff its pods are spread over >1 shard.
-  for (const Site& site : global.sites()) {
-    std::set<std::uint32_t> shards;
-    for (const std::uint32_t pod : site.pods) {
-      shards.insert(layout.shard_of_pod(pod));
-    }
-    EXPECT_EQ(layout.site_split(site.id), shards.size() > 1);
-  }
-
-  // Link ownership is total: every global link is either owned (with a
-  // valid round-tripping local id) or ledger-owned (split-site uplink).
-  std::size_t shared_seen = 0;
+  // Link ownership is total: every global link has an owner shard whose
+  // local copy round-trips and carries the same physical capacity.
   for (LinkId link = 0; link < global.link_count(); ++link) {
     const std::uint32_t owner = layout.link_owner(link);
-    if (owner == ShardLayout::kLedgerOwned) {
-      ++shared_seen;
-      continue;
-    }
     ASSERT_LT(owner, shard_count);
     const LinkId local = layout.to_local_link(link);
     EXPECT_EQ(layout.to_global_link(owner, local), link);
-    // Same physical capacity on both sides of the mapping.
     EXPECT_EQ(layout.shard_datacenter(owner).link_capacity(local),
               global.link_capacity(link));
   }
-  EXPECT_EQ(shared_seen, layout.shared_links().size());
-  for (const LinkId link : layout.shared_links()) {
-    EXPECT_EQ(layout.link_owner(link), ShardLayout::kLedgerOwned);
+  // And every local link of every shard maps to a global link.
+  for (std::uint32_t k = 0; k < shard_count; ++k) {
+    const DataCenter& shard = layout.shard_datacenter(k);
+    for (LinkId local = 0; local < shard.link_count(); ++local) {
+      const LinkId link = layout.to_global_link(k, local);
+      ASSERT_LT(link, global.link_count());
+      EXPECT_EQ(shard.link_capacity(local), global.link_capacity(link));
+    }
   }
 }
 
@@ -102,23 +104,41 @@ TEST(ShardLayoutTest, PartitionInvariantsAcrossShardCounts) {
   }
 }
 
-TEST(ShardLayoutTest, WholeSiteBinningLeavesNoSharedLinks) {
+TEST(ShardLayoutTest, WholeSiteBinningSplitsNoSite) {
   const DataCenter wan = sim::make_wan(4, 2, 1, 2);
   const ShardLayout layout(wan, 2);  // 2 shards over 4 sites: whole sites
-  EXPECT_TRUE(layout.shared_links().empty());
   for (const Site& site : wan.sites()) {
-    EXPECT_FALSE(layout.site_split(site.id));
+    EXPECT_FALSE(split_across_shards(layout, site));
+    const std::uint32_t shard = layout.shard_of_pod(site.pods.front());
+    EXPECT_EQ(layout.link_owner(wan.site_link(site.id)), shard);
   }
 }
 
-TEST(ShardLayoutTest, SplitSiteUplinksAreLedgerOwned) {
+// Each shard of a split site holds a copy of the site uplink that maps to
+// the same global link; the lowest of them owns it.
+TEST(ShardLayoutTest, SplitSiteUplinkIsOwnedByItsLowestShard) {
   const DataCenter wan = sim::make_wan(2, 2, 1, 2);
   const ShardLayout layout(wan, 4);  // 4 shards over 2 sites: both split
-  ASSERT_EQ(layout.shared_links().size(), 2u);
   for (const Site& site : wan.sites()) {
-    EXPECT_TRUE(layout.site_split(site.id));
-    EXPECT_EQ(layout.link_owner(wan.site_link(site.id)),
-              ShardLayout::kLedgerOwned);
+    ASSERT_TRUE(split_across_shards(layout, site));
+    const LinkId uplink = wan.site_link(site.id);
+    std::set<std::uint32_t> holders;
+    for (const std::uint32_t pod : site.pods) {
+      holders.insert(layout.shard_of_pod(pod));
+    }
+    ASSERT_EQ(holders.size(), 2u);
+    for (const std::uint32_t k : holders) {
+      const DataCenter& shard = layout.shard_datacenter(k);
+      std::size_t copies = 0;
+      for (LinkId local = 0; local < shard.link_count(); ++local) {
+        if (layout.to_global_link(k, local) == uplink) ++copies;
+      }
+      EXPECT_EQ(copies, 1u) << "shard " << k;
+    }
+    const std::uint32_t owner = *holders.begin();
+    EXPECT_EQ(layout.link_owner(uplink), owner);
+    EXPECT_EQ(layout.to_global_link(owner, layout.to_local_link(uplink)),
+              uplink);
   }
 }
 

@@ -5,7 +5,8 @@
 //                  [--occupancy occ.json] [--algorithm eg|egc|egbw|ba|dba]
 //                  [--deadline SECONDS] [--theta-bw X --theta-c Y]
 //                  [--out placement.json] [--annotated annotated.json]
-//                  [--commit-out occ2.json] [--service-threads N]
+//                  [--commit-out occ2.json]
+//                  [--service-threads N [--shards K]]
 //   ostro serve    --datacenter dc.json [--occupancy occ.json]
 //                  [--in FIFO|-] [--results FILE|-]
 //                  [--stream-queue-capacity N]
@@ -154,69 +155,16 @@ dc::Occupancy load_occupancy(const dc::DataCenter& datacenter,
   return config;
 }
 
-/// --service-threads N: places N copies of the stack concurrently through
-/// core::PlacementService — a smoke/demo mode for the optimistic
-/// snapshot/plan/validate-commit protocol.  Reports per-request outcomes
-/// plus the conflict/retry totals; --commit-out captures the occupancy
-/// after every committed stack.
-int cmd_place_service(util::ArgParser& args, int threads) {
-  const auto datacenter =
-      dc::datacenter_from_text(read_file(args.get_string("datacenter")));
-  const auto occupancy =
-      load_occupancy(datacenter, args.get_string("occupancy"));
-  const auto parsed =
-      os::HeatTemplate::parse_text(read_file(args.get_string("template")));
-
-  const core::SearchConfig config = search_config_from_flags(args);
-  const auto algorithm = core::parse_algorithm(args.get_string("algorithm"));
-
-  core::OstroScheduler scheduler(datacenter, config);
-  scheduler.occupancy() = occupancy;
-  core::PlacementService service(scheduler);
-
-  std::vector<core::ServiceResult> results(
-      static_cast<std::size_t>(threads));
-  // run_workers (not bare std::thread): a place() exception propagates to
-  // main's handler after every worker joined instead of std::terminate.
-  util::run_workers(static_cast<std::size_t>(threads), [&](std::size_t t) {
-    results[t] = service.place(parsed.topology, algorithm, config);
-  });
-
-  int committed = 0;
-  std::uint32_t conflicts = 0, retries = 0;
-  for (int t = 0; t < threads; ++t) {
-    const core::ServiceResult& result =
-        results[static_cast<std::size_t>(t)];
-    conflicts += result.conflicts;
-    retries += result.retries;
-    if (result.placement.committed) {
-      ++committed;
-    } else {
-      std::cerr << "request " << t
-                << " not committed: " << result.placement.failure_reason
-                << "\n";
-    }
-  }
-  std::cout << "service placed " << committed << "/" << threads
-            << " concurrent stacks with " << core::to_string(algorithm)
-            << ": " << conflicts << " commit conflicts, " << retries
-            << " replans\n";
-  if (!args.get_string("commit-out").empty()) {
-    write_file(args.get_string("commit-out"),
-               dc::occupancy_to_json(scheduler.occupancy()).pretty());
-  }
-  return committed > 0 ? 0 : 2;
-}
-
-/// `place --shards N --service-threads T` — the sharded front end.  Routes
+/// `place --service-threads T [--shards N]` — the concurrent mode.  Routes
 /// T concurrent copies of the stack through a core::ShardRouter over an
-/// N-shard partition of the cluster; reports committed/cross-shard counts
-/// and, with --commit-out, the stitched global occupancy.  Sharded mode
-/// always starts from an idle cluster: shard occupancies are internal, so a
-/// pre-loaded --occupancy snapshot cannot be decomposed onto them.
-int cmd_place_shards(util::ArgParser& args, int threads,
-                     std::uint32_t shards) {
-  if (!args.get_string("occupancy").empty()) {
+/// N-shard partition of the cluster (N = 1: one PlacementService over the
+/// whole fleet); reports committed/cross-shard counts and, with
+/// --commit-out, the stitched global occupancy.  One shard has identity
+/// ids, so an --occupancy snapshot loads straight into it; with more,
+/// shard occupancies are internal and the cluster starts idle.
+int cmd_place_concurrent(util::ArgParser& args, int threads,
+                         std::uint32_t shards) {
+  if (shards > 1 && !args.get_string("occupancy").empty()) {
     throw std::runtime_error(
         "--shards > 1 starts from an idle cluster and cannot load an "
         "--occupancy snapshot");
@@ -234,9 +182,16 @@ int cmd_place_shards(util::ArgParser& args, int threads,
   core::ShardConfig shard_config;
   shard_config.shards = shards;
   core::ShardRouter router(datacenter, shard_config, config);
+  if (shards == 1) {
+    router.service(0).exclusive().occupancy() =
+        load_occupancy(router.layout().shard_datacenter(0),
+                       args.get_string("occupancy"));
+  }
 
   std::vector<core::ShardRouter::Result> results(
       static_cast<std::size_t>(threads));
+  // run_workers (not bare std::thread): a place() exception propagates to
+  // main's handler after every worker joined instead of std::terminate.
   util::run_workers(static_cast<std::size_t>(threads), [&](std::size_t t) {
     results[t] = router.place(topology, algorithm, config);
   });
@@ -283,16 +238,15 @@ int cmd_place(util::ArgParser& args) {
     throw std::invalid_argument("--shards must be >= 1, got " +
                                 std::to_string(shards));
   }
-  if (shards > 1) {
-    if (service_threads == 0) {
-      throw std::invalid_argument(
-          "--shards > 1 requires --service-threads > 0 (the sharded front "
-          "end is a concurrent-service mode)");
-    }
-    return cmd_place_shards(args, service_threads,
-                            static_cast<std::uint32_t>(shards));
+  if (shards > 1 && service_threads == 0) {
+    throw std::invalid_argument(
+        "--shards > 1 requires --service-threads > 0 (the sharded front "
+        "end is a concurrent-service mode)");
   }
-  if (service_threads > 0) return cmd_place_service(args, service_threads);
+  if (service_threads > 0) {
+    return cmd_place_concurrent(args, service_threads,
+                                static_cast<std::uint32_t>(shards));
+  }
   const auto datacenter =
       dc::datacenter_from_text(read_file(args.get_string("datacenter")));
   const auto occupancy =
@@ -635,12 +589,11 @@ int main(int argc, char** argv) {
     args.add_string("commit-out", "", "write post-commit occupancy here");
     args.add_int("service-threads", 0,
                  "place this many copies of the stack concurrently through "
-                 "the placement service (0 = classic single placement)");
+                 "the shard router (0 = classic single placement)");
     args.add_int("shards", 1,
                  "partition the data center into this many pod/site shards "
-                 "and route placements through the sharded front end "
-                 "(requires --service-threads > 0 and an empty starting "
-                 "occupancy; 1 = unsharded)");
+                 "for --service-threads (above 1: requires an empty "
+                 "starting occupancy; 1 = unsharded)");
   }
   if (command == "serve") {
     args.add_string("in", "-",
