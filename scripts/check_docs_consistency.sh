@@ -8,10 +8,12 @@
 #   2. Every metrics counter/summary registered in src/ or tools/ — the
 #      README metrics glossary documents each name.  bench/-local metrics
 #      (bench.*) are out of scope: they are bench implementation detail.
-#   3. Every field of core::DefragConfig (src/core/defrag.h),
+#   3. Both ways for core::DefragConfig (src/core/defrag.h),
 #      sim::LifecycleConfig (src/sim/lifecycle.h), and core::ShardConfig
-#      (src/core/shard_router.h) — the lifecycle/defragmentation and shard
-#      docs document each knob.
+#      (src/core/shard_router.h): every field appears in the docs, and
+#      every "| `name` |" row of the README table that follows the struct's
+#      caption (e.g. `core::DefragConfig`) names a field of that struct, so
+#      a deleted knob cannot leave a stale row behind.
 #   4. Every flag bench_lifecycle and bench_shard declare themselves
 #      (beyond the common bench flags) — the README lists them.
 #   5. The reverse of 2: every "| `name` | counter" or "| `name` | summary"
@@ -63,9 +65,20 @@ struct_fields() {
     sed -E 's/^\s*\S+\s+([a-z_][a-z0-9_]*)\s*(=|;).*/\1/' | sort -u
 }
 
-for spec in "src/core/defrag.h DefragConfig" "src/sim/lifecycle.h LifecycleConfig" \
-            "src/core/shard_router.h ShardConfig"; do
-  read -r file name <<<"$spec"
+# Names of the "| `name` |" rows of the first README table after the line
+# that mentions caption $1.
+table_rows() {
+  awk -v caption="$1" '!found && index($0, caption) { found = 1; next }
+                       found && /^\|/ { in_table = 1; print; next }
+                       in_table { exit }' README.md |
+    { grep -oE '^\| `[a-z_]+` \|' || true; } | sed -E 's/^\| `([a-z_]+)`.*/\1/' | sort -u
+}
+
+struct_rows=0
+for spec in "src/core/defrag.h core DefragConfig" \
+            "src/sim/lifecycle.h sim LifecycleConfig" \
+            "src/core/shard_router.h core ShardConfig"; do
+  read -r file ns name <<<"$spec"
   fields=$(struct_fields "$file" "$name")
   if [[ -z "$fields" ]]; then
     echo "extraction failure: no $name fields found in $file" >&2
@@ -73,6 +86,19 @@ for spec in "src/core/defrag.h DefragConfig" "src/sim/lifecycle.h LifecycleConfi
   fi
   for field in $fields; do
     check "$name field" "$field"
+  done
+  rows=$(table_rows "\`$ns::$name\`")
+  if [[ -z "$rows" ]]; then
+    echo "extraction failure: no rows found in README.md's \`$ns::$name\`" \
+         "table" >&2
+    exit 1
+  fi
+  struct_rows=$((struct_rows + $(wc -w <<<"$rows")))
+  for row in $rows; do
+    if ! grep -qxF -- "$row" <<<"$fields"; then
+      echo "STALE $name row: '$row' (no $ns::$name field)" >&2
+      status=1
+    fi
   done
 done
 
@@ -162,6 +188,7 @@ if [[ "$status" -eq 0 ]]; then
   echo "docs consistent: $count_fields SearchConfig fields and" \
        "$count_metrics metrics names all documented; $count_rows glossary" \
        "rows all registered; $count_config_rows Configuration rows all" \
-       "SearchConfig fields; $count_flags README CLI flags all declared"
+       "SearchConfig fields; $struct_rows Defrag/Lifecycle/ShardConfig" \
+       "rows all fields; $count_flags README CLI flags all declared"
 fi
 exit "$status"

@@ -1,19 +1,27 @@
 #include "core/defrag.h"
 
 #include <algorithm>
-#include <cmath>
+#include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/verify.h"
 #include "datacenter/state_delta.h"
+#include "net/reservation.h"
 #include "util/metrics.h"
 #include "util/timer.h"
 
 namespace ostro::core {
 
 namespace {
+
+/// Only hosts with at most this many resident nodes are vacate candidates:
+/// emptier hosts free capacity at lower move cost.
+constexpr std::size_t kMaxResidentNodes = 4;
+/// Fresh-snapshot replans when every member of a batch conflicts.
+constexpr std::uint32_t kMaxConflictRetries = 2;
 
 /// One stack node currently sitting on a vacate-candidate host.
 struct Resident {
@@ -54,7 +62,7 @@ PlacementService::MigrationBatch DefragPlanner::plan_batch(
   std::vector<RankedHost> sources;
   for (dc::HostId h = 0; h < datacenter.host_count(); ++h) {
     const std::vector<Resident>& r = residents[h];
-    if (r.empty() || r.size() > config_.max_resident_nodes) continue;
+    if (r.empty() || r.size() > kMaxResidentNodes) continue;
     if (!snapshot.is_active(h)) continue;
     if (snapshot.available(h).is_zero()) continue;
     const topo::Resources used = snapshot.used(h);
@@ -83,17 +91,6 @@ PlacementService::MigrationBatch DefragPlanner::plan_batch(
   if (targets.empty()) return batch;
   std::vector<char> vacated_hosts(datacenter.host_count(), 0);
 
-  // Batch-wide budgets.
-  std::uint32_t move_cap = config_.max_moves;
-  if (config_.downtime_per_move_seconds > 0.0) {
-    const double by_downtime = std::floor(config_.downtime_budget_seconds /
-                                          config_.downtime_per_move_seconds);
-    move_cap = std::min<std::uint32_t>(
-        move_cap, by_downtime <= 0.0
-                      ? 0
-                      : static_cast<std::uint32_t>(by_downtime));
-  }
-
   // Working state across the whole batch: one staging delta over the
   // snapshot (so later hosts see earlier hosts' planned moves) plus the
   // planned assignment of every touched stack.
@@ -101,64 +98,59 @@ PlacementService::MigrationBatch DefragPlanner::plan_batch(
   std::vector<net::Assignment> planned(stacks.size());
   std::vector<char> claimed(stacks.size(), 0);
   std::uint32_t moves = 0;
-  double moved_gb = 0.0;
 
   for (const RankedHost& source : sources) {
     const std::vector<Resident>& res = residents[source.host];
-    if (moves + res.size() > move_cap) continue;
-    double host_gb = 0.0;
-    for (const Resident& r : res) {
-      host_gb += stacks[r.stack].topology->node(r.node).requirements.mem_gb;
-    }
-    if (moved_gb + host_gb > config_.max_move_gb) continue;
+    if (moves + res.size() > config_.max_moves) continue;
     // One migration member per stack: a stack already touched by an
     // earlier vacated host is off-limits for this batch.
-    bool stack_conflict = false;
-    std::unordered_set<std::size_t> touched;
-    for (const Resident& r : res) {
-      if (claimed[r.stack]) stack_conflict = true;
-      touched.insert(r.stack);
+    if (std::any_of(res.begin(), res.end(),
+                    [&](const Resident& r) { return claimed[r.stack] != 0; })) {
+      continue;
     }
-    if (stack_conflict) continue;
 
     // All-or-nothing vacate attempt on copies of the working state.
     dc::OccupancyDelta attempt = delta;
-    std::vector<std::pair<std::size_t, net::Assignment>> candidate;
-    candidate.reserve(touched.size());
-    for (const std::size_t s : touched) {
-      candidate.emplace_back(s, stacks[s].assignment);
+    std::unordered_map<std::size_t, net::Assignment> candidate;
+    for (const Resident& r : res) {
+      candidate.try_emplace(r.stack, stacks[r.stack].assignment);
     }
-    const auto assignment_of = [&](std::size_t s) -> net::Assignment& {
-      for (auto& [idx, a] : candidate) {
-        if (idx == s) return a;
-      }
-      return candidate.front().second;  // unreachable: every s is in touched
-    };
 
     bool vacated = true;
     for (const Resident& r : res) {
       const topo::AppTopology& topology = *stacks[r.stack].topology;
-      net::Assignment& working = assignment_of(r.stack);
+      const topo::Resources& load = topology.node(r.node).requirements;
+      net::Assignment& working = candidate.at(r.stack);
+      // The stack leaves its working hosts once; each target is then tried
+      // as the stack's reservation with the node moved there, so every
+      // check sees the state the move leaves, as the commit gate does.
+      dc::OccupancyDelta released = attempt;
+      try {
+        net::stage_ops(released, net::stack_ops(datacenter, topology, working),
+                       net::OpDirection::kRelease);
+      } catch (const std::invalid_argument&) {
+        vacated = false;  // registry and snapshot disagree: skip the host
+        break;
+      }
       bool placed = false;
       for (const RankedHost& target : targets) {
         if (target.host == source.host || vacated_hosts[target.host]) continue;
-        // Structure first (cheap, occupancy-independent): zones, affinity,
-        // latency, tags must hold with the node tentatively on the target.
-        const dc::HostId previous = working[r.node];
+        // Cheap checks first: the target's free capacity once the stack
+        // left, then structure (zones, affinity, latency, tags).
+        if (!load.fits_within(released.available(target.host))) continue;
         working[r.node] = target.host;
         if (!verify_assignment_structure(datacenter, topology, working)
                  .empty()) {
-          working[r.node] = previous;
           continue;
         }
-        working[r.node] = previous;
-        // Capacity and bandwidth via a trial delta: stage the relocation
-        // and drop the trial wholesale if anything refuses.
-        dc::OccupancyDelta trial = attempt;
+        // Capacity and bandwidth of the whole move: stage the stack's
+        // reservation and drop the trial wholesale if anything refuses.
+        dc::OccupancyDelta trial = released;
         try {
-          net::stage_move(trial, topology, working, r.node, target.host);
-        } catch (const std::exception&) {
-          continue;  // target full (or a path saturated): next target
+          net::stage_ops(trial, net::stack_ops(datacenter, topology, working),
+                         net::OpDirection::kReserve);
+        } catch (const std::invalid_argument&) {
+          continue;  // a host or path of the stack saturated: next target
         }
         attempt = std::move(trial);
         placed = true;
@@ -179,8 +171,7 @@ PlacementService::MigrationBatch DefragPlanner::plan_batch(
       planned[s] = std::move(assignment);
     }
     moves += static_cast<std::uint32_t>(res.size());
-    moved_gb += host_gb;
-    if (moves >= move_cap) break;
+    if (moves >= config_.max_moves) break;
   }
 
   for (std::size_t s = 0; s < stacks.size(); ++s) {
@@ -199,10 +190,6 @@ DefragStats DefragPlanner::run_once() {
   static util::metrics::Counter& m_runs = util::metrics::counter("defrag.runs");
   static util::metrics::Counter& m_proposed =
       util::metrics::counter("defrag.moves_proposed");
-  static util::metrics::Counter& m_committed =
-      util::metrics::counter("defrag.moves_committed");
-  static util::metrics::Counter& m_conflicts =
-      util::metrics::counter("defrag.conflicts");
   static util::metrics::Counter& m_vacated =
       util::metrics::counter("defrag.hosts_vacated");
   static util::metrics::Counter& m_retries =
@@ -222,13 +209,9 @@ DefragStats DefragPlanner::run_once() {
     }
     if (batch.members.empty()) break;
 
-    std::unordered_set<dc::HostId> proposed_sources;
     for (const PlacementService::MigrationMember& member : batch.members) {
       for (std::size_t n = 0; n < member.from.size(); ++n) {
-        if (member.from[n] != member.to[n]) {
-          ++stats.moves_proposed;
-          proposed_sources.insert(member.from[n]);
-        }
+        if (member.from[n] != member.to[n]) ++stats.moves_proposed;
       }
     }
     m_proposed.add(stats.moves_proposed);
@@ -263,13 +246,11 @@ DefragStats DefragPlanner::run_once() {
       stats.hosts_vacated += static_cast<std::uint32_t>(vacated_sources.size());
       break;
     }
-    if (conflicts_now == 0 || attempt >= config_.max_conflict_retries) break;
+    if (conflicts_now == 0 || attempt >= kMaxConflictRetries) break;
     ++stats.retries;
     m_retries.inc();
   }
 
-  m_committed.add(stats.moves_committed);
-  m_conflicts.add(stats.conflicts);
   m_vacated.add(stats.hosts_vacated);
   if (stats.moves_committed > 0) m_moved_gb.observe(stats.moved_gb);
   return stats;

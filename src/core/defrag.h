@@ -9,14 +9,13 @@
 // resolved per member (conflicted members are simply dropped and replanned
 // later) and never blocks or corrupts foreground traffic.
 //
-// Every batch is bounded three ways, mirroring what production migration
-// systems budget: at most `max_moves` relocated VMs, at most `max_move_gb`
-// of memory shipped, and at most `downtime_budget_seconds` of cumulative
-// blackout (moves x downtime_per_move_seconds).  Planning is all-or-nothing
-// per vacated host: either every resident node of a host gets a valid
-// target (capacity, bandwidth along the new paths, zones/affinity/latency
-// re-checked) under the staged state, or the host is skipped — a
-// half-vacated host would consume budget without freeing anything.
+// Every batch relocates at most `max_moves` VMs.  Planning is
+// all-or-nothing per vacated host: either every resident node of a host
+// gets a valid target under the staged state, or the host is skipped — a
+// half-vacated host would consume budget without freeing anything.  A
+// target is checked as the commit gate checks it: the stack's ops released
+// and re-reserved with the node moved (capacity, bandwidth along the new
+// paths), plus zones/affinity/latency re-verified.
 #pragma once
 
 #include <cstdint>
@@ -28,17 +27,6 @@ namespace ostro::core {
 struct DefragConfig {
   /// Max VMs relocated per batch (0 disables the planner).
   std::uint32_t max_moves = 8;
-  /// Max memory shipped per batch, GB (live-migration byte budget).
-  double max_move_gb = 64.0;
-  /// Cumulative blackout budget per batch, seconds.
-  double downtime_budget_seconds = 4.0;
-  /// Blackout charged per relocated VM, seconds.
-  double downtime_per_move_seconds = 0.5;
-  /// Only hosts with at most this many resident nodes are vacate
-  /// candidates (emptier hosts free capacity at lower move cost).
-  std::uint32_t max_resident_nodes = 4;
-  /// Fresh-snapshot replans when every member of a batch conflicts.
-  std::uint32_t max_conflict_retries = 2;
 };
 
 /// What one run_once() did.
@@ -72,9 +60,9 @@ class DefragPlanner {
   [[nodiscard]] PlacementService::MigrationBatch plan_batch(
       const dc::Occupancy& snapshot) const;
 
-  /// Snapshot -> plan_batch -> try_commit_migration, with up to
-  /// max_conflict_retries fresh-snapshot replans when a batch commits
-  /// nothing because every member conflicted.
+  /// Snapshot -> plan_batch -> try_commit_migration, with up to two
+  /// fresh-snapshot replans when a batch commits nothing because every
+  /// member conflicted.
   DefragStats run_once();
 
  private:

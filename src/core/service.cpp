@@ -1,5 +1,6 @@
 #include "core/service.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -255,34 +256,36 @@ std::size_t PlacementService::try_commit_migration(
       member.outcome = CommitOutcome::kRejected;
       continue;
     }
-    // Capacity and bandwidth are validated by staging the relocation in one
-    // delta: each moved node releases its old load/paths before (in op
-    // order) its new ones are reserved, so the member's own resources are
-    // netted rather than charged twice.
+    // The move is the stack's ops at `from` released, then its ops at `to`
+    // reserved, in one delta: the gate checks the state the move leaves,
+    // and a serial replay (release_placement + commit_placement) computes
+    // the same values.  Both lists are built outside the try, so a corrupt
+    // record (a host id the fleet lacks) propagates instead of being
+    // miscounted as contention.
+    const net::StackOps released =
+        net::stack_ops(datacenter, *member.topology, member.from);
+    const net::StackOps reserved =
+        net::stack_ops(datacenter, *member.topology, member.to);
     dc::OccupancyDelta delta(occupancy);
-    net::Assignment working = member.from;
     try {
-      for (topo::NodeId n = 0; n < member.topology->node_count(); ++n) {
-        if (working[n] != member.to[n]) {
-          net::stage_move(delta, *member.topology, working, n, member.to[n]);
-        }
-      }
+      net::stage_ops(delta, released, net::OpDirection::kRelease);
+      net::stage_ops(delta, reserved, net::OpDirection::kReserve);
       occupancy.apply_delta(delta);
     } catch (const std::invalid_argument&) {
-      // Capacity/bandwidth reservation failure (the only exception the
-      // staged mutators throw for a target that no longer fits): the delta
-      // never flushed, so the member is a benign conflict.  Anything else
-      // (std::out_of_range from a corrupt host id, std::logic_error from a
-      // stale delta) is a programming error and must propagate, not be
-      // miscounted as contention.
+      // The target no longer fits: the delta never flushed, so the member
+      // is a benign conflict.
       m_conflicts.inc();
       continue;
     }
     std::size_t moved = 0;
     for (topo::NodeId n = 0; n < member.topology->node_count(); ++n) {
-      if (member.from[n] != member.to[n]) {
+      if (member.from[n] == member.to[n]) continue;
+      ++moved;
+      // As in the replay's release, a host the stack left goes idle when
+      // empty.
+      if (std::find(member.to.begin(), member.to.end(), member.from[n]) ==
+          member.to.end()) {
         occupancy.deactivate_if_idle(member.from[n]);
-        ++moved;
       }
     }
     // Cannot fail: the stack was re-checked above and nothing can

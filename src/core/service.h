@@ -254,15 +254,16 @@ class PlacementService {
   /// Commits a migration batch under ONE writer-lock acquisition.  Per
   /// member, in batch order: re-check the stack is live with the expected
   /// assignment, re-validate the structural constraints of the target
-  /// assignment, stage the relocation (release old loads/paths, reserve new
-  /// ones) in one OccupancyDelta, flush it atomically, and swap the
-  /// registry assignment.  A member whose stack moved on or whose target no
-  /// longer fits becomes kConflict without disturbing the others —
-  /// migrations race live placements exactly like competing placements race
-  /// each other.  Capacity/bandwidth validation happens by staging each
-  /// moved node with net::stage_move (which nets the member's own released
-  /// resources against its new demand), plus verify_assignment_structure
-  /// for tags/zones/affinities/latency.
+  /// assignment (verify_assignment_structure), stage the stack's ops at
+  /// `from` released and then its ops at `to` reserved in one
+  /// OccupancyDelta, flush it atomically, and swap the registry
+  /// assignment.  The capacity and bandwidth checks thus see the state the
+  /// move leaves, and the flushed values are those of a serial
+  /// release_placement(from) + commit_placement(to).  A member whose stack
+  /// moved on or whose target no longer fits becomes kConflict without
+  /// disturbing the others — migrations race live placements exactly like
+  /// competing placements race each other.  A record naming a host the
+  /// fleet lacks throws std::invalid_argument (net::stack_ops).
   /// Returns the number of members committed; `commit_epoch` (when
   /// non-null) receives the epoch after the last committed member (0 when
   /// none committed).

@@ -10,12 +10,16 @@
 //
 // Thread safety: every method takes an internal mutex, so concurrent reads
 // are safe on their own.  Mutations that must stay atomic *with respect to
-// the occupancy* (deploy+add, release+remove, migrate+update) are sequenced
-// by PlacementService's writer lock, which the lifecycle entry points
-// (release_stack / fail_host / try_commit_migration) hold around the
-// occupancy mutation and the registry update together.  Lock order is
-// always service-writer-lock -> registry-mutex; the registry never calls
-// back into the service.
+// the occupancy* (release+remove, failure+evict, migrate+update) are
+// sequenced by PlacementService's writer lock, which the lifecycle entry
+// points (release_stack / fail_host / try_commit_migration) hold around the
+// occupancy mutation and the registry update together.  A deploy is not:
+// every caller (sim::Lifecycle, ShardRouter, perfbench's traced path)
+// add()s a stack after its commit returned, outside the lock.  A host
+// failure landing in between does not evict that stack, and a defrag plan
+// made in between cannot move it.  Lock order is always
+// service-writer-lock -> registry-mutex; the registry never calls back
+// into the service.
 //
 // remove() returns the stack's record exactly once: the second caller gets
 // nullopt, which is the double-release guard — a departure racing a

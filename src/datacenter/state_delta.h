@@ -14,10 +14,9 @@
 // comes from the same ops in the same order whether they arrive in one
 // batch or one delta each, so batching never changes the result.
 //
-// net::stage_ops and net::stage_move (src/net/reservation.h) are the
-// staging routines every commit, release and migration goes through; set-up
-// paths (preloads, occupancy files, quarantine, shard stitching) stage
-// their own batch.
+// net::stage_ops (src/net/reservation.h) is the staging routine every
+// commit, release and migration goes through; set-up paths (preloads,
+// occupancy files, quarantine, shard stitching) stage their own batch.
 //
 // The delta snapshots base values on first touch; the base must not be
 // mutated between staging and apply_delta (apply_delta verifies the

@@ -66,26 +66,6 @@ void apply_ops(dc::Occupancy& occupancy, const StackOps& ops,
   }
 }
 
-void stage_move(dc::OccupancyDelta& delta, const topo::AppTopology& topology,
-                Assignment& working, topo::NodeId node, dc::HostId to) {
-  const dc::DataCenter& datacenter = delta.datacenter();
-  const dc::HostId from = working[node];
-  const topo::Resources& load = topology.node(node).requirements;
-  delta.remove_host_load(from, load);
-  delta.add_host_load(to, load);
-  for (const topo::Neighbor& nb : topology.neighbors(node)) {
-    for (const dc::LinkId link :
-         datacenter.path_between(from, working[nb.node])) {
-      delta.release_link(link, nb.bandwidth_mbps);
-    }
-    for (const dc::LinkId link :
-         datacenter.path_between(to, working[nb.node])) {
-      delta.reserve_link(link, nb.bandwidth_mbps);
-    }
-  }
-  working[node] = to;
-}
-
 void commit_placement(dc::Occupancy& occupancy,
                       const topo::AppTopology& topology,
                       const Assignment& assignment) {

@@ -3,11 +3,12 @@
 // A placed stack charges the occupancy two things (Section II-B): each
 // node's resources on its host, and each pipe's bandwidth on every link of
 // its tree path.  stack_ops() lists those charges in the one order that
-// every commit, release, migration, shard commit and replay applies them;
-// stage_ops() stages the list into an OccupancyDelta in either direction
-// and apply_ops() flushes it in one batch.  Because every path applies the
-// same ops in the same order, a serial replay reproduces an occupancy bit
-// for bit.
+// every commit, release, migration, shard commit and replay applies them
+// (a migration releases the ops of the old assignment, then reserves those
+// of the new one); stage_ops() stages the list into an OccupancyDelta in
+// either direction and apply_ops() flushes it in one batch.  Because every
+// path applies the same ops in the same order, a serial replay reproduces
+// an occupancy bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -56,15 +57,6 @@ void stage_ops(dc::OccupancyDelta& delta, const StackOps& ops,
 /// op fails its check; `occupancy` is untouched in that case.
 void apply_ops(dc::Occupancy& occupancy, const StackOps& ops,
                OpDirection direction, bool deactivate_emptied = true);
-
-/// Stages moving node `node` of `topology` from `working[node]` to `to`:
-/// its load leaves the old host and lands on `to`, then for each neighbour
-/// the pipe's old path is released and its new path reserved.  On success
-/// `working[node]` becomes `to`; on a capacity failure it throws
-/// std::invalid_argument with `working` unchanged and `delta` holding part
-/// of the move (discard it).
-void stage_move(dc::OccupancyDelta& delta, const topo::AppTopology& topology,
-                Assignment& working, topo::NodeId node, dc::HostId to);
 
 /// Reserves the stack's ops on `occupancy` (apply_ops, kReserve), or throws
 /// std::invalid_argument leaving `occupancy` unchanged.

@@ -3,18 +3,9 @@
 #include <cmath>
 #include <utility>
 
-#include "util/metrics.h"
 #include "util/timer.h"
 
 namespace ostro::sim {
-
-namespace {
-
-util::metrics::Counter& lifecycle_counter(const char* name) {
-  return util::metrics::counter(name);
-}
-
-}  // namespace
 
 Lifecycle::Lifecycle(core::PlacementService& service, LifecycleConfig config)
     : service_(&service),
@@ -38,15 +29,7 @@ double Lifecycle::exponential(util::Rng& rng, double mean) {
 }
 
 void Lifecycle::on_arrival(double now, LifecycleStats& stats) {
-  static util::metrics::Counter& m_arrivals =
-      lifecycle_counter("lifecycle.arrivals");
-  static util::metrics::Counter& m_committed =
-      lifecycle_counter("lifecycle.placements_committed");
-  static util::metrics::Counter& m_failed =
-      lifecycle_counter("lifecycle.placements_failed");
   ++stats.arrivals;
-  m_arrivals.inc();
-
   auto topology = std::make_shared<const topo::AppTopology>(
       make_multitier(config_.stack_vms, config_.mix, workload_rng_));
   util::WallTimer timer;
@@ -55,14 +38,12 @@ void Lifecycle::on_arrival(double now, LifecycleStats& stats) {
   stats.plan_seconds.add(timer.elapsed_seconds());
   if (result.placement.committed) {
     ++stats.placements_committed;
-    m_committed.inc();
     const core::StackId id = next_stack_id_++;
     registry_.add(id, std::move(topology), result.placement.assignment);
     push(now + exponential(lifetime_rng_, config_.mean_lifetime_s),
          EventKind::kDeparture, id);
   } else {
     ++stats.placements_failed;
-    m_failed.inc();
   }
   // Poisson process: next arrival after an exponential gap.
   push(now + exponential(arrival_rng_, 1.0 / config_.arrival_rate_per_s),
@@ -70,19 +51,12 @@ void Lifecycle::on_arrival(double now, LifecycleStats& stats) {
 }
 
 void Lifecycle::on_departure(core::StackId id, LifecycleStats& stats) {
-  static util::metrics::Counter& m_departures =
-      lifecycle_counter("lifecycle.departures");
   // false means a host failure already killed the stack — the registry's
   // exactly-once remove is the double-release guard.
-  if (service_->release_stack(registry_, id)) {
-    ++stats.departures;
-    m_departures.inc();
-  }
+  if (service_->release_stack(registry_, id)) ++stats.departures;
 }
 
 void Lifecycle::on_host_failure(double now, LifecycleStats& stats) {
-  static util::metrics::Counter& m_failures =
-      lifecycle_counter("lifecycle.host_failures");
   const std::size_t host_count = service_->datacenter().host_count();
   // Draw among currently-healthy hosts; with everything down (degenerate
   // configs), skip the event but keep the process alive.
@@ -99,7 +73,6 @@ void Lifecycle::on_host_failure(double now, LifecycleStats& stats) {
     failed_[victim] = 1;
     ++stats.host_failures;
     stats.stacks_killed += killed;
-    m_failures.inc();
     push(now + config_.host_repair_s, EventKind::kHostRepair, victim);
   }
   const double cluster_rate =
@@ -109,13 +82,10 @@ void Lifecycle::on_host_failure(double now, LifecycleStats& stats) {
 }
 
 void Lifecycle::on_host_repair(dc::HostId host, LifecycleStats& stats) {
-  static util::metrics::Counter& m_repairs =
-      lifecycle_counter("lifecycle.host_repairs");
   service_->repair_host(host, quarantine_[host]);
   quarantine_[host] = {};
   failed_[host] = 0;
   ++stats.host_repairs;
-  m_repairs.inc();
 }
 
 void Lifecycle::on_sample(double now, LifecycleStats& stats) {

@@ -1,6 +1,6 @@
-// core::DefragPlanner: reverse best-fit-decreasing consolidation under
-// budgets, all-or-nothing per-host vacates, zone-safe target selection, and
-// the run_once commit loop.
+// core::DefragPlanner: reverse best-fit-decreasing consolidation under its
+// move budget, all-or-nothing per-host vacates, zone-safe target selection,
+// and the run_once commit loop.
 #include "core/defrag.h"
 
 #include <gtest/gtest.h>
@@ -97,7 +97,7 @@ TEST(DefragPlannerTest, AllOrNothingPerHostAndNoRefillOfVacatedHosts) {
   EXPECT_LT(scheduler.occupancy().active_host_count(), 3u);
 }
 
-TEST(DefragPlannerTest, MoveAndDowntimeBudgetsBoundTheBatch) {
+TEST(DefragPlannerTest, MoveBudgetBoundsTheBatch) {
   const auto datacenter = small_dc(1, 4);
   OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
@@ -118,13 +118,39 @@ TEST(DefragPlannerTest, MoveAndDowntimeBudgetsBoundTheBatch) {
   EXPECT_EQ(DefragPlanner(service, registry, config).run_once().moves_proposed,
             0u);
 
-  // Downtime budget of one move: exactly one sparse host consolidates.
-  config.max_moves = 8;
-  config.downtime_budget_seconds = 0.5;
-  config.downtime_per_move_seconds = 0.5;
+  // A budget of one move: exactly one sparse host consolidates.
+  config.max_moves = 1;
   const DefragStats stats =
       DefragPlanner(service, registry, config).run_once();
   EXPECT_EQ(stats.moves_committed, 1u);
+}
+
+TEST(DefragPlannerTest, MaxMovesAboveEightBoundsTheBatch) {
+  const auto datacenter = small_dc(2, 8);
+  OstroScheduler scheduler(datacenter);
+  PlacementService service(scheduler);
+  StackRegistry registry;
+
+  // Two 4-core hosts and ten half-core slivers: all twelve VMs fit on the
+  // two dense hosts, and ten moves vacate every sliver host.
+  const auto big = vms(1, 4.0);
+  const auto sliver = vms(1, 0.5);
+  StackId id = 1;
+  for (dc::HostId host = 0; host < 2; ++host) {
+    net::commit_placement(scheduler.occupancy(), *big, {host});
+    registry.add(id++, big, {host});
+  }
+  for (dc::HostId host = 2; host < 12; ++host) {
+    net::commit_placement(scheduler.occupancy(), *sliver, {host});
+    registry.add(id++, sliver, {host});
+  }
+
+  DefragConfig config;
+  config.max_moves = 10;
+  const DefragStats stats =
+      DefragPlanner(service, registry, config).run_once();
+  EXPECT_EQ(stats.moves_committed, 10u);
+  EXPECT_EQ(scheduler.occupancy().active_host_count(), 2u);
 }
 
 TEST(DefragPlannerTest, MaxResidentNodesBoundsVacateCandidates) {
@@ -133,21 +159,21 @@ TEST(DefragPlannerTest, MaxResidentNodesBoundsVacateCandidates) {
   PlacementService service(scheduler);
   StackRegistry registry;
 
-  // Host 0 is full (never a vacate candidate), host 1 carries a 2-resident
-  // pair: with max_resident_nodes = 1 nothing qualifies.
-  const auto pair = vms(2, 1.0);
-  const auto full = vms(1, 8.0);
-  net::commit_placement(scheduler.occupancy(), *full, {0});
-  net::commit_placement(scheduler.occupancy(), *pair, {1, 1});
-  registry.add(1, full, {0});
-  registry.add(2, pair, {1, 1});
+  // Hosts 0 and 1 carry five residents each, one more than a vacate
+  // candidate may hold: nothing moves, although host 0's five half-core
+  // VMs would fit beside host 1's five one-core ones.
+  const auto halves = vms(5, 0.5);
+  const auto ones = vms(5, 1.0);
+  net::commit_placement(scheduler.occupancy(), *halves, {0, 0, 0, 0, 0});
+  net::commit_placement(scheduler.occupancy(), *ones, {1, 1, 1, 1, 1});
+  registry.add(1, halves, {0, 0, 0, 0, 0});
+  registry.add(2, ones, {1, 1, 1, 1, 1});
 
-  DefragConfig config;
-  config.max_resident_nodes = 1;  // the 2-resident host is out of scope
   const DefragStats stats =
-      DefragPlanner(service, registry, config).run_once();
+      DefragPlanner(service, registry, DefragConfig{}).run_once();
   EXPECT_EQ(stats.moves_proposed, 0u);
-  EXPECT_DOUBLE_EQ(scheduler.occupancy().used(1).vcpus, 2.0);
+  EXPECT_DOUBLE_EQ(scheduler.occupancy().used(0).vcpus, 2.5);
+  EXPECT_DOUBLE_EQ(scheduler.occupancy().used(1).vcpus, 5.0);
 }
 
 TEST(DefragPlannerTest, ZoneConstraintsBlockColocatingMoves) {

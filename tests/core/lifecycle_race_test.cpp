@@ -8,8 +8,9 @@
 // migration batch in member order — nothing interleaves inside a batch)
 // on a fresh occupancy must reproduce the live occupancy bit for bit:
 // host loads, link reservations, active flags and the FeasibilityIndex.
-// All requirements and bandwidths are integral so releases cancel
-// additions exactly.
+// The race runs twice: with integral requirements and bandwidths, and with
+// fractional ones whose sums depend on the order they are added in, so a
+// commit path that applied other ops than the replay would show.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,37 +45,40 @@ struct Record {
   net::Assignment to;
 };
 
-std::shared_ptr<const topo::AppTopology> single_vm() {
+std::shared_ptr<const topo::AppTopology> single_vm(
+    const topo::Resources& vm) {
   topo::TopologyBuilder builder;
-  builder.add_vm("vm", {1.0, 1.0, 0.0});
+  builder.add_vm("vm", vm);
   return std::make_shared<const topo::AppTopology>(builder.build());
 }
 
-std::shared_ptr<const topo::AppTopology> piped_pair() {
+std::shared_ptr<const topo::AppTopology> piped_pair(const topo::Resources& vm,
+                                                    double mbps) {
   topo::TopologyBuilder builder;
-  builder.add_vm("a", {2.0, 2.0, 0.0});
-  builder.add_vm("b", {2.0, 2.0, 0.0});
-  builder.connect("a", "b", 10.0);
+  builder.add_vm("a", vm);
+  builder.add_vm("b", vm);
+  builder.connect("a", "b", mbps);
   return std::make_shared<const topo::AppTopology>(builder.build());
 }
 
-std::shared_ptr<const topo::AppTopology> zoned_pair() {
+std::shared_ptr<const topo::AppTopology> zoned_pair(const topo::Resources& vm,
+                                                    double mbps) {
   topo::TopologyBuilder builder;
-  builder.add_vm("a", {1.0, 1.0, 0.0});
-  builder.add_vm("b", {1.0, 1.0, 0.0});
-  builder.connect("a", "b", 10.0);
+  builder.add_vm("a", vm);
+  builder.add_vm("b", vm);
+  builder.connect("a", "b", mbps);
   builder.add_zone("dz", topo::DiversityLevel::kHost, {0, 1});
   return std::make_shared<const topo::AppTopology>(builder.build());
 }
 
-TEST(LifecycleRaceTest, DefragRacesStreamedPlacementsAndReplaysSerially) {
+/// Races placers, releasers and a defrag thread over `apps`, then replays
+/// every record serially and compares with the live occupancy.
+void race_and_replay(
+    const std::vector<std::shared_ptr<const topo::AppTopology>>& apps) {
   const auto datacenter = small_dc(2, 3);
   OstroScheduler scheduler(datacenter);
   PlacementService service(scheduler);
   StackRegistry registry;
-
-  const std::vector<std::shared_ptr<const topo::AppTopology>> apps = {
-      single_vm(), piped_pair(), zoned_pair()};
 
   constexpr int kPlacers = 3;
   constexpr int kReleasers = 2;
@@ -174,6 +178,19 @@ TEST(LifecycleRaceTest, DefragRacesStreamedPlacementsAndReplaysSerially) {
     }
   }
   EXPECT_TRUE(replay == scheduler.occupancy());
+}
+
+TEST(LifecycleRaceTest, DefragRacesStreamedPlacementsAndReplaysSerially) {
+  race_and_replay({single_vm({1.0, 1.0, 0.0}),
+                   piped_pair({2.0, 2.0, 0.0}, 10.0),
+                   zoned_pair({1.0, 1.0, 0.0}, 10.0)});
+}
+
+TEST(LifecycleRaceTest, DefragRacesFractionalLoadsAndReplaysSerially) {
+  race_and_replay(
+      {single_vm({1.0 / 3.0 + 0.7, 2.0 / 3.0 + 0.1, 0.0}),
+       piped_pair({5.0 / 3.0 + 0.1, 5.0 / 3.0 + 0.7, 0.0}, 10.0 / 3.0),
+       zoned_pair({2.0 / 3.0 + 0.7, 4.0 / 3.0 + 0.1, 0.0}, 0.1)});
 }
 
 }  // namespace

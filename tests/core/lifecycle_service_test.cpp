@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/scheduler.h"
 #include "core/service.h"
@@ -14,6 +16,7 @@
 #include "helpers.h"
 #include "net/reservation.h"
 #include "topology/app_topology.h"
+#include "util/metrics.h"
 
 namespace ostro::core {
 namespace {
@@ -199,11 +202,55 @@ TEST(LifecycleServiceTest, MigrationConflictsWhenTargetLacksCapacity) {
   EXPECT_TRUE(scheduler.occupancy() == before);
 }
 
-// Regression: only std::invalid_argument (a capacity/reservation failure)
-// may be downgraded to a per-member conflict.  A corrupt record — here an
-// out-of-range host id smuggled past StackRegistry::add, which validates
-// only id uniqueness and assignment size — must propagate as
-// std::out_of_range, not be silently miscounted as contention.
+TEST(LifecycleServiceTest, MigrationReplaysBitIdenticallyWithFractionalLoads) {
+  const auto datacenter = small_dc(2, 2);
+  OstroScheduler scheduler(datacenter);
+  PlacementService service(scheduler);
+  StackRegistry registry;
+
+  topo::TopologyBuilder builder;
+  builder.add_vm("x", {1.1, 1.1, 0.0});
+  builder.add_vm("y", {1.0, 1.0, 0.0});
+  builder.add_vm("z", {0.0, 0.0, 0.0});
+  builder.connect("x", "y", 10.0 / 3.0);
+  const auto stack = std::make_shared<const topo::AppTopology>(builder.build());
+  const net::Assignment from = {0, 1, 1};
+  const net::Assignment to = {0, 2, 1};
+
+  // Host 0 sums its loads in an order a release and re-reservation of x
+  // does not reproduce bit for bit: 0.3 + 4 + 1.1 + 0.5 + 0.7.
+  const std::vector<std::pair<std::shared_ptr<const topo::AppTopology>,
+                              net::Assignment>>
+      commits = {{one_vm(0.3), {0}}, {one_vm(4.0), {0}}, {stack, from},
+                 {one_vm(0.5), {0}}, {one_vm(0.7), {0}}};
+  for (const auto& [topology, assignment] : commits) {
+    net::commit_placement(scheduler.occupancy(), *topology, assignment);
+  }
+  registry.add(1, stack, from);
+
+  // x stays on host 0 and y moves across racks.  z, which asks for nothing,
+  // stays on host 1: the host the move empties stays active, as the
+  // replay's commit of z leaves it.
+  PlacementService::MigrationBatch batch;
+  batch.members.push_back({1, stack, from, to});
+  ASSERT_EQ(service.try_commit_migration(batch, registry), 1u);
+
+  dc::Occupancy replay(datacenter);
+  for (const auto& [topology, assignment] : commits) {
+    net::commit_placement(replay, *topology, assignment);
+  }
+  net::release_placement(replay, *stack, from);
+  net::commit_placement(replay, *stack, to);
+  EXPECT_TRUE(scheduler.occupancy().is_active(1));
+  EXPECT_TRUE(replay == scheduler.occupancy());
+}
+
+// Regression: only std::invalid_argument thrown while staging (a target
+// that no longer fits) may be downgraded to a per-member conflict.  A
+// corrupt record — here an out-of-range host id smuggled past
+// StackRegistry::add, which validates only id uniqueness and assignment
+// size — must propagate from net::stack_ops, not be silently miscounted as
+// contention.
 TEST(LifecycleServiceTest, MigrationPropagatesNonCapacityExceptions) {
   const auto datacenter = small_dc(1, 2);
   OstroScheduler scheduler(datacenter);
@@ -214,10 +261,14 @@ TEST(LifecycleServiceTest, MigrationPropagatesNonCapacityExceptions) {
   const dc::HostId bogus = 999;    // far beyond the 2-host cluster
   registry.add(1, mover, {bogus});
 
+  const util::metrics::Counter& conflicts =
+      util::metrics::counter("service.migration_conflicts");
+  const std::uint64_t conflicts_before = conflicts.value();
   PlacementService::MigrationBatch batch;
   batch.members.push_back({1, mover, {bogus}, {0}});
   EXPECT_THROW(service.try_commit_migration(batch, registry),
-               std::out_of_range);
+               std::invalid_argument);
+  EXPECT_EQ(conflicts.value(), conflicts_before);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(OccupancyDeltaTest, OverlayQueriesSeeStagedState) {
 // sequence, leaves equal occupancies (operator== covers the index).  Amounts
 // are multiples of 0.1, so sums are inexact in binary and releases land
 // near zero; and a link is also released and re-reserved inside one delta,
-// as net::stage_move does when a pipe's old and new paths share a link.
+// as a migration does on every host and link its stack keeps.
 TEST(OccupancyDeltaTest, OneBatchMatchesOneOpBatches) {
   const auto datacenter = small_dc(3, 3);
   const auto hosts = static_cast<int>(datacenter.host_count());
